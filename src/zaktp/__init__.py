@@ -5,7 +5,17 @@ factorization, complexified Zak transforms with certified series tails,
 zero location and zero-free certification, truncation convergence
 diagnostics, and Gabor frame bounds (continuous estimates and discrete
 brute-force tests).
+
+``ZAKTP_THREADS`` caps BLAS/OpenMP threads.  The cap is applied here, before
+NumPy is first imported, because the BLAS libraries read their thread
+variables only when they load; variables the user sets explicitly win.
 """
+import os as _os
+
+_cap = _os.environ.get("ZAKTP_THREADS")
+if _cap:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _cap)
 
 from .analysis import (
     Region,

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import maximum_filter
-from scipy.optimize import brentq, minimize
 
 from .ebspline import PiecewiseExpPoly, eval_ebspline, reduce_ebspline, _add_term, _dicts_to_pieces_any
 from .errors import (
@@ -69,6 +67,8 @@ def locate_zero_half(window, tol: float = 1e-12) -> float:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    from scipy.optimize import brentq
+
     f = _half_slice_fun(window)
     N = 4096
     xs = np.arange(N) * (2.0 / N)
@@ -155,8 +155,10 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 def _series_tables(window, tau: float, xg: np.ndarray):
     """Samples of g, g', g'' on x + k weighted by e^{2 pi k tau}.
 
-    Returns (ks, G0, G1, G2) with G?[kidx, j] = g^{(?)}(x_j + k) e^{2 pi k tau},
+    Returns (ks, G0, G1, G2, column) with G?[kidx, j] = g^{(?)}(x_j + k) e^{2 pi k tau},
     so that Z(x_j, omega + i tau) = sum_k e^{-2 pi i k omega} G0[k, j].
+    ``column(x)`` is the G0 column at one more point x, from the same
+    representation: the refinement evaluates it without rebuilding anything.
     """
     if isinstance(window, WeightMultiset):
         rep = exp_sum_rep(window)
@@ -180,11 +182,22 @@ def _series_tables(window, tau: float, xg: np.ndarray):
         raise TypeError(f"unsupported window type {type(window)!r}")
 
     weightk = np.exp(2.0 * np.pi * ks * tau)
-    G0, G1, G2 = (
-        np.stack([np.asarray(f(xg + k)) * wk for k, wk in zip(ks, weightk)])
-        for f in samp
-    )
-    return ks, G0, G1, G2
+    shifted = xg[None, :] + ks[:, None]
+    G0, G1, G2 = (np.asarray(f(shifted)) * weightk[:, None] for f in samp)
+
+    def column(x: float) -> np.ndarray:
+        return np.asarray(samp[0](x + ks)) * weightk
+
+    return ks, G0, G1, G2, column
+
+
+def _neigh_max(arr: np.ndarray) -> np.ndarray:
+    """Maximum over each 3x3 neighbourhood, the border replicated outward."""
+    p = np.pad(arr, 1, mode="edge")
+    rows = np.maximum(p[:-2], p[1:-1])
+    np.maximum(rows, p[2:], out=rows)
+    out = np.maximum(rows[:, :-2], rows[:, 1:-1])
+    return np.maximum(out, rows[:, 2:], out=out)
 
 
 def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float = 1e-8) -> ZeroCertificate:
@@ -209,7 +222,7 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
 
     xg = _grid(region.x[0], region.x[1], grid_step)
     og = _grid(region.omega[0], region.omega[1], grid_step) if region.omega[1] > region.omega[0] else np.asarray([region.omega[0]])
-    ks, G0, G1, G2 = _series_tables(window, tau, xg)
+    ks, G0, G1, G2, column = _series_tables(window, tau, xg)
     dk = (-2j * np.pi * ks)[:, None]
     phases = np.exp(-2j * np.pi * og[:, None] * ks[None, :])
     zv = np.abs(phases @ G0)
@@ -225,9 +238,6 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
     min_mod = float(zv[i, j])
     loc = (float(xg[j]), float(og[i]))
 
-    def _neigh_max(arr):
-        return maximum_filter(arr, size=3, mode="nearest")
-
     # local bound: 3x3 neighbourhood max of the exact grid gradient (captures
     # knot jumps) times the cell radius, plus an exact-Hessian curvature term
     radius = grid_step * math.sqrt(2.0) / 2.0
@@ -237,8 +247,7 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
     lip = float(local[i, j])
 
     def zpoint(p):
-        _, P0, _, _ = _series_tables(window, tau, np.asarray([p[0]]))
-        return abs(np.exp(-2j * np.pi * p[1] * ks) @ P0[:, 0])
+        return abs(np.exp(-2j * np.pi * p[1] * ks) @ column(p[0]))
 
     if min_mod < zero_tol:
         verdict = "zero_found"
@@ -247,6 +256,8 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
         loc = None
     else:
         # refine locally: the grid minimum may hide a genuine zero between nodes
+        from scipy.optimize import minimize
+
         ob = region.omega if region.omega[1] > region.omega[0] else (region.omega[0], region.omega[0] + 1e-15)
         refined = minimize(
             zpoint,

@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 domain error (the error class name is printed),
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -26,13 +25,6 @@ from .frames import discrete_frame_test, frame_bounds, periodize_sample
 from .report_io import dumps_report, write_report
 from .weights import WeightMultiset, eval_tp, make_weights
 from .zak import compute_zak_grid
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("ZAKTP_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _parse_weights(text: str) -> WeightMultiset:
@@ -228,7 +220,6 @@ def _run(args) -> int:
 
 
 def parse_and_run(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -246,3 +237,7 @@ def parse_and_run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(parse_and_run())
+
+
+if __name__ == "__main__":
+    main()

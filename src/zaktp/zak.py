@@ -152,6 +152,15 @@ def extend_quasiperiodic(z: complex, shift_n: int, shift_m: int, omega: float) -
     return z * np.exp(2j * np.pi * shift_n * omega)
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1]; every caller shares them, so read-only."""
+    nodes, wts = leggauss(quad_points)
+    nodes.setflags(write=False)
+    wts.setflags(write=False)
+    return nodes, wts
+
+
 def zak_inversion_check(weights: WeightMultiset, omega: float, quad_points: int = 256) -> complex:
     """Gauss-Legendre quadrature of Z g(x, w) e^{-2 pi i x w} over one period.
 
@@ -159,7 +168,7 @@ def zak_inversion_check(weights: WeightMultiset, omega: float, quad_points: int 
     """
     if quad_points < 16:
         raise ValueError("quad_points must be at least 16")
-    nodes, wts = leggauss(quad_points)
+    nodes, wts = _gauss_legendre(quad_points)
     x = 0.5 * (nodes + 1.0)
     vals = zak_factorized(weights, x, omega) * np.exp(-2j * np.pi * x * omega)
     return complex(np.sum(0.5 * wts * vals))

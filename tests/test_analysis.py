@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import zaktp.analysis
 from zaktp.analysis import (
     Region,
+    _neigh_max,
+    _series_tables,
     certify_zero_free,
     fully_reduced_sign_changes,
     locate_zero_half,
@@ -12,10 +15,10 @@ from zaktp.analysis import (
     strong_sign_changes,
     unit_monotone_offset,
 )
-from zaktp.ebspline import build_ebspline
+from zaktp.ebspline import build_ebspline, reduce_ebspline
 from zaktp.errors import NotUnitMonotone, NoZero, StripViolation
-from zaktp.weights import make_weights
-from zaktp.zak import zak_tp
+from zaktp.weights import exp_sum_rep, make_weights
+from zaktp.zak import _spline_for, zak_tp
 
 
 def test_even_window_zero_at_half():
@@ -55,6 +58,75 @@ def test_certify_finds_known_zero():
     cert = certify_zero_free(w, Region(x=(0.0, 1.0), omega=(0.4, 0.6)), grid_step=1 / 512)
     assert cert.verdict == "zero_found"
     assert cert.zero_location == pytest.approx((0.5, 0.5), abs=1e-3)
+
+
+def _shifted_box(x_star, tau=0.0):
+    """Box of half-width 1/32 around (x*, 1/2), shifted so no grid node hits x*."""
+    shift = 0.4 / 256
+    return Region(x=(x_star - 1 / 32 + shift, x_star + 1 / 32 + shift), omega=(0.5 - 1 / 32, 0.5 + 1 / 32), tau=tau)
+
+
+REFINE_WEIGHTS = [1.3, -2.1, 3.0]
+
+
+@pytest.mark.parametrize("case", ["weights", "spline", "tau"])
+def test_certify_refinement_finds_zero(case):
+    w = make_weights(REFINE_WEIGHTS)
+    tau = 0.25 * w.a0 / (2 * np.pi) if case == "tau" else 0.0
+    window = _spline_for(w.raw) if case == "spline" else w
+    # Z g(x, 1/2 + i tau) = e^{-2 pi tau x} Z h(x, 1/2) with h = g e^{2 pi tau .},
+    # and h is (up to a constant) the TP window with weights a - 2 pi tau
+    h = make_weights([a - 2 * np.pi * tau for a in REFINE_WEIGHTS])
+    cert = certify_zero_free(window, _shifted_box(locate_zero_half(h), tau), grid_step=1 / 256)
+    assert cert.verdict == "zero_found"
+    x, om = cert.zero_location
+    assert abs(om - 0.5) < 1e-6
+    assert abs(zak_tp(w, x, complex(om, tau))) < 1e-8
+
+
+def test_certify_builds_representation_once(monkeypatch):
+    calls = []
+    real = zaktp.analysis.exp_sum_rep
+
+    def counting(weights, *args, **kwargs):
+        calls.append(weights)
+        return real(weights, *args, **kwargs)
+
+    monkeypatch.setattr(zaktp.analysis, "exp_sum_rep", counting)
+    w = make_weights(REFINE_WEIGHTS)
+    box = _shifted_box(locate_zero_half(w))
+    for _ in range(2):
+        assert certify_zero_free(w, box, grid_step=1 / 256).verdict == "zero_found"
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("case", ["weights", "spline", "tau"])
+def test_series_tables_equal_per_shift_loop(case):
+    # reference: one evaluation per lattice shift, as the tables were once built
+    w = make_weights(REFINE_WEIGHTS)
+    tau = 0.25 * w.a0 / (2 * np.pi) if case == "tau" else 0.0
+    window = _spline_for(w.raw) if case == "spline" else w
+    xg = np.linspace(-0.3, 1.2, 37)
+    ks, G0, G1, G2, column = _series_tables(window, tau, xg)
+    if case == "spline":
+        samp = [window, reduce_ebspline(window, 0.0), reduce_ebspline(reduce_ebspline(window, 0.0), 0.0)]
+    else:
+        rep = exp_sum_rep(w)
+        samp = [rep.eval, rep.derivative().eval, rep.derivative().derivative().eval]
+    weightk = np.exp(2.0 * np.pi * ks * tau)
+    for f, G in zip(samp, (G0, G1, G2)):
+        ref = np.stack([np.real(np.asarray(f(xg + k))) * wk for k, wk in zip(ks, weightk)])
+        assert np.array_equal(G, ref)
+    for j in (0, 17, 36):
+        assert np.array_equal(column(xg[j]), G0[:, j])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (17, 17), (245, 513)])
+def test_neigh_max_matches_maximum_filter(shape):
+    from scipy.ndimage import maximum_filter  # oracle only
+
+    arr = np.random.default_rng(sum(shape)).standard_normal(shape)
+    assert np.array_equal(_neigh_max(arr), maximum_filter(arr, size=3, mode="nearest"))
 
 
 def test_certify_omega_zero_line():
