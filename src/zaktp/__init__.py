@@ -3,8 +3,8 @@
 Closed-form evaluation of the windows and their exponential-B-spline
 factorization, complexified Zak transforms with certified series tails,
 zero location and zero-free certification, truncation convergence
-diagnostics, and Gabor frame bounds (continuous estimates and discrete
-brute-force tests).
+diagnostics, and Gabor frame bounds (continuous estimates from one
+separable Zak grid, and discrete tests from the discrete Zak spectrum).
 
 ``ZAKTP_THREADS`` caps BLAS/OpenMP threads.  The cap is applied here, before
 NumPy is first imported, because the BLAS libraries read their thread

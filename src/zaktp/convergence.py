@@ -115,16 +115,6 @@ def weighted_sup_distance(
     return float(np.max(diff * np.exp(sigma * np.abs(grid))))
 
 
-def _zak_series(w: WeightMultiset, xs: np.ndarray, omega: float, tau: float) -> np.ndarray:
-    """Zg(x, omega + i tau) over the x-grid by the direct lattice series."""
-    margin = w.a0 - 2.0 * np.pi * abs(tau)
-    kmax = int(math.ceil(60.0 / margin)) + 2
-    ks = np.arange(-kmax, kmax + 1)
-    vals = eval_tp(w, (xs[None, :] + ks[:, None]).ravel()).reshape(len(ks), len(xs))
-    coeff = np.exp((2.0 * np.pi * tau - 2j * np.pi * omega) * ks)
-    return coeff @ vals
-
-
 def zak_strip_distance(
     w_n: WeightMultiset,
     w_m: WeightMultiset,

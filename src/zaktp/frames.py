@@ -1,9 +1,11 @@
 """Gabor frame bounds on integer lattices and discrete periodized frames.
 
 Frame bounds for the lattice alpha = 1, beta = 1/N are grid estimates of
-ess inf / ess sup of Sum_{j<N} |Zg(x, omega + j/N)|^2 over the unit cell.
-The discrete route periodizes and samples the window to C^K and tests the
-frame property by brute-force eigenvalues of the frame operator.
+ess inf / ess sup of Sum_{j<N} |Zg(x, omega + j/N)|^2 over the unit cell,
+read from one separable grid: each refinement step is a strided view of the
+finest grid.  The discrete route periodizes and samples the window to C^K;
+the critically sampled frame operator is diagonalized by the discrete Zak
+transform, so its spectrum is M |DFT_{K/M}(v[qM + r])|^2 (Zibulski-Zeevi).
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ebspline import eval_ebspline
-from .errors import Indivisible
+from .errors import Indivisible, ToleranceUnreachable
 from .weights import WeightMultiset, eval_tp
 from .zak import _decay_constant, _spline_for, zak_prefactor
 
@@ -55,27 +57,18 @@ class DiscreteWindow:
             yield (j, v)
 
 
-def _zak_squares(weights: WeightMultiset, N: int, n_x: int, n_w: int, extra=None):
-    """Grid of Sum_{j<N} |Zg(x, omega + j/N)|^2 plus optional extra points."""
+def _zak_squares(weights: WeightMultiset, N: int, xs: np.ndarray, oms: np.ndarray) -> np.ndarray:
+    """(len(oms), len(xs)) grid of Sum_{j<N} |Zg(x, omega + j/N)|^2."""
     B = _spline_for(weights.raw)
-    xs = np.arange(n_x) / n_x
-    oms = np.arange(n_w) / n_w
-    pts = [(x, om) for om in oms for x in xs]
-    if extra:
-        pts.extend(extra)
-    xs_all = np.asarray([p[0] for p in pts])
-    om_all = np.asarray([p[1] for p in pts])
-    bv = np.stack([eval_ebspline(B, xs_all + k) for k in range(B.m)])
     ks = np.arange(B.m)
-    total = np.zeros(len(pts))
+    bv = np.stack([eval_ebspline(B, xs + k) for k in range(B.m)])
+    total = np.zeros((len(oms), len(xs)))
     for j in range(N):
-        om_j = om_all + j / N
-        # distinct omegas are few on a uniform grid; evaluate per unique value
-        pref = {om: zak_prefactor(weights, complex(om)) for om in np.unique(om_j)}
+        om_j = oms + j / N
+        pref = np.asarray([zak_prefactor(weights, complex(om)) for om in om_j])
         phases = np.exp(-2j * np.pi * np.outer(om_j, ks))
-        z = np.einsum("pk,kp->p", phases, bv) * np.asarray([pref[o] for o in om_j])
-        total += np.abs(z) ** 2
-    return pts, total
+        total += np.abs(np.einsum("wk,kx->wx", phases, bv) * pref[:, None]) ** 2
+    return total
 
 
 def frame_bounds(
@@ -89,32 +82,37 @@ def frame_bounds(
 
     When N = 1 the grid additionally contains the known zero (x~, 1/2) of
     the Zak transform, so A_est is exactly zero there.  The refinement
-    trace records A_est over ``refinements`` grid doublings.
+    trace records A_est over ``refinements`` grid doublings; only the
+    finest grid is evaluated, and step s reads every 2^(refinements - s)-th
+    node of it, which is exact since i/n and 2^d i/(2^d n) round alike.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    n_x, n_w = resolution
-    extra = None
-    if N == 1:
-        if zero_hint is None:
-            from .analysis import locate_zero_half
+    if min(resolution) < 1 or refinements < 0:
+        raise ValueError("resolution must be positive and refinements nonnegative")
+    if N == 1 and zero_hint is None and weights.n >= 2:
+        from .analysis import locate_zero_half
 
-            zero_hint = locate_zero_half(weights) if weights.n >= 2 else None
-        if zero_hint is not None:
-            extra = [(zero_hint, 0.5)]
+        zero_hint = locate_zero_half(weights)
+    extra = []
+    if N == 1 and zero_hint is not None:
+        extra = [float(_zak_squares(weights, 1, np.array([zero_hint]), np.array([0.5]))[0, 0])]
+    n_x, n_w = resolution
+    xs = np.arange(n_x << refinements) / (n_x << refinements)
+    oms = np.arange(n_w << refinements) / (n_w << refinements)
+    fine = _zak_squares(weights, N, xs, oms)
     trace = []
     for step in range(refinements + 1):
+        stride = 1 << (refinements - step)
         res = (n_x << step, n_w << step)
-        pts, vals = _zak_squares(weights, N, res[0], res[1], extra)
-        a = float(np.min(vals))
-        b = float(np.max(vals))
-        loc = pts[int(np.argmin(vals))]
-        trace.append((res, a))
+        trace.append((res, min([float(fine[::stride, ::stride].min())] + extra)))
+    i_w, i_x = divmod(int(np.argmin(fine)), len(xs))
+    loc = (zero_hint, 0.5) if extra and extra[0] < fine[i_w, i_x] else (xs[i_x], oms[i_w])
     return FrameBoundsReport(
         N=N,
         grid_resolution=res,
-        A_est=a,
-        B_est=b,
+        A_est=trace[-1][1],
+        B_est=max([float(fine.max())] + extra),
         min_location=(float(loc[0]), float(loc[1])),
         refinement_trace=tuple(trace),
     )
@@ -130,10 +128,12 @@ def periodize_sample(weights: WeightMultiset, K: int, tol: float = 1e-14) -> Dis
     a0 = weights.a0
     # |g(j + kK)| <= C e^{-a0(|k| K - K)}; choose k-range so the tail sums below tol
     kp = 1
-    while 2.0 * C * math.exp(-a0 * (kp * K - K)) / (1.0 - math.exp(-a0 * K)) >= tol:
+    while (tail := 2.0 * C * math.exp(-a0 * (kp * K - K)) / (1.0 - math.exp(-a0 * K))) >= tol:
+        if kp == 10**6:
+            raise ToleranceUnreachable(
+                f"tail bound {tail:.3g} >= tol = {tol} after 10^6 periods each side"
+            )
         kp += 1
-        if kp > 10**6:
-            break
     js = np.arange(K)
     vals = np.zeros(K)
     for k in range(-kp, kp + 1):
@@ -142,32 +142,29 @@ def periodize_sample(weights: WeightMultiset, K: int, tol: float = 1e-14) -> Dis
 
 
 def discrete_frame_test(window: DiscreteWindow, M: int) -> dict:
-    """Brute-force frame test of the discrete Gabor system on C^K.
+    """Frame test of the discrete Gabor system on C^K from its Zak-domain spectrum.
 
     The system consists of translates by M and modulations by 1/M of the
-    window: phi_{k,l}[j] = v[(j - kM) mod K] e^{2 pi i j l / M}; the frame
-    operator's extreme eigenvalues decide the frame property.
+    window: phi_{k,l}[j] = v[(j - kM) mod K] e^{2 pi i j l / M}.  Its frame
+    operator splits into M circulant blocks, so its eigenvalues are
+    M |DFT_{K/M}(v[qM + r])[f]|^2 over residues r < M and frequencies f,
+    the discrete Zak transform of v.  ``lambda_min_at`` is the point
+    (r/M, f/(K/M)) of the discrete Zak domain where the smallest is attained.
     """
     K = window.K
     if M < 1:
         raise ValueError("M must be positive")
     if K % M != 0:
         raise Indivisible(f"M = {M} does not divide K = {K}")
-    v = np.asarray(window.values)
-    j = np.arange(K)
-    vectors = []
-    for k in range(K // M):
-        shifted = v[(j - k * M) % K]
-        for l in range(M):
-            vectors.append(shifted * np.exp(2j * np.pi * j * l / M))
-    Phi = np.stack(vectors)  # rows are the frame vectors
-    S = Phi.conj().T @ Phi
-    eig = np.linalg.eigvalsh(S)
-    lam_min, lam_max = float(eig[0]), float(eig[-1])
+    L = K // M
+    spec = M * np.abs(np.fft.fft(np.asarray(window.values).reshape(L, M), axis=0)) ** 2
+    f, r = divmod(int(np.argmin(spec)), M)
+    lam_min, lam_max = float(spec[f, r]), float(spec.max())
     return {
         "K": K,
         "M": M,
         "lambda_min": lam_min,
         "lambda_max": lam_max,
+        "lambda_min_at": [r / M, f / L],
         "is_frame": bool(lam_min > 1e-10 * lam_max),
     }

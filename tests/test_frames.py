@@ -4,15 +4,82 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zaktp.errors import Indivisible
+from zaktp.analysis import locate_zero_half
+from zaktp.ebspline import eval_ebspline
+from zaktp.errors import Indivisible, ToleranceUnreachable
 from zaktp.frames import (
     DiscreteWindow,
+    FrameBoundsReport,
     discrete_frame_test,
     frame_bounds,
     periodize_sample,
 )
 from zaktp.weights import eval_tp, make_weights
+from zaktp.zak import _spline_for, zak_prefactor
+
+
+def _reference_zak_squares(weights, N, n_x, n_w, extra=None):
+    """Per-point Sum_{j<N} |Zg(x, omega + j/N)|^2 over the grid plus extra points."""
+    B = _spline_for(weights.raw)
+    xs = np.arange(n_x) / n_x
+    oms = np.arange(n_w) / n_w
+    pts = [(x, om) for om in oms for x in xs]
+    if extra:
+        pts.extend(extra)
+    xs_all = np.asarray([p[0] for p in pts])
+    om_all = np.asarray([p[1] for p in pts])
+    bv = np.stack([eval_ebspline(B, xs_all + k) for k in range(B.m)])
+    ks = np.arange(B.m)
+    total = np.zeros(len(pts))
+    for j in range(N):
+        om_j = om_all + j / N
+        pref = {om: zak_prefactor(weights, complex(om)) for om in np.unique(om_j)}
+        phases = np.exp(-2j * np.pi * np.outer(om_j, ks))
+        z = np.einsum("pk,kp->p", phases, bv) * np.asarray([pref[o] for o in om_j])
+        total += np.abs(z) ** 2
+    return pts, total
+
+
+def _reference_frame_bounds(weights, N, resolution, refinements):
+    """frame_bounds with every refinement grid evaluated point by point."""
+    extra = None
+    if N == 1 and weights.n >= 2:
+        extra = [(locate_zero_half(weights), 0.5)]
+    trace = []
+    for step in range(refinements + 1):
+        res = (resolution[0] << step, resolution[1] << step)
+        pts, vals = _reference_zak_squares(weights, N, res[0], res[1], extra)
+        loc = pts[int(np.argmin(vals))]
+        trace.append((res, float(np.min(vals))))
+    return FrameBoundsReport(
+        N=N,
+        grid_resolution=res,
+        A_est=trace[-1][1],
+        B_est=float(np.max(vals)),
+        min_location=(float(loc[0]), float(loc[1])),
+        refinement_trace=tuple(trace),
+    )
+
+
+def _brute_force_spectrum(v, M):
+    """Eigenvalues of the dense K x K frame operator of the discrete Gabor system."""
+    K = len(v)
+    j = np.arange(K)
+    Phi = np.stack(
+        [v[(j - k * M) % K] * np.exp(2j * np.pi * j * l / M) for k in range(K // M) for l in range(M)]
+    )
+    return np.linalg.eigvalsh(Phi.conj().T @ Phi)
+
+
+def _assert_matches_brute_force(dw, M):
+    rep = discrete_frame_test(dw, M)
+    eig = _brute_force_spectrum(np.asarray(dw.values), M)
+    assert abs(rep["lambda_min"] - eig[0]) <= 1e-12 * eig[-1]
+    assert abs(rep["lambda_max"] - eig[-1]) <= 1e-12 * eig[-1]
+    assert rep["is_frame"] == bool(eig[0] > 1e-10 * eig[-1])
 
 
 def test_frame_bounds_N1_hits_zero():
@@ -135,3 +202,67 @@ def test_discrete_frame_operator_matches_direct_sum():
         norm2 = float(np.vdot(f, f).real)
         assert rep["lambda_min"] * norm2 <= energy + 1e-9
         assert energy <= rep["lambda_max"] * norm2 + 1e-9
+
+
+@pytest.mark.parametrize("ws", [[0.9, -2.1, 1.4], [2.0, -3.0, 0.7, -1.1]])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("refinements", [0, 1, 2, 3])
+def test_frame_bounds_equals_per_point_reference(ws, N, refinements):
+    # one strided fine grid reproduces every refinement step bit for bit
+    w = make_weights(ws)
+    got = frame_bounds(w, N, resolution=(16, 24), refinements=refinements)
+    assert got.to_json_dict() == _reference_frame_bounds(w, N, (16, 24), refinements).to_json_dict()
+
+
+@pytest.mark.parametrize("resolution,refinements", [((8, 8), -1), ((0, 8), 1), ((8, 0), 0)])
+def test_frame_bounds_rejects_bad_grid(resolution, refinements):
+    with pytest.raises(ValueError):
+        frame_bounds(make_weights([1.0, -1.0]), 2, resolution, refinements)
+
+
+def test_frame_bounds_zero_hint_is_argmin():
+    # the zero x* of Zg(., 1/2) is off the dyadic grid, so the hint point wins
+    w = make_weights([-1.5, 2.0])
+    got = frame_bounds(w, 1, resolution=(16, 24), refinements=2)
+    assert got.min_location == (locate_zero_half(w), 0.5)
+    assert got.to_json_dict() == _reference_frame_bounds(w, 1, (16, 24), 2).to_json_dict()
+
+
+@pytest.mark.parametrize("K,M", [(12, 2), (30, 3), (48, 4), (64, 8)])
+def test_discrete_frame_matches_brute_force_operator(K, M):
+    _assert_matches_brute_force(periodize_sample(make_weights([0.9, -2.1, 1.4]), K), M)
+
+
+@st.composite
+def _weights_and_lattice(draw):
+    mags = draw(st.lists(st.floats(0.5, 5.0), min_size=2, max_size=6, unique=True))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(mags), max_size=len(mags)))
+    M = draw(st.integers(1, 8))
+    L = draw(st.integers(1, 64 // M))
+    return [s * a for s, a in zip(signs, mags)], L * M, M
+
+
+@settings(max_examples=40, deadline=None)
+@given(_weights_and_lattice())
+def test_discrete_frame_spectrum_property(case):
+    ws, K, M = case
+    _assert_matches_brute_force(periodize_sample(make_weights(ws), K), M)
+
+
+@pytest.mark.parametrize("K,M", [(8, 2), (12, 2), (24, 4)])
+def test_discrete_frame_min_at_even_window_zak_zero(K, M):
+    # even window: the discrete Zak transform vanishes at (1/2, 1/2)
+    rep = discrete_frame_test(periodize_sample(make_weights([1.0, -1.0]), K), M)
+    assert rep["lambda_min_at"] == [0.5, 0.5]
+
+
+def test_discrete_frame_large_K():
+    rep = discrete_frame_test(periodize_sample(make_weights([0.9, -2.1, 1.4]), 2**17), 8)
+    assert rep["K"] == 2**17
+    assert 0.0 <= rep["lambda_min"] <= rep["lambda_max"] < math.inf
+
+
+def test_periodize_sample_unreachable_tolerance():
+    # a0 = 1e-6 at K = 1: the tail bound is still 1.47 after 10^6 periods
+    with pytest.raises(ToleranceUnreachable):
+        periodize_sample(make_weights([1e-6]), 1)
