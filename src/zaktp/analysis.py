@@ -3,7 +3,8 @@
 All zeros of the Zak transform of a TP window lie at omega = 1/2, so the
 zero search is one-dimensional: bracket the single sign change of the real
 2-periodic slice Z(., 1/2) and bisect.  The certifier independently covers
-the complement with a grid scan plus a Lipschitz majorant.
+the complement with a grid scan plus a Lipschitz majorant.  Windows and
+splines reach both through one exp-poly term table, ``ebspline.ExpPolyTable``.
 """
 from __future__ import annotations
 
@@ -13,15 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .ebspline import PiecewiseExpPoly, eval_ebspline, reduce_ebspline, _add_term, _dicts_to_pieces_any
+from .ebspline import PiecewiseExpPoly, reduce_ebspline
 from .errors import (
     MultipleZeros,
     NoZero,
     NotUnitMonotone,
-    StripViolation,
 )
 from .weights import WeightMultiset, exp_sum_rep
-from .zak import _spline_for, zak_ebspline, zak_prefactor
+from .zak import _check_strip, _spline_for, zak_ebspline, zak_prefactor
 
 
 # ---------------------------------------------------------------------------
@@ -31,31 +31,18 @@ from .zak import _spline_for, zak_ebspline, zak_prefactor
 def _half_slice_fun(window):
     """Real function x -> Re Z(x, 1/2) for a TP window or a spline."""
     if isinstance(window, WeightMultiset):
-        B = _spline_for(window.raw)
-        pref = zak_prefactor(window, 0.5)
-
-        def f(x):
-            return np.real(pref * zak_ebspline(B, x, 0.5))
-
+        B, pref = _spline_for(window.raw), zak_prefactor(window, 0.5)
     elif isinstance(window, PiecewiseExpPoly):
-        B = window
-
-        def f(x):
-            return np.real(zak_ebspline(B, x, 0.5))
-
+        B, pref = window, 1.0
     else:
         raise TypeError(f"unsupported window type {type(window)!r}")
-    return f
+    return lambda x: np.real(pref * zak_ebspline(B, x, 0.5))
 
 
 def fundamental_slice(B: PiecewiseExpPoly, s: complex) -> PiecewiseExpPoly:
     """Z B(., s) restricted to [0,1) as a single-piece exp-poly (complex)."""
-    d: dict = {}
-    for k in range(B.m):
-        phase = np.exp(-2j * np.pi * k * s)
-        for eta, coeffs in B.pieces[k]:
-            _add_term(d, eta, phase * np.asarray(coeffs, dtype=complex))
-    return _dicts_to_pieces_any([d])
+    phases = [np.exp(-2j * np.pi * k * s) for k in range(B.m)]
+    return PiecewiseExpPoly.from_table(B.table.zak_sum(phases))
 
 
 def locate_zero_half(window, tol: float = 1e-12) -> float:
@@ -162,31 +149,23 @@ def _series_tables(window, tau: float, xg: np.ndarray):
     """
     if isinstance(window, WeightMultiset):
         rep = exp_sum_rep(window)
-        drep = rep.derivative()
-        ddrep = drep.derivative()
         margin = window.a0 - 2.0 * np.pi * abs(tau)
         kmax = int(math.ceil(60.0 / margin)) + 2
         ks = np.arange(-kmax, kmax + 1)
-        samp = [rep.eval, drep.eval, ddrep.eval]
     elif isinstance(window, PiecewiseExpPoly):
-        B = window
-        dB = reduce_ebspline(B, 0.0)
-        ddB = reduce_ebspline(dB, 0.0)
-        ks = np.arange(-1, B.m + 1)
-
-        def _ev(spline):
-            return lambda y: np.real(np.asarray(eval_ebspline(spline, y)))
-
-        samp = [_ev(B), _ev(dB), _ev(ddB)]
+        rep = window
+        ks = np.arange(-1, window.m + 1)
     else:
         raise TypeError(f"unsupported window type {type(window)!r}")
+    drep = rep.derivative()
+    samp = [rep, drep, drep.derivative()]
 
     weightk = np.exp(2.0 * np.pi * ks * tau)
     shifted = xg[None, :] + ks[:, None]
-    G0, G1, G2 = (np.asarray(f(shifted)) * weightk[:, None] for f in samp)
+    G0, G1, G2 = (np.real(f(shifted)) * weightk[:, None] for f in samp)
 
     def column(x: float) -> np.ndarray:
-        return np.asarray(samp[0](x + ks)) * weightk
+        return np.real(rep(x + ks)) * weightk
 
     return ks, G0, G1, G2, column
 
@@ -214,11 +193,7 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
         raise ValueError("grid_step must be positive")
     tau = region.tau
     if isinstance(window, WeightMultiset):
-        edge = window.a0 / (2.0 * np.pi)
-        if abs(tau) >= (1.0 - 1e-6) * edge:
-            raise StripViolation(f"tau = {tau} outside the strip (edge {edge:.6g})")
-    elif not isinstance(window, PiecewiseExpPoly):
-        raise TypeError(f"unsupported window type {type(window)!r}")
+        _check_strip(window, tau)
 
     xg = _grid(region.x[0], region.x[1], grid_step)
     og = _grid(region.omega[0], region.omega[1], grid_step) if region.omega[1] > region.omega[0] else np.asarray([region.omega[0]])
@@ -365,15 +340,12 @@ def fully_reduced_sign_changes(
     the real part.
     """
     B = _spline_for(weights.raw)
-    h0 = fundamental_slice(B, complex(omega))
+    red = fundamental_slice(B, complex(omega)).table
     clusters = sorted(((-b, mu) for b, mu in weights.distinct))
-    red = h0
     for idx, (eta, mu) in enumerate(clusters):
-        times = mu - 1 if idx == 0 else mu
-        for _ in range(times):
-            red = reduce_ebspline(red, eta)
-    t = np.arange(per_unit) / per_unit
-    base = np.asarray(red.piece_eval(0, t))
+        for _ in range(mu - 1 if idx == 0 else mu):
+            red = red.reduce(eta)
+    base = red.eval(0, np.arange(per_unit) / per_unit)
     samples = np.concatenate(
         [np.real(np.exp(2j * np.pi * k * omega) * base) for k in range(N)]
     )

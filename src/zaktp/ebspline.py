@@ -1,23 +1,42 @@
-"""Exponential B-splines by exact symbolic convolution.
+"""Exponential B-splines by exact convolution, on one exp-poly term table.
+
+A TP window of finite type and its exponential B-spline are both sums
+p(t) e^{eta t} over one exponent set: the window on each half-line (its
+partial fractions, ``weights.ExpSumRep``), the spline on each unit interval.
+:class:`ExpPolyTable` holds such sums as arrays and evaluates, reduces and
+Zak-sums them; both representations run on it.
 
 A spline with weight vector (lambda_1, ..., lambda_m) is the m-fold
 convolution of the functions e^{lambda_j t} chi_[0,1).  Each convolution step
-is carried out in closed form on the piecewise polynomial-times-exponential
-representation, so no quadrature error enters any downstream identity.
-Pieces live on local coordinates t = x - k in [0,1).
+is carried out in closed form on the table, so no quadrature error enters any
+downstream identity.  Pieces live on local coordinates t = x - k in [0,1),
+and every piece carries every distinct lambda, with degree below its
+multiplicity.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 _P = np.polynomial.polynomial
 
-# exponents closer than this are treated as equal (the eta = lambda branch)
-_EXP_EQ_TOL = 1e-12
+
+def cluster_values(vals: Sequence[float], tol: float):
+    """Chain-cluster ``vals`` (sorted neighbours at most ``tol`` apart share a
+    cluster): ascending (mean, multiplicity) pairs, and each entry's cluster index."""
+    labels = [0] * len(vals)
+    groups: list[list[float]] = []
+    for idx in np.argsort(vals):
+        v = vals[idx]
+        if groups and v - groups[-1][-1] <= tol:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+        labels[idx] = len(groups) - 1
+    return tuple((float(np.mean(g)), len(g)) for g in groups), labels
 
 
 @dataclass(frozen=True)
@@ -33,29 +52,71 @@ class WeightVector:
 
 
 def make_weight_vector(values: Sequence[float], coalesce_tol: float = 1e-9) -> WeightVector:
+    """Cluster the values; each entry becomes its cluster mean, so repeats compare equal."""
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("weight vector is empty")
     for v in vals:
         if not math.isfinite(v):
             raise ValueError(f"weight {v!r} is not finite")
-    order = np.argsort(vals)
-    groups: list[list[float]] = []
-    for idx in order:
-        v = vals[idx]
-        if groups and v - groups[-1][-1] <= coalesce_tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    clusters = tuple((float(np.mean(g)), len(g)) for g in groups)
-    # snap raw entries to their cluster mean so repeated exponents compare equal
-    snapped = []
-    for v in vals:
-        for b, _ in clusters:
-            if abs(v - b) <= coalesce_tol + 1e-300:
-                snapped.append(b)
-                break
-    return WeightVector(lambdas=tuple(snapped), clusters=clusters)
+    clusters, labels = cluster_values(vals, coalesce_tol)
+    return WeightVector(lambdas=tuple(clusters[i][0] for i in labels), clusters=clusters)
+
+
+class ExpPolyTable:
+    """Pieces of sums of p(t) e^{eta t} over one exponent set, as arrays.
+
+    ``etas`` (T,) lists the exponents in summation order; ``coeffs`` (P, T, D)
+    holds the ascending coefficients of each term on each piece, zero-padded
+    to D, and carries the table's dtype.  A term that is zero on a piece is
+    skipped there.
+    """
+
+    def __init__(self, etas, coeffs):
+        self.etas = np.asarray(etas, dtype=float)
+        self.coeffs = np.asarray(coeffs)
+        live = [np.any(c != 0, axis=1) for c in self.coeffs]
+        self._live = [(self.etas[m], c[m]) for m, c in zip(live, self.coeffs)]
+
+    def _piece(self, p: int, t: np.ndarray) -> np.ndarray:
+        """Piece p at the 1-D points t: padded Horner per term, the terms added in
+        slot order.  In place where the dtype allows: fresh (T, n) arrays cost more."""
+        etas, c = self._live[p]
+        vals = np.multiply.outer(etas, t)
+        np.exp(vals, out=vals)
+        acc = c[:, -1:]
+        for d in range(c.shape[1] - 2, -1, -1):
+            acc = acc * t + c[:, d : d + 1]
+        vals = np.multiply(acc, vals, out=vals if c.dtype == vals.dtype else None)
+        out = np.zeros(t.shape, self.coeffs.dtype)
+        for v in vals:
+            out += v
+        return out
+
+    def eval(self, piece, t) -> np.ndarray:
+        """The terms of ``piece`` at t.  ``piece`` is an int or an int array
+        shaped like t; indices outside the table give 0."""
+        t = np.asarray(t, dtype=float)
+        piece = np.broadcast_to(piece, t.shape)
+        out = np.zeros(t.shape, self.coeffs.dtype)
+        for p in range(len(self.coeffs)):
+            sel = piece == p
+            if np.any(sel):
+                out[sel] = self._piece(p, t[sel])
+        return out
+
+    def reduce(self, eta0: float) -> "ExpPolyTable":
+        """Each term p(t) e^{eta t} becomes (p' + (eta - eta0) p)(t) e^{eta t}."""
+        out = (self.etas - eta0)[:, None] * self.coeffs
+        out[..., :-1] += self.coeffs[..., 1:] * np.arange(1, self.coeffs.shape[-1])
+        return ExpPolyTable(self.etas, out)
+
+    def zak_sum(self, phases) -> "ExpPolyTable":
+        """The one-piece table sum_k phases[k] coeffs[k], accumulated in k order."""
+        acc = phases[0] * self.coeffs[0]
+        for ph, c in zip(phases[1:], self.coeffs[1:]):
+            acc = acc + ph * c
+        return ExpPolyTable(self.etas, acc[None])
 
 
 @dataclass(frozen=True)
@@ -64,118 +125,121 @@ class PiecewiseExpPoly:
 
     ``pieces[k]`` is a tuple of (eta, ascending coefficients) terms valid for
     x in [k, k+1) with local coordinate t = x - k; support is exactly [0, m].
-    Coefficients may be real or complex.
+    Coefficients may be real or complex.  ``table`` is derived from the
+    pieces, with the exponents ascending.
     """
 
     pieces: tuple[tuple[tuple[float, tuple], ...], ...]
+    table: ExpPolyTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        etas = sorted({eta for piece in self.pieces for eta, _ in piece})
+        slot = {eta: i for i, eta in enumerate(etas)}
+        arrays = [np.asarray(c) for piece in self.pieces for _, c in piece]
+        shape = (len(self.pieces), len(etas), max((len(a) for a in arrays), default=1))
+        coeffs = np.zeros(shape, np.result_type(float, *arrays))
+        for k, piece in enumerate(self.pieces):
+            for eta, c in piece:
+                coeffs[k, slot[eta], : len(c)] += c
+        object.__setattr__(self, "table", ExpPolyTable(etas, coeffs))
+
+    @classmethod
+    def from_table(cls, table: ExpPolyTable) -> "PiecewiseExpPoly":
+        """The piecewise sum with the table's pieces, trailing zeros trimmed."""
+        pieces = []
+        for piece in table.coeffs:
+            trimmed = [tuple(np.trim_zeros(c, "b")) or (c.dtype.type(0),) for c in piece]
+            pieces.append(tuple(zip(map(float, table.etas), trimmed)))
+        return cls(tuple(pieces))
 
     @property
     def m(self) -> int:
         return len(self.pieces)
 
-    @property
-    def is_complex(self) -> bool:
-        return any(
-            np.iscomplexobj(np.asarray(c)) for piece in self.pieces for _, c in piece
-        )
-
     def piece_eval(self, k: int, t):
         """Evaluate piece k at local coordinates t (no support clipping)."""
-        t = np.asarray(t)
-        dtype = complex if self.is_complex else float
-        out = np.zeros(t.shape, dtype=dtype)
-        for eta, coeffs in self.pieces[k]:
-            out += _P.polyval(t, np.asarray(coeffs)) * np.exp(eta * t)
-        return out
+        return self.table.eval(k, t)
+
+    def derivative(self) -> "PiecewiseExpPoly":
+        """The classical derivative between the knots."""
+        return reduce_ebspline(self, 0.0)
 
     def __call__(self, x):
         return eval_ebspline(self, x)
 
 
-def _add_term(d: dict, eta: float, coeffs: np.ndarray):
-    for key in d:
-        if abs(key - eta) <= _EXP_EQ_TOL:
-            a, b = d[key], coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            a = a.astype(np.result_type(a, b), copy=True)
-            a[: len(b)] += b
-            d[key] = a
-            return
-    d[eta] = np.asarray(coeffs).copy()
-
-
 def _antideriv_exp(p: np.ndarray, c: float) -> np.ndarray:
     """q with d/dv [q(v) e^{c v}] = p(v) e^{c v}, for c != 0."""
-    q = np.zeros_like(p, dtype=np.result_type(p, float))
-    term = p.astype(q.dtype)
-    sign = 1.0
-    k = 0
-    while term.size and np.any(term != 0):
-        q[: len(term)] += sign * term / c ** (k + 1)
+    q = np.zeros(len(p))
+    term = p
+    for k in range(len(p)):
+        q[: len(term)] += (-1.0) ** k * term / c ** (k + 1)
         term = _P.polyder(term)
-        sign = -sign
-        k += 1
-        if k > len(p) + 1:
-            break
     return q
 
 
-def _convolve_factor(pieces: list[dict], lam: float) -> list[dict]:
-    """Convolve a piecewise exp-poly with e^{lam t} chi_[0,1)."""
-    m = len(pieces)
-    new: list[dict] = [dict() for _ in range(m + 1)]
+def _convolve_factor(coeffs: np.ndarray, order: list, etas: list, s: int):
+    """Convolve the pieces ``coeffs`` (P, T, D) with e^{lam t} chi_[0,1), lam = etas[s].
+
+    ``order[j]`` lists the slots of piece j in the order their terms arose; terms
+    are visited, and added into each slot, in that order, so every coefficient is
+    one fixed floating-point sum.  Exponents come from one clustered weight
+    vector, so they are compared exactly.
+    """
+    lam = etas[s]
+    P, T, D = coeffs.shape
+    new = np.zeros((P + 1, T, D))
+    new_order: list[list[int]] = [[] for _ in range(P + 1)]
+
+    def add(j: int, i: int, v):
+        new[j, i, : len(v)] += v
+        if i not in new_order[j]:
+            new_order[j].append(i)
+
     e_lam = math.exp(lam)
-    for j, piece in enumerate(pieces):
-        for eta, p in piece.items():
-            c = eta - lam
-            if abs(c) > _EXP_EQ_TOL:
-                q = _antideriv_exp(p, c)
-                q0 = _P.polyval(0.0, q)
-                q1 = _P.polyval(1.0, q)
+    for j in range(P):
+        for i in order[j]:
+            p, eta = coeffs[j, i], etas[i]
+            if i != s:
+                q = _antideriv_exp(p, eta - lam)
                 # A-part on piece j:  e^{lam t} (G(t) - G(0)), G = q e^{c v}
-                _add_term(new[j], eta, q)
-                _add_term(new[j], lam, np.asarray([-q0]))
+                add(j, i, q)
+                add(j, s, [-_P.polyval(0.0, q)])
                 # B-part on piece j+1:  e^{lam (t+1)} (G(1) - G(t))
-                _add_term(new[j + 1], lam, np.asarray([math.exp(eta) * q1]))
-                _add_term(new[j + 1], eta, -e_lam * q)
+                add(j + 1, s, [math.exp(eta) * _P.polyval(1.0, q)])
+                add(j + 1, i, -e_lam * q)
             else:
-                Q = _P.polyint(p)
-                Q0 = _P.polyval(0.0, Q)
-                Q1 = _P.polyval(1.0, Q)
-                QA = Q.copy()
-                QA[0] -= Q0
-                _add_term(new[j], lam, QA)
+                # Q(0) = 0, and the degree stays below the multiplicity: Q fits in D slots
+                Q = _P.polyint(p)[:D]
+                add(j, s, Q)
                 QB = -Q
-                QB[0] += Q1
-                _add_term(new[j + 1], lam, e_lam * QB)
-    return new
+                QB[0] += _P.polyval(1.0, Q)
+                add(j + 1, s, e_lam * QB)
+    return new, new_order
 
 
 def build_ebspline(lam: WeightVector | Sequence[float]) -> PiecewiseExpPoly:
     """Construct the spline for the weight vector by exact convolution."""
     if not isinstance(lam, WeightVector):
         lam = make_weight_vector(lam)
-    lambdas = lam.lambdas
-    pieces: list[dict] = [{lambdas[0]: np.asarray([1.0])}]
-    for lj in lambdas[1:]:
-        pieces = _convolve_factor(pieces, lj)
-    return _dicts_to_pieces_any(pieces)
+    etas = [b for b, _ in lam.clusters]
+    slot = {eta: i for i, eta in enumerate(etas)}
+    first = slot[lam.lambdas[0]]
+    coeffs = np.zeros((1, len(etas), max(mu for _, mu in lam.clusters)))
+    coeffs[0, first, 0] = 1.0
+    order = [[first]]
+    for lj in lam.lambdas[1:]:
+        coeffs, order = _convolve_factor(coeffs, order, etas, slot[lj])
+    return PiecewiseExpPoly.from_table(ExpPolyTable(etas, coeffs))
 
 
 def eval_ebspline(B: PiecewiseExpPoly, x):
     """Evaluate the spline at x (scalar or array); zero outside [0, m]."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    dtype = complex if B.is_complex else float
-    out = np.zeros(xs.shape, dtype=dtype)
-    k = np.floor(xs).astype(int)
-    inside = (xs >= 0) & (xs < B.m)
-    for kk in range(B.m):
-        sel = inside & (k == kk)
-        if np.any(sel):
-            out[sel] = B.piece_eval(kk, xs[sel] - kk)
+    k = np.floor(xs)
+    out = B.table.eval(np.where((xs >= 0) & (xs < B.m), k, -1), xs - k)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return out[0] if B.is_complex else float(out[0].real)
+        return out[0] if out.dtype.kind == "c" else float(out[0])
     return out
 
 
@@ -209,30 +273,4 @@ def reduce_ebspline(B: PiecewiseExpPoly, eta: float) -> PiecewiseExpPoly:
     Each term p(t) e^{mu t} maps to (p' + (mu - eta) p)(t) e^{mu t}; knot
     discontinuities are ignored (classical derivative between knots).
     """
-    dicts = []
-    for piece in B.pieces:
-        d: dict = {}
-        for mu, coeffs in piece:
-            p = np.asarray(coeffs)
-            dp = _P.polyder(p) if len(p) > 1 else np.zeros(1, dtype=p.dtype)
-            q = (mu - eta) * p
-            q = q.astype(np.result_type(q, dp), copy=True)
-            q[: len(dp)] += dp
-            _add_term(d, mu, q)
-        dicts.append(d)
-    return _dicts_to_pieces_any(dicts)
-
-
-def _dicts_to_pieces_any(dicts: list[dict]) -> PiecewiseExpPoly:
-    # like _dicts_to_pieces but preserving complex coefficients
-    pieces = []
-    for d in dicts:
-        terms = []
-        for eta in sorted(d):
-            coeffs = np.asarray(d[eta])
-            trimmed = np.trim_zeros(coeffs, "b")
-            if trimmed.size == 0:
-                trimmed = np.zeros(1, dtype=coeffs.dtype)
-            terms.append((float(eta), tuple(trimmed)))
-        pieces.append(tuple(terms))
-    return PiecewiseExpPoly(pieces=tuple(pieces))
+    return PiecewiseExpPoly.from_table(B.table.reduce(eta))

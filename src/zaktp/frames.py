@@ -19,6 +19,8 @@ from .errors import Indivisible, ToleranceUnreachable
 from .weights import WeightMultiset, eval_tp
 from .zak import _decay_constant, _spline_for, zak_prefactor
 
+_MAX_PERIODS = 10**6
+
 
 @dataclass(frozen=True)
 class FrameBoundsReport:
@@ -118,22 +120,36 @@ def frame_bounds(
     )
 
 
+def _period_count(C: float, a0: float, K: int, tol: float) -> int:
+    """Least kp >= 1 whose tail bound beyond kp periods each side is below tol.
+
+    |g(j + kK)| <= C e^{-a0(|k| K - K)} makes tail(kp) = tail(1) e^{-a0 K (kp - 1)}:
+    a logarithm gives kp, and one check each way against ``tail`` makes it exact.
+    """
+
+    def tail(kp: int) -> float:
+        return 2.0 * C * math.exp(-a0 * (kp * K - K)) / (1.0 - math.exp(-a0 * K))
+
+    if tail(_MAX_PERIODS) >= tol:
+        raise ToleranceUnreachable(
+            f"tail bound {tail(_MAX_PERIODS):.3g} >= tol = {tol} after 10^6 periods each side"
+        )
+    estimate = 1.0 + (math.log(tail(1)) - math.log(tol)) / (a0 * K)
+    kp = max(1, math.ceil(min(estimate, _MAX_PERIODS)))
+    while kp > 1 and tail(kp - 1) < tol:
+        kp -= 1
+    while tail(kp) >= tol:
+        kp += 1
+    return kp
+
+
 def periodize_sample(weights: WeightMultiset, K: int, tol: float = 1e-14) -> DiscreteWindow:
     """Periodized integer samples of the window with tail below tol."""
     if K < 1:
         raise ValueError("K must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    C = _decay_constant(weights.raw)
-    a0 = weights.a0
-    # |g(j + kK)| <= C e^{-a0(|k| K - K)}; choose k-range so the tail sums below tol
-    kp = 1
-    while (tail := 2.0 * C * math.exp(-a0 * (kp * K - K)) / (1.0 - math.exp(-a0 * K))) >= tol:
-        if kp == 10**6:
-            raise ToleranceUnreachable(
-                f"tail bound {tail:.3g} >= tol = {tol} after 10^6 periods each side"
-            )
-        kp += 1
+    kp = _period_count(_decay_constant(weights.raw), weights.a0, K, tol)
     js = np.arange(K)
     vals = np.zeros(K)
     for k in range(-kp, kp + 1):

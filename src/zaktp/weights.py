@@ -5,7 +5,9 @@ its Fourier transform is the product of the factors 1 / (1 + 2*pi*i*w / a_nu)
 (shift-free normalization), and in the time domain it is the n-fold
 convolution of one-sided exponentials.  Evaluation goes through a confluent
 divided difference in the weights, or, for widely spread distinct weights,
-through the partial-fraction form computed in log space.
+through the partial-fraction form computed in log space.  The partial
+fractions themselves, :class:`ExpSumRep`, are a two-piece exp-poly table
+(``ebspline.ExpPolyTable``), the same object the B-spline is built on.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .ebspline import ExpPolyTable, cluster_values
 from .errors import (
     DerivativeUnavailable,
     EmptyInput,
@@ -82,15 +85,7 @@ def make_weights(values: Sequence[float], coalesce_tol: float = 1e-9) -> WeightM
         if abs(v) <= coalesce_tol or v == 0.0:
             raise ZeroWeight(f"weight {v!r} is within {coalesce_tol} of zero")
 
-    order = np.argsort(vals)
-    clusters: list[list[float]] = []
-    for idx in order:
-        v = vals[idx]
-        if clusters and v - clusters[-1][-1] <= coalesce_tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    distinct = tuple((float(np.mean(c)), len(c)) for c in clusters)
+    distinct, _ = cluster_values(vals, coalesce_tol)
     a0 = min(abs(v) for v in vals)
     return WeightMultiset(raw=tuple(vals), distinct=distinct, a0=a0)
 
@@ -239,50 +234,27 @@ def fourier_tp(weights: WeightMultiset, omega):
 
 @dataclass(frozen=True)
 class ExpSumRep:
-    """Two-sided sum of polynomial x exponential terms representing g_n.
+    """g_n as a two-piece exp-poly table: piece 0 is x < 0, piece 1 is x >= 0.
 
-    Each side holds (b, coeffs) pairs with the term poly(x) * e^{-b x};
-    ``positive_side`` covers x >= 0 (b > 0), ``negative_side`` x <= 0 (b < 0).
-    Polynomial coefficients are ascending.
+    The exponents are eta = -b for the clusters b in ascending order, summed in
+    that order.  A term lives on the half-line where it decays (b > 0 on the
+    right); its polynomial is in the global coordinate x, ascending.
     """
 
-    positive_side: tuple[tuple[float, tuple[float, ...]], ...]
-    negative_side: tuple[tuple[float, tuple[float, ...]], ...]
-
-    def _eval_side(self, side, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for b, coeffs in side:
-            p = np.polynomial.polynomial.polyval(x, np.asarray(coeffs))
-            out += p * np.exp(-b * x)
-        return out
+    table: ExpPolyTable
 
     def eval(self, x) -> np.ndarray | float:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
-        pos = xs > 0
-        neg = xs < 0
-        zero = ~pos & ~neg
-        out[pos] = self._eval_side(self.positive_side, xs[pos])
-        out[neg] = self._eval_side(self.negative_side, xs[neg])
-        at0 = self.positive_side if self.positive_side else self.negative_side
-        out[zero] = self._eval_side(at0, xs[zero])
+        # x = 0 is on the right piece unless no term lives there
+        out = self.table.eval(xs >= 0 if self.table.coeffs[1].any() else xs > 0, xs)
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(out[0])
         return out
 
-    def derivative(self) -> "ExpSumRep":
-        def d_side(side):
-            res = []
-            for b, coeffs in side:
-                p = np.asarray(coeffs)
-                dp = np.polynomial.polynomial.polyder(p) if len(p) > 1 else np.zeros(1)
-                q = np.zeros(max(len(dp), len(p)))
-                q[: len(dp)] += dp
-                q[: len(p)] -= b * p
-                res.append((b, tuple(q)))
-            return tuple(res)
+    __call__ = eval
 
-        return ExpSumRep(d_side(self.positive_side), d_side(self.negative_side))
+    def derivative(self) -> "ExpSumRep":
+        return ExpSumRep(self.table.reduce(0.0))
 
 
 def exp_sum_rep(weights: WeightMultiset, check_tol: float = 1e-8) -> ExpSumRep:
@@ -294,8 +266,7 @@ def exp_sum_rep(weights: WeightMultiset, check_tol: float = 1e-8) -> ExpSumRep:
     if the reconstruction residual exceeds ``check_tol``.
     """
     prod_a = float(np.prod(np.asarray(weights.raw)))
-    pos_side = []
-    neg_side = []
+    coeffs = np.zeros((2, len(weights.distinct), max(mu for _, mu in weights.distinct)))
     all_c = []  # (b, mu, [c_1..c_mu]) for the residual check
     for i, (b, mu) in enumerate(weights.distinct):
         others = [(bk, mk) for k, (bk, mk) in enumerate(weights.distinct) if k != i]
@@ -316,13 +287,13 @@ def exp_sum_rep(weights: WeightMultiset, check_tol: float = 1e-8) -> ExpSumRep:
         # c_{i,j} = H^{(mu-j)}(-b) / (mu-j)!
         cs = [hs[mu - j] / math.factorial(mu - j) for j in range(1, mu + 1)]
         all_c.append((b, mu, cs))
-        coeffs = tuple(cs[j] / math.factorial(j) for j in range(mu))
+        c = [cs[j] / math.factorial(j) for j in range(mu)]
         if b > 0:
-            pos_side.append((b, coeffs))
+            coeffs[1, i, :mu] = c
         else:
-            neg_side.append((b, tuple(-c for c in coeffs)))
+            coeffs[0, i, :mu] = [-v for v in c]
 
-    rep = ExpSumRep(tuple(pos_side), tuple(neg_side))
+    rep = ExpSumRep(ExpPolyTable([-b for b, _ in weights.distinct], coeffs))
 
     # residual check against the Fourier product at a few frequencies
     for om in (0.1318, 0.7, 2.31):

@@ -147,8 +147,8 @@ def zak_factorized(weights: WeightMultiset, x, s) -> complex | np.ndarray:
     return zak_prefactor(weights, s) * zak_ebspline(B, x, s)
 
 
-def extend_quasiperiodic(z: complex, shift_n: int, shift_m: int, omega: float) -> complex:
-    """Value at (x + shift_n, omega + shift_m) from the value z at (x, omega)."""
+def extend_quasiperiodic(z: complex, shift_n: int, omega: float) -> complex:
+    """Value at (x + shift_n, omega) from z at (x, omega); Z is 1-periodic in omega."""
     return z * np.exp(2j * np.pi * shift_n * omega)
 
 

@@ -1,11 +1,16 @@
 """Tests for exponential B-splines built by exact convolution."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from zaktp.analysis import fundamental_slice
 from zaktp.ebspline import (
     build_ebspline,
     eval_ebspline,
@@ -13,6 +18,8 @@ from zaktp.ebspline import (
     make_weight_vector,
     reduce_ebspline,
 )
+from zaktp.weights import make_weights
+from zaktp.zak import zak_factorized, zak_tp
 
 
 def test_box_spline():
@@ -128,3 +135,95 @@ def test_make_weight_vector_clusters():
     wv = make_weight_vector([1.0, 1.0 + 1e-12, -0.5])
     assert wv.m == 3
     assert len(wv.clusters) == 2
+
+
+# ---------------------------------------------------------------------------
+# The term table against the per-term loop it replaced
+
+
+def _oracle_piece(terms, t):
+    """One piece by the per-term loop: polyval * exp, terms added in order."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape, dtype=np.result_type(float, *[np.asarray(c) for _, c in terms]))
+    for eta, coeffs in terms:
+        out += np.polynomial.polynomial.polyval(t, np.asarray(coeffs)) * np.exp(eta * t)
+    return out
+
+
+def _oracle_eval(B, x):
+    out = np.zeros(x.shape, dtype=_oracle_piece(B.pieces[0], x[:0]).dtype)
+    k = np.floor(x).astype(int)
+    for kk in range(B.m):
+        sel = (x >= 0) & (x < B.m) & (k == kk)
+        out[sel] = _oracle_piece(B.pieces[kk], x[sel] - kk)
+    return out
+
+
+def _oracle_slice_terms(B, s):
+    """Terms of the fundamental slice: phase-weighted pieces added per exponent in k order."""
+    acc = {}
+    for k, piece in enumerate(B.pieces):
+        phase = np.exp(-2j * np.pi * k * s)
+        for eta, coeffs in piece:
+            c = phase * np.asarray(coeffs, dtype=complex)
+            if eta in acc:
+                a = np.zeros(max(len(acc[eta]), len(c)), dtype=complex)
+                a[: len(acc[eta])] += acc[eta]
+                a[: len(c)] += c
+                acc[eta] = a
+            else:
+                acc[eta] = c
+    return [(eta, acc[eta]) for eta in sorted(acc)]
+
+
+_POOL = [0.0, 0.0, 1.0, -1.0, 0.5, -2.25, 2.5, 1.0 + 1e-10]
+lambda_vectors = st.lists(
+    st.one_of(st.sampled_from(_POOL), st.floats(-3.0, 3.0, allow_nan=False)), min_size=1, max_size=7
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lams=lambda_vectors, eta=st.floats(-2.0, 2.0), s=st.complex_numbers(max_magnitude=1.0))
+def test_table_equals_per_term_oracle(lams, eta, s):
+    B = build_ebspline(lams)
+    x = np.linspace(-0.5, B.m + 0.5, 301)
+    assert np.array_equal(eval_ebspline(B, x), _oracle_eval(B, x))
+    red = reduce_ebspline(B, eta)
+    assert np.array_equal(eval_ebspline(red, x), _oracle_eval(red, x))
+    t = np.linspace(0.0, 1.0, 101)
+    h = fundamental_slice(B, s)
+    assert np.array_equal(h.piece_eval(0, t), _oracle_piece(_oracle_slice_terms(B, s), t))
+    assert np.array_equal(reduce_ebspline(h, eta).piece_eval(0, t), _oracle_piece(reduce_ebspline(h, eta).pieces[0], t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lams=lambda_vectors)
+def test_every_piece_carries_every_exponent(lams):
+    B = build_ebspline(lams)
+    wv = make_weight_vector(lams)
+    for piece in B.pieces:
+        assert [eta for eta, _ in piece] == [b for b, _ in wv.clusters]
+        for (eta, coeffs), (_, mu) in zip(piece, wv.clusters):
+            assert len(coeffs) <= mu
+
+
+def test_pieces_equal_recorded_tuples():
+    # recorded from the dict-of-terms builder this table replaced
+    records = json.loads((Path(__file__).parent / "golden" / "ebspline_pieces.json").read_text())
+    for rec in records:
+        pieces = build_ebspline(rec["lambdas"]).pieces
+        assert pieces == tuple(
+            tuple((eta, tuple(coeffs)) for eta, coeffs in piece) for piece in rec["pieces"]
+        )
+
+
+def test_chained_cluster_keeps_every_entry():
+    # each entry is within 0.9e-9 of the next, but the ends are 2.7e-9 apart:
+    # one cluster of four, and no entry may be dropped
+    vals = [1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9, 1.0 + 2.7e-9, -0.5]
+    wv = make_weight_vector(vals)
+    assert wv.m == 5
+    assert [mu for _, mu in wv.clusters] == [1, 4]
+    assert set(wv.lambdas) == {b for b, _ in wv.clusters}
+    w = make_weights(vals)
+    assert zak_factorized(w, 0.3, 0.2) == pytest.approx(zak_tp(w, 0.3, 0.2), abs=1e-10)

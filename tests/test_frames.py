@@ -13,12 +13,13 @@ from zaktp.errors import Indivisible, ToleranceUnreachable
 from zaktp.frames import (
     DiscreteWindow,
     FrameBoundsReport,
+    _period_count,
     discrete_frame_test,
     frame_bounds,
     periodize_sample,
 )
 from zaktp.weights import eval_tp, make_weights
-from zaktp.zak import _spline_for, zak_prefactor
+from zaktp.zak import _decay_constant, _spline_for, zak_prefactor
 
 
 def _reference_zak_squares(weights, N, n_x, n_w, extra=None):
@@ -266,3 +267,52 @@ def test_periodize_sample_unreachable_tolerance():
     # a0 = 1e-6 at K = 1: the tail bound is still 1.47 after 10^6 periods
     with pytest.raises(ToleranceUnreachable):
         periodize_sample(make_weights([1e-6]), 1)
+
+
+def _reference_period_count(C, a0, K, tol):
+    """The period count as a plain loop over kp, one period at a time."""
+    kp = 1
+    while (tail := 2.0 * C * math.exp(-a0 * (kp * K - K)) / (1.0 - math.exp(-a0 * K))) >= tol:
+        if kp == 10**6:
+            raise ToleranceUnreachable(
+                f"tail bound {tail:.3g} >= tol = {tol} after 10^6 periods each side"
+            )
+        kp += 1
+    return kp
+
+
+@pytest.mark.parametrize("C", [1e-300, 0.37, 1.0, 2.5e3])
+@pytest.mark.parametrize("a0,K", [(1.0, 1), (0.3, 7), (2.5, 360), (1e-3, 1), (1e-3, 40), (7.0, 2)])
+@pytest.mark.parametrize("tol", [1e-320, 1e-14, 1e-3, 0.5, 1e3])
+def test_period_count_matches_loop(C, a0, K, tol):
+    assert _period_count(C, a0, K, tol) == _reference_period_count(C, a0, K, tol)
+
+
+@pytest.mark.parametrize("target", [10**6 - 3.5, 10**6 - 0.5, 10**6 + 0.5])
+def test_period_count_at_the_cap(target):
+    # a0 solves tail(target) = tol, so the least kp is ceil(target): at, or
+    # just past, the 10^6 periods where the loop gives up
+    C, K, a0, tol = 1.0, 1, 1e-5, 1e-14
+    for _ in range(60):
+        a0 = math.log(2.0 * C / (tol * -math.expm1(-a0))) / (target - 1.0)
+    try:
+        expected = _reference_period_count(C, a0, K, tol)
+    except ToleranceUnreachable as exc:
+        assert target > 10**6
+        with pytest.raises(ToleranceUnreachable) as got:
+            _period_count(C, a0, K, tol)
+        assert str(got.value) == str(exc)
+    else:
+        assert expected == math.ceil(target)
+        assert _period_count(C, a0, K, tol) == expected
+
+
+def test_period_count_values_equal_loop():
+    w = make_weights([0.4, -1.3, 2.0])
+    dw = periodize_sample(w, 5, tol=1e-12)
+    kp = _reference_period_count(_decay_constant(w.raw), w.a0, 5, 1e-12)
+    js = np.arange(5)
+    vals = np.zeros(5)
+    for k in range(-kp, kp + 1):
+        vals += eval_tp(w, js + k * 5)
+    assert dw.values == tuple(float(v) for v in vals)

@@ -53,7 +53,7 @@ def test_extend_quasiperiodic():
     w = make_weights([1.0, -1.0])
     s = 0.31
     base = zak_tp(w, 0.2, s)
-    ext = extend_quasiperiodic(base, shift_n=3, shift_m=0, omega=s)
+    ext = extend_quasiperiodic(base, shift_n=3, omega=s)
     assert ext == pytest.approx(zak_tp(w, 3.2, s), rel=1e-9)
 
 
