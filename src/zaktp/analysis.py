@@ -2,9 +2,10 @@
 
 All zeros of the Zak transform of a TP window lie at omega = 1/2, so the
 zero search is one-dimensional: bracket the single sign change of the real
-2-periodic slice Z(., 1/2) and bisect.  The certifier independently covers
-the complement with a grid scan plus a Lipschitz majorant.  Windows and
-splines reach both through one exp-poly term table, ``ebspline.ExpPolyTable``.
+2-periodic slice Z(., 1/2) and close in on it by Brent's method.  The
+certifier independently covers the complement with a grid scan plus a
+Lipschitz majorant.  Windows and splines reach both through one exp-poly
+term table, ``ebspline.ExpPolyTable``.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .errors import (
     MultipleZeros,
     NoZero,
     NotUnitMonotone,
+    ToleranceUnreachable,
 )
 from .weights import WeightMultiset, exp_sum_rep
 from .zak import _check_strip, _spline_for, zak_ebspline, zak_prefactor
@@ -45,8 +47,69 @@ def fundamental_slice(B: PiecewiseExpPoly, s: complex) -> PiecewiseExpPoly:
     return PiecewiseExpPoly.from_table(B.table.zak_sum(phases))
 
 
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f in a sign-changing bracket [xa, xb] by Brent's method.
+
+    A step-for-step port of SciPy's ``brentq.c`` with its defaults
+    (rtol = 4 eps, 100 iterations), so roots are bit-identical to
+    ``scipy.optimize.brentq``.  Raises :class:`ToleranceUnreachable` when
+    the iterations run out.
+    """
+    rtol, maxiter = 4 * np.finfo(float).eps, 100
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C gives an infinite or NaN step on underflow; both fail the test below
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ToleranceUnreachable(f"Brent's method did not converge in {maxiter} iterations (last x = {xcur!r})")
+
+
+def _cyclic_sign_changes(vals: np.ndarray) -> list[tuple[int, int]]:
+    """Index pairs of cyclically consecutive nonzero samples of opposite sign."""
+    nz = np.flatnonzero(vals != 0.0)
+    sgn = np.sign(vals[nz])
+    cut = np.flatnonzero(sgn * np.roll(sgn, -1) < 0)
+    return list(zip(nz[cut].tolist(), np.roll(nz, -1)[cut].tolist()))
+
+
 def locate_zero_half(window, tol: float = 1e-12) -> float:
-    """The unique zero of Z(., 1/2) in [0,1), by bracketing and bisection.
+    """The unique zero of Z(., 1/2) in [0,1), by bracketing and Brent's method.
 
     Raises :class:`NoZero` when the slice has no sign change (type-1
     windows) and :class:`MultipleZeros` when more than one bracket per
@@ -54,23 +117,16 @@ def locate_zero_half(window, tol: float = 1e-12) -> float:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    from scipy.optimize import brentq
 
     f = _half_slice_fun(window)
     N = 4096
     xs = np.arange(N) * (2.0 / N)
     vals = f(xs)
 
-    nz = np.flatnonzero(vals != 0.0)
-    if len(nz) == 0:
+    if not vals.any():
         raise NoZero("slice vanishes identically on the sample grid")
     # cyclic sign changes, skipping exact zeros
-    sgn = np.sign(vals[nz])
-    changes = []
-    for i in range(len(nz)):
-        j = (i + 1) % len(nz)
-        if sgn[i] * sgn[j] < 0:
-            changes.append((nz[i], nz[j]))
+    changes = _cyclic_sign_changes(vals)
     if not changes:
         raise NoZero("no sign change of Z(., 1/2) over a full period")
     if len(changes) > 2:
@@ -86,7 +142,7 @@ def locate_zero_half(window, tol: float = 1e-12) -> float:
     lo, hi = xs[lo_i], xs[hi_i]
     if hi < lo:
         hi += 2.0
-    root = brentq(lambda t: float(f(np.asarray([t]))[0]), lo, hi, xtol=tol)
+    root = _brentq(lambda t: float(f(np.asarray([t]))[0]), lo, hi, xtol=tol)
     # a jump discontinuity (type-1 window at integer x) also brackets a sign
     # change; only accept the root if the slice actually vanishes there
     if abs(float(f(np.asarray([root]))[0])) > 1e-6 * float(np.max(np.abs(vals))):
@@ -179,6 +235,67 @@ def _neigh_max(arr: np.ndarray) -> np.ndarray:
     return np.maximum(out, rows[:, 2:], out=out)
 
 
+def _nelder_mead(fun, x0: np.ndarray, lb: np.ndarray, ub: np.ndarray, xatol: float, fatol: float, maxiter: int):
+    """Minimize fun over the box [lb, ub] by the Nelder-Mead simplex method.
+
+    A port of the part of SciPy's ``_minimize_neldermead`` the certificate
+    uses (non-adaptive coefficients, bounds by clipping every vertex, no
+    evaluation cap), operation for operation, so ``(x, fun)`` is
+    bit-identical to ``minimize(..., method="Nelder-Mead")``.  Temporary:
+    the refinement it serves goes once the certificate rests on a per-cell
+    bound (ROADMAP item 1).
+    """
+    x0 = np.clip(x0, lb, ub)
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    # a vertex pushed past an upper bound is reflected inward, not flattened onto it
+    sim = np.clip(np.where(sim > ub, 2 * ub - sim, sim), lb, ub)
+    fsim = np.array([fun(v) for v in sim], dtype=float)
+    for _ in range(2):  # sorted twice, as SciPy does: argsort need not be stable on ties
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+
+    iterations = 1
+    while iterations < maxiter:
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = np.clip(2 * xbar - sim[-1], lb, ub)  # reflection
+        fxr = fun(xr)
+        if fxr < fsim[0]:
+            xe = np.clip(3 * xbar - 2 * sim[-1], lb, ub)  # expansion
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lb, ub)  # outside contraction
+                fxc = fun(xc)
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:
+                xcc = np.clip(0.5 * xbar + 0.5 * sim[-1], lb, ub)  # inside contraction
+                fxcc = fun(xcc)
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lb, ub)
+                    fsim[j] = fun(sim[j])
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], np.min(fsim)
+
+
 def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float = 1e-8) -> ZeroCertificate:
     """Scan |Z| over the region; certify it zero-free, or report a zero.
 
@@ -191,6 +308,9 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
+    for name, (lo, hi) in (("x", region.x), ("omega", region.omega)):
+        if not lo <= hi:
+            raise ValueError(f"region {name} range ({lo}, {hi}) is reversed")
     tau = region.tau
     if isinstance(window, WeightMultiset):
         _check_strip(window, tau)
@@ -231,20 +351,20 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
         loc = None
     else:
         # refine locally: the grid minimum may hide a genuine zero between nodes
-        from scipy.optimize import minimize
-
         ob = region.omega if region.omega[1] > region.omega[0] else (region.omega[0], region.omega[0] + 1e-15)
-        refined = minimize(
+        refined_x, refined_fun = _nelder_mead(
             zpoint,
             np.asarray(loc),
-            method="Nelder-Mead",
-            bounds=[region.x, ob],
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
+            lb=np.array([region.x[0], ob[0]]),
+            ub=np.array([region.x[1], ob[1]]),
+            xatol=1e-12,
+            fatol=1e-14,
+            maxiter=400,
         )
-        if refined.fun < zero_tol:
+        if refined_fun < zero_tol:
             verdict = "zero_found"
-            min_mod = float(refined.fun)
-            loc = (float(refined.x[0]), float(refined.x[1]))
+            min_mod = float(refined_fun)
+            loc = (float(refined_x[0]), float(refined_x[1]))
         else:
             verdict = "inconclusive"
             loc = None

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import polygamma
 
 from .errors import SigmaTooLarge, StripViolation
 from .weights import WeightMultiset, eval_tp, make_weights
@@ -75,13 +74,72 @@ class WeightGenerator:
         if n < 0:
             raise ValueError("n must be nonnegative")
         if self.rule in ("harmonic", "alternating"):
-            return float(polygamma(1, n + 1)) / self.c**2
+            return _trigamma(n + 1.0) / self.c**2
         if self.rule == "geometric":
             q = self.r ** (-2)
             return q ** (n + 1) / (self.c**2 * (1.0 - q))
         if self.rule == "explicit":
             return float(sum(v ** (-2) for v in self.values[n:]))
         raise ValueError(f"unknown rule {self.rule!r}")
+
+
+# Euler-Maclaurin coefficients (2k)!/B_2k of Cephes' zeta.c
+_ZETA_A = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,
+    7.47242496e10,
+    -2.950130727918164224e12,
+    1.1646782814350067249e14,
+    -4.5979787224074726105e15,
+    1.8152105401943546773e17,
+    -7.1661652561756670113e18,
+)
+_MACHEP = 2.0**-53
+
+
+def _trigamma(q: float) -> float:
+    """psi_1(q) = zeta(2, q) for q >= 1: the Hurwitz zeta of Cephes' zeta.c.
+
+    Same operations in the same order as SciPy's ``polygamma(1, q)``, so
+    the result is bit-identical to it: a direct sum of at least nine terms
+    until the argument exceeds 9, then at most 12 Euler-Maclaurin terms;
+    beyond q = 1e8 the two-term asymptotic expansion.
+    """
+    x = 2.0
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    s = q**-x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 def truncate(gen: WeightGenerator, n: int) -> WeightMultiset:

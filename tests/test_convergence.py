@@ -7,6 +7,7 @@ import pytest
 
 from zaktp.convergence import (
     WeightGenerator,
+    _trigamma,
     convergence_sweep,
     eval_reciprocal_laplace,
     psi_decay_diagnostic,
@@ -29,6 +30,27 @@ def test_square_sum_tail_harmonic_brute_force():
     gen = WeightGenerator.harmonic(2.0)
     brute = sum(1.0 / (2.0 * v) ** 2 for v in range(6, 200001))
     assert gen.square_sum_tail(5) == pytest.approx(brute, rel=1e-4)
+
+
+# n = 0..20,000 as square_sum_tail passes them, plus the q > 1e8 asymptotic branch
+TRIGAMMA_ARGS = [n + 1.0 for n in range(20001)] + [1e8, 1e8 + 1.0, 3.7e9, 1e15]
+
+
+def test_trigamma_port_equals_scipy_polygamma():
+    polygamma = pytest.importorskip("scipy.special").polygamma
+    ref = polygamma(1, np.asarray(TRIGAMMA_ARGS))
+    assert [_trigamma(q) for q in TRIGAMMA_ARGS] == ref.tolist()
+    for c in (1.0, -0.7, 2.5):
+        for rule in (WeightGenerator.harmonic(c), WeightGenerator.alternating(c)):
+            assert rule.square_sum_tail(7) == float(polygamma(1, 8)) / c**2
+
+
+def test_trigamma_port_within_1e15_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for q in TRIGAMMA_ARGS[:1000] + TRIGAMMA_ARGS[1000::19]:
+            ref = float(mpmath.psi(1, q))
+            assert abs(_trigamma(q) - ref) <= 1e-15 * ref
 
 
 def test_square_sum_tail_geometric_brute_force():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from zaktp.analysis import fundamental_slice
 from zaktp.ebspline import (
@@ -44,6 +43,7 @@ def test_single_exponential_piece():
 
 
 def test_convolution_oracle_quadrature():
+    quad = pytest.importorskip("scipy.integrate").quad
     # B_{(l1,l2)}(x) = int B_{(l1)}(t) e^{l2 (x-t)} chi_[0,1)(x-t) dt
     l1, l2 = 0.6, -1.1
     B1 = build_ebspline([l1])
@@ -92,6 +92,7 @@ def test_smoothness_order():
 
 
 def test_fourier_ebspline_against_quadrature():
+    quad = pytest.importorskip("scipy.integrate").quad
     lams = [0.4, -0.8]
     B = build_ebspline(lams)
     for om in (0.0, 0.3, 1.7):

@@ -1,5 +1,6 @@
 """Package-level behaviour seen from a fresh interpreter: imports, thread cap, entry points."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import pytest
 
 import zaktp
 from zaktp.cli import parse_and_run
+
+from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(zaktp.__file__)))
 
@@ -18,10 +21,36 @@ def _python(*args, env=None):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_import_leaves_heavy_scipy_parts_unloaded():
-    proc = _python("-c", "import sys, zaktp; print(sorted(m for m in sys.modules if m.startswith(('scipy.ndimage', 'scipy.optimize'))))")
+def test_import_loads_no_scipy():
+    proc = _python("-c", "import sys, zaktp; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_subcommands_load_no_scipy():
+    # every subcommand, and the certificate whose refinement runs (certify_zero_box)
+    assert {argv[0] for argv in GOLDEN_COMMANDS.values()} == {
+        "eval", "zak", "zero", "certify", "framebounds", "discrete-frame", "converge", "psi",
+    }
+    assert "certify_zero_box" in GOLDEN_COMMANDS
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from zaktp.cli import parse_and_run\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert parse_and_run(argv) == 0, name\n"
+        "    print(name, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = _python("-c", code, json.dumps(GOLDEN_COMMANDS))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{name} []" for name in GOLDEN_COMMANDS]
+
+
+def test_importtime_shows_no_scipy():
+    proc = _python("-X", "importtime", "-c", "import zaktp")
+    assert proc.returncode == 0, proc.stderr
+    assert "zaktp.analysis" in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "scipy" in line] == []
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
