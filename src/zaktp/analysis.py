@@ -2,27 +2,32 @@
 
 All zeros of the Zak transform of a TP window lie at omega = 1/2, so the
 zero search is one-dimensional: bracket the single sign change of the real
-2-periodic slice Z(., 1/2) and close in on it by Brent's method.  The
-certifier independently covers the complement with a grid scan plus a
-Lipschitz majorant.  Windows and splines reach both through one exp-poly
-term table, ``ebspline.ExpPolyTable``.
+2-periodic slice Z(., 1/2) and close in on it by Brent's method.  Both the
+search and the certifier work on the spline factor of Z g = P Z B: the
+prefactor P has no zero in the strip, and Z B is a finite sum over the
+spline's pieces.  The certifier covers a region with a grid scan of Z B plus
+a Lipschitz majorant; where that fails, the structure theorem
+Z B(x, 1/2 + i tau) = e^{-2 pi tau x} Z (B e^{2 pi tau .})(x, 1/2) names the
+one candidate zero, which is then checked.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .ebspline import PiecewiseExpPoly, reduce_ebspline
+from .ebspline import ExpPolyTable, PiecewiseExpPoly
 from .errors import (
+    IllConditioned,
     MultipleZeros,
     NoZero,
     NotUnitMonotone,
     ToleranceUnreachable,
 )
-from .weights import WeightMultiset, exp_sum_rep
+from .weights import WeightMultiset
 from .zak import _check_strip, _spline_for, zak_ebspline, zak_prefactor
 
 
@@ -30,21 +35,30 @@ from .zak import _check_strip, _spline_for, zak_ebspline, zak_prefactor
 # Slice helpers
 
 
+def _factors(window):
+    """(B, P) with Z window(x, s) = P(s) Z B(x, s): the spline factor and the prefactor."""
+    if isinstance(window, WeightMultiset):
+        return _spline_for(window.raw), functools.partial(zak_prefactor, window)
+    if isinstance(window, PiecewiseExpPoly):
+        return window, np.ones_like
+    raise TypeError(f"unsupported window type {type(window)!r}")
+
+
 def _half_slice_fun(window):
     """Real function x -> Re Z(x, 1/2) for a TP window or a spline."""
-    if isinstance(window, WeightMultiset):
-        B, pref = _spline_for(window.raw), zak_prefactor(window, 0.5)
-    elif isinstance(window, PiecewiseExpPoly):
-        B, pref = window, 1.0
-    else:
-        raise TypeError(f"unsupported window type {type(window)!r}")
+    B, P = _factors(window)
+    pref = P(0.5)
     return lambda x: np.real(pref * zak_ebspline(B, x, 0.5))
+
+
+def _slice_table(B: PiecewiseExpPoly, s: complex) -> ExpPolyTable:
+    """Z B(., s) on [0,1) as a one-piece table."""
+    return B.table.zak_sum([np.exp(-2j * np.pi * k * s) for k in range(B.m)])
 
 
 def fundamental_slice(B: PiecewiseExpPoly, s: complex) -> PiecewiseExpPoly:
     """Z B(., s) restricted to [0,1) as a single-piece exp-poly (complex)."""
-    phases = [np.exp(-2j * np.pi * k * s) for k in range(B.m)]
-    return PiecewiseExpPoly.from_table(B.table.zak_sum(phases))
+    return PiecewiseExpPoly.from_table(_slice_table(B, s))
 
 
 def _brentq(f, xa: float, xb: float, xtol: float) -> float:
@@ -195,35 +209,19 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.clip(g, lo, hi)
 
 
-def _series_tables(window, tau: float, xg: np.ndarray):
-    """Samples of g, g', g'' on x + k weighted by e^{2 pi k tau}.
+def _series_tables(B: PiecewiseExpPoly, tau: float, xg: np.ndarray):
+    """Samples of B, B', B'' on x + k weighted by e^{2 pi k tau}.
 
-    Returns (ks, G0, G1, G2, column) with G?[kidx, j] = g^{(?)}(x_j + k) e^{2 pi k tau},
-    so that Z(x_j, omega + i tau) = sum_k e^{-2 pi i k omega} G0[k, j].
-    ``column(x)`` is the G0 column at one more point x, from the same
-    representation: the refinement evaluates it without rebuilding anything.
+    Returns (ks, G0, G1, G2) with G?[kidx, j] = B^{(?)}(x_j + k) e^{2 pi k tau},
+    so that Z B(x_j, omega + i tau) = sum_k e^{-2 pi i k omega} G0[k, j].  The
+    sum is finite: ``ks`` holds every shift that puts a grid point in [0, m].
     """
-    if isinstance(window, WeightMultiset):
-        rep = exp_sum_rep(window)
-        margin = window.a0 - 2.0 * np.pi * abs(tau)
-        kmax = int(math.ceil(60.0 / margin)) + 2
-        ks = np.arange(-kmax, kmax + 1)
-    elif isinstance(window, PiecewiseExpPoly):
-        rep = window
-        ks = np.arange(-1, window.m + 1)
-    else:
-        raise TypeError(f"unsupported window type {type(window)!r}")
-    drep = rep.derivative()
-    samp = [rep, drep, drep.derivative()]
-
+    ks = np.arange(math.floor(-xg[-1]), math.ceil(B.m - xg[0]) + 1)
+    dB = B.derivative()
     weightk = np.exp(2.0 * np.pi * ks * tau)
     shifted = xg[None, :] + ks[:, None]
-    G0, G1, G2 = (np.real(f(shifted)) * weightk[:, None] for f in samp)
-
-    def column(x: float) -> np.ndarray:
-        return np.real(rep(x + ks)) * weightk
-
-    return ks, G0, G1, G2, column
+    G0, G1, G2 = (np.real(f(shifted)) * weightk[:, None] for f in (B, dB, dB.derivative()))
+    return ks, G0, G1, G2
 
 
 def _neigh_max(arr: np.ndarray) -> np.ndarray:
@@ -235,76 +233,44 @@ def _neigh_max(arr: np.ndarray) -> np.ndarray:
     return np.maximum(out, rows[:, 2:], out=out)
 
 
-def _nelder_mead(fun, x0: np.ndarray, lb: np.ndarray, ub: np.ndarray, xatol: float, fatol: float, maxiter: int):
-    """Minimize fun over the box [lb, ub] by the Nelder-Mead simplex method.
+def _structure_zero(B: PiecewiseExpPoly, P, region: Region):
+    """The zero of Z B in the region, as (|Z g| there, (x, omega)), or None.
 
-    A port of the part of SciPy's ``_minimize_neldermead`` the certificate
-    uses (non-adaptive coefficients, bounds by clipping every vertex, no
-    evaluation cap), operation for operation, so ``(x, fun)`` is
-    bit-identical to ``minimize(..., method="Nelder-Mead")``.  Temporary:
-    the refinement it serves goes once the certificate rests on a per-cell
-    bound (ROADMAP item 1).
+    Z B(x, 1/2 + i tau) = e^{-2 pi tau x} Z B_tau(x, 1/2) with B_tau = B e^{2 pi tau .}:
+    every exponent gains 2 pi tau and piece k the factor e^{2 pi tau k}.  So the
+    only zeros are (x_tau + k, 1/2 + j), x_tau the zero of Z B_tau(., 1/2) in [0, 1).
     """
-    x0 = np.clip(x0, lb, ub)
-    N = len(x0)
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
-    for k in range(N):
-        y = x0.copy()
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    # a vertex pushed past an upper bound is reflected inward, not flattened onto it
-    sim = np.clip(np.where(sim > ub, 2 * ub - sim, sim), lb, ub)
-    fsim = np.array([fun(v) for v in sim], dtype=float)
-    for _ in range(2):  # sorted twice, as SciPy does: argsort need not be stable on ties
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-
-    iterations = 1
-    while iterations < maxiter:
-        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = np.clip(2 * xbar - sim[-1], lb, ub)  # reflection
-        fxr = fun(xr)
-        if fxr < fsim[0]:
-            xe = np.clip(3 * xbar - 2 * sim[-1], lb, ub)  # expansion
-            fxe = fun(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lb, ub)  # outside contraction
-                fxc = fun(xc)
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-            else:
-                xcc = np.clip(0.5 * xbar + 0.5 * sim[-1], lb, ub)  # inside contraction
-                fxcc = fun(xcc)
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            if shrink:
-                for j in range(1, N + 1):
-                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lb, ub)
-                    fsim[j] = fun(sim[j])
-        iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0], np.min(fsim)
+    tau = region.tau
+    grow = np.exp(2.0 * np.pi * tau * np.arange(B.m))[:, None, None]
+    B_tau = PiecewiseExpPoly.from_table(ExpPolyTable(B.table.etas + 2.0 * np.pi * tau, B.table.coeffs * grow))
+    try:
+        x_tau = locate_zero_half(B_tau)
+    except NoZero:
+        return None
+    x = x_tau + math.ceil(region.x[0] - x_tau)
+    omega = 0.5 + math.ceil(region.omega[0] - 0.5)
+    if x > region.x[1] or omega > region.omega[1]:
+        return None
+    s = complex(omega, tau)
+    return float(abs(P(s) * zak_ebspline(B, x, s))), (x, omega)
 
 
 def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float = 1e-8) -> ZeroCertificate:
     """Scan |Z| over the region; certify it zero-free, or report a zero.
 
-    Certification is cell-wise and second order: each grid point must have
-    |Z| above its local gradient bound (exact gradient on the grid,
-    maximized over the 3x3 neighbourhood) times half the cell diagonal,
-    plus an exact-Hessian curvature term in the cell radius squared.  The
-    reported ``lipschitz_bound`` is the local gradient bound at the grid
-    point of minimum modulus — the binding one.
+    Z g = P Z B with the spline factor B and the prefactor P, which has no
+    zero in the strip, so the certified function is the finite sum Z B (for
+    a spline window P = 1).  Certification is cell-wise and second order:
+    each grid point must have |Z B| above its local gradient bound (exact
+    gradient on the grid, maximized over the 3x3 neighbourhood) times half
+    the cell diagonal, plus an exact-Hessian curvature term in the cell
+    radius squared.  ``min_modulus`` is the grid minimum of |Z g| = |P| |Z B|;
+    ``lipschitz_bound`` is the local gradient bound of Z B times |P| at that
+    grid point — the binding one.  A region the grid does not certify is
+    searched for the one zero the structure theorem allows (see
+    :func:`_structure_zero`).  ``zero_tol`` is relative to the larger of 1
+    and the grid maximum of |Z g|.  Raises :class:`IllConditioned` when |Z g|
+    is not finite on the grid.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -314,10 +280,11 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
     tau = region.tau
     if isinstance(window, WeightMultiset):
         _check_strip(window, tau)
+    B, P = _factors(window)
 
     xg = _grid(region.x[0], region.x[1], grid_step)
     og = _grid(region.omega[0], region.omega[1], grid_step) if region.omega[1] > region.omega[0] else np.asarray([region.omega[0]])
-    ks, G0, G1, G2, column = _series_tables(window, tau, xg)
+    ks, G0, G1, G2 = _series_tables(B, tau, xg)
     dk = (-2j * np.pi * ks)[:, None]
     phases = np.exp(-2j * np.pi * og[:, None] * ks[None, :])
     zv = np.abs(phases @ G0)
@@ -328,46 +295,36 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
         + np.abs(phases @ (dk**2 * G0)) ** 2
     )
 
-    flat = int(np.argmin(zv))
-    i, j = np.unravel_index(flat, zv.shape)
-    min_mod = float(zv[i, j])
-    loc = (float(xg[j]), float(og[i]))
-
     # local bound: 3x3 neighbourhood max of the exact grid gradient (captures
     # knot jumps) times the cell radius, plus an exact-Hessian curvature term
     radius = grid_step * math.sqrt(2.0) / 2.0
     local = 1.1 * _neigh_max(grad)
     drop = local * radius + 0.6 * _neigh_max(hess) * radius**2
     certified = bool(np.all(zv > drop))
-    lip = float(local[i, j])
 
-    def zpoint(p):
-        return abs(np.exp(-2j * np.pi * p[1] * ks) @ column(p[0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed P raises below
+        pref = np.abs(P(og + 1j * tau))[:, None]
+        zg = pref * zv
+    if not np.all(np.isfinite(zg)):
+        raise IllConditioned("|Z| is not finite on the grid: the weight product leaves the double range")
+    i, j = np.unravel_index(int(np.argmin(zg)), zg.shape)
+    min_mod = float(zg[i, j])
+    lip = float(local[i, j] * pref[i, 0])
+    loc = (float(xg[j]), float(og[i]))
+    # a spline can reach 1e10 and round far above any absolute tolerance
+    tol = zero_tol * max(1.0, float(zg.max()))
 
-    if min_mod < zero_tol:
-        verdict = "zero_found"
-    elif certified:
-        verdict = "zero_free_certified"
-        loc = None
+    if certified and min_mod >= tol:
+        verdict, loc = "zero_free_certified", None
     else:
-        # refine locally: the grid minimum may hide a genuine zero between nodes
-        ob = region.omega if region.omega[1] > region.omega[0] else (region.omega[0], region.omega[0] + 1e-15)
-        refined_x, refined_fun = _nelder_mead(
-            zpoint,
-            np.asarray(loc),
-            lb=np.array([region.x[0], ob[0]]),
-            ub=np.array([region.x[1], ob[1]]),
-            xatol=1e-12,
-            fatol=1e-14,
-            maxiter=400,
-        )
-        if refined_fun < zero_tol:
+        hit = _structure_zero(B, P, region)
+        if hit is not None and hit[0] < tol:
             verdict = "zero_found"
-            min_mod = float(refined_fun)
-            loc = (float(refined_x[0]), float(refined_x[1]))
+            min_mod, loc = hit
+        elif min_mod < tol:
+            verdict = "zero_found"
         else:
-            verdict = "inconclusive"
-            loc = None
+            verdict, loc = "inconclusive", None
     return ZeroCertificate(
         region=region,
         grid_step=float(grid_step),
@@ -425,10 +382,10 @@ class MonotonicityReport:
     eta: float
 
 
-def _sample_two_periodic(piece: PiecewiseExpPoly, per_period: int = 512) -> np.ndarray:
-    """Samples on [0,2) of the slice h with h(x+1) = -h(x), h = piece on [0,1)."""
+def _sample_two_periodic(table: ExpPolyTable, per_period: int = 512) -> np.ndarray:
+    """Samples on [0,2) of the slice h with h(x+1) = -h(x), h = the one-piece table on [0,1)."""
     t = np.arange(per_period) / per_period
-    vals = np.real(np.asarray(piece.piece_eval(0, t)))
+    vals = np.real(table.eval(0, t))
     return np.concatenate([vals, -vals])
 
 
@@ -443,10 +400,9 @@ def reduced_slice_monotonicity(weights: WeightMultiset, eta_index: int) -> Monot
     if not (0 <= eta_index < len(etas)):
         raise ValueError(f"eta_index {eta_index} outside 0..{len(etas) - 1}")
     eta = etas[eta_index]
-    h0 = fundamental_slice(B, 0.5)
+    h0 = _slice_table(B, 0.5)
     x0 = unit_monotone_offset(_sample_two_periodic(h0))
-    red = reduce_ebspline(h0, eta)
-    y0 = unit_monotone_offset(_sample_two_periodic(red))
+    y0 = unit_monotone_offset(_sample_two_periodic(h0.reduce(eta)))
     return MonotonicityReport(x0=x0, y0=y0, eta=eta)
 
 
@@ -460,7 +416,7 @@ def fully_reduced_sign_changes(
     the real part.
     """
     B = _spline_for(weights.raw)
-    red = fundamental_slice(B, complex(omega)).table
+    red = _slice_table(B, complex(omega))
     clusters = sorted(((-b, mu) for b, mu in weights.distinct))
     for idx, (eta, mu) in enumerate(clusters):
         for _ in range(mu - 1 if idx == 0 else mu):

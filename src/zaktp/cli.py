@@ -63,6 +63,13 @@ def _parse_floats(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
+def _parse_range(text: str) -> tuple[float, float]:
+    vals = _parse_floats(text)
+    if len(vals) != 2:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}, expected two values like 0,0.48")
+    return vals[0], vals[1]
+
+
 def _weights_from(args) -> WeightMultiset:
     if getattr(args, "weights", None) is not None:
         return args.weights
@@ -106,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="certify a region zero-free")
     add_common(sp)
-    sp.add_argument("--x-range", type=_parse_floats, default=[0.0, 1.0])
-    sp.add_argument("--omega-range", type=_parse_floats, default=[0.0, 0.48])
+    sp.add_argument("--x-range", type=_parse_range, default=(0.0, 1.0))
+    sp.add_argument("--omega-range", type=_parse_range, default=(0.0, 0.48))
     sp.add_argument("--tau", type=float, default=0.0)
     sp.add_argument("--step", type=float, default=1 / 1024)
 
@@ -177,11 +184,7 @@ def _run(args) -> int:
 
     if args.command == "certify":
         w = _weights_from(args)
-        region = Region(
-            x=(args.x_range[0], args.x_range[1]),
-            omega=(args.omega_range[0], args.omega_range[1]),
-            tau=args.tau,
-        )
+        region = Region(x=args.x_range, omega=args.omega_range, tau=args.tau)
         cert = certify_zero_free(w, region, grid_step=args.step)
         write_report(cert, "json", args.out)
         return 0

@@ -263,7 +263,7 @@ def exp_sum_rep(weights: WeightMultiset, check_tol: float = 1e-8) -> ExpSumRep:
     The coefficients are the higher-order residues of the Fourier product at
     s = -b_i, obtained from the log-derivative recursion; the result is
     verified against the Fourier product and :class:`IllConditioned` is raised
-    if the reconstruction residual exceeds ``check_tol``.
+    unless the reconstruction residual is at most ``check_tol``.
     """
     prod_a = float(np.prod(np.asarray(weights.raw)))
     coeffs = np.zeros((2, len(weights.distinct), max(mu for _, mu in weights.distinct)))
@@ -302,9 +302,10 @@ def exp_sum_rep(weights: WeightMultiset, check_tol: float = 1e-8) -> ExpSumRep:
             c / (b + s) ** (j + 1) for b, mu, cs in all_c for j, c in enumerate(cs)
         )
         target = complex(fourier_tp(weights, om))
-        if abs(recon - target) > check_tol * max(1.0, abs(target)):
+        # written so that a NaN residual (an overflowed weight product) raises too
+        if not abs(recon - target) <= check_tol * max(1.0, abs(target)):
             raise IllConditioned(
                 f"partial-fraction residual {abs(recon - target):.3e} at omega={om}; "
-                "weights may be too close without coalescing"
+                "weights may be too close without coalescing, or their product overflows"
             )
     return rep

@@ -129,16 +129,17 @@ def _spline_for(raw: tuple[float, ...]) -> PiecewiseExpPoly:
     return build_ebspline([-a for a in raw])
 
 
-def zak_prefactor(weights: WeightMultiset, s) -> complex:
-    """The factor prod a_nu / (1 - e^{-(a_nu + 2 pi i s)}) of the factorization."""
-    sc = _as_s(s)
+def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
+    """The factor prod a_nu / (1 - e^{-(a_nu + 2 pi i s)}) of the factorization, vectorized over s."""
+    vec = isinstance(s, np.ndarray)  # a scalar stays off 0-d arrays, which cost ~6x per call
+    sc = s.astype(complex) if vec else _as_s(s)
     out = 1.0 + 0.0j
     for a in weights.raw:
         denom = 1.0 - np.exp(-(a + 2j * np.pi * sc))
-        if abs(denom) < 1e-14:
+        if (abs(denom) < 1e-14).any() if vec else abs(denom) < 1e-14:
             raise PoleHit(f"prefactor denominator vanishes for weight {a} at s = {sc}")
         out *= a / denom
-    return complex(out)
+    return out if vec else complex(out)
 
 
 def zak_factorized(weights: WeightMultiset, x, s) -> complex | np.ndarray:

@@ -5,25 +5,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import zaktp.analysis
+import zaktp.zak
 from zaktp.analysis import (
+    MonotonicityReport,
     Region,
     _brentq,
     _cyclic_sign_changes,
+    _factors,
     _half_slice_fun,
     _neigh_max,
     _series_tables,
     certify_zero_free,
     fully_reduced_sign_changes,
+    fundamental_slice,
     locate_zero_half,
     reduced_slice_monotonicity,
     strong_sign_changes,
     unit_monotone_offset,
 )
+from zaktp.convergence import WeightGenerator, truncate
 from zaktp.ebspline import build_ebspline, reduce_ebspline
-from zaktp.errors import NotUnitMonotone, NoZero, StripViolation, ToleranceUnreachable
-from zaktp.weights import exp_sum_rep, make_weights
+from zaktp.errors import IllConditioned, NotUnitMonotone, NoZero, StripViolation, ToleranceUnreachable
+from zaktp.weights import make_weights
 from zaktp.zak import _spline_for, zak_tp
 
 
@@ -175,64 +181,142 @@ def test_certify_refinement_finds_zero(case):
 
 
 def test_certify_builds_representation_once(monkeypatch):
+    # the refinement works on the spline's own table: no spline is rebuilt
     calls = []
-    real = zaktp.analysis.exp_sum_rep
+    real = zaktp.zak.build_ebspline
 
-    def counting(weights, *args, **kwargs):
-        calls.append(weights)
-        return real(weights, *args, **kwargs)
+    def counting(lam):
+        calls.append(lam)
+        return real(lam)
 
-    monkeypatch.setattr(zaktp.analysis, "exp_sum_rep", counting)
+    monkeypatch.setattr(zaktp.zak, "build_ebspline", counting)
+    _spline_for.cache_clear()
     w = make_weights(REFINE_WEIGHTS)
     box = _shifted_box(locate_zero_half(w))
     for _ in range(2):
         assert certify_zero_free(w, box, grid_step=1 / 256).verdict == "zero_found"
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
-@pytest.mark.parametrize("case", ["weights", "spline", "tau", "start_on_lower_bound", "start_on_upper_bound"])
-def test_nelder_mead_port_equals_scipy(case, monkeypatch):
-    minimize = pytest.importorskip("scipy.optimize").minimize
-    port = zaktp.analysis._nelder_mead
-    runs = []
+def test_certify_raises_when_modulus_is_not_finite():
+    # the shortest geometric prefix whose product overflows: sum log|a| = 749
+    w = truncate(WeightGenerator.geometric(1.0, 2.0), 46)
+    with pytest.raises(IllConditioned, match="not finite"):
+        certify_zero_free(w, Region(x=(0.0, 1.0), omega=(0.0, 0.48)), grid_step=1 / 64)
 
-    def checked(fun, x0, lb, ub, xatol, fatol, maxiter):
-        x, f = port(fun, x0, lb, ub, xatol=xatol, fatol=fatol, maxiter=maxiter)
-        opts = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
-        ref = minimize(fun, x0, method="Nelder-Mead", bounds=list(zip(lb, ub)), options=opts)
-        runs.append((x0, lb, ub, x, f, ref.x, ref.fun))
-        return x, f
 
-    monkeypatch.setattr(zaktp.analysis, "_nelder_mead", checked)
-    rng = np.random.default_rng(53)
-    step = 1 / 256
-    for _ in range(6):
-        a = rng.uniform(0.8, 5, size=3) * rng.choice([-1, 1], size=3)
-        w = make_weights(a)
-        tau = 0.25 * w.a0 / (2 * np.pi) if case == "tau" else 0.0
-        window = _spline_for(w.raw) if case == "spline" else w
-        x_star = locate_zero_half(make_weights(a - 2 * np.pi * tau))
-        if case.startswith("start_on"):
-            # the grid minimum, where the simplex starts, is the corner nearest the zero;
-            # from the upper corner the first simplex overshoots the bounds and is reflected
-            if case == "start_on_lower_bound":
-                lo = (x_star + 0.3 * step, 0.5 + 0.3 * step)
-            else:
-                lo = (x_star - 0.3 * step - 0.1, 0.5 - 0.3 * step - 0.1)
-            region = Region(x=(lo[0], lo[0] + 0.1), omega=(lo[1], lo[1] + 0.1))
-        else:
-            shift = rng.uniform(0.25, 0.75) * step
-            region = Region(
-                x=(x_star - 1 / 32 + shift, x_star + 1 / 32 + shift),
-                omega=(0.5 - 1 / 32 + shift, 0.5 + 1 / 32 + shift),
-                tau=tau,
-            )
-        certify_zero_free(window, region, grid_step=step)
-    assert len(runs) == 6
-    for x0, lb, ub, x, f, ref_x, ref_f in runs:
-        assert np.array_equal(x, ref_x) and f == ref_f
-        if case.startswith("start_on"):
-            assert np.array_equal(x0, lb if case == "start_on_lower_bound" else ub)
+@pytest.mark.parametrize("lams", [[8.0, 6.0, 4.0], [6.0, 6.0, 5.0, 5.0]])
+def test_certify_finds_zero_of_a_large_spline(lams):
+    # |Z B| reaches 5e5..5e6 here, so float rounding alone exceeds an absolute 1e-8
+    B = build_ebspline(lams)
+    x_star = locate_zero_half(B)
+    cert = certify_zero_free(B, _shifted_box(x_star), grid_step=1 / 256)
+    assert cert.verdict == "zero_found"
+    assert cert.zero_location == pytest.approx((x_star, 0.5), abs=1e-9)
+
+
+@st.composite
+def _zero_boxes(draw):
+    """A window, tau, a step and a box holding one zero (x_tau + kx, 1/2 + j) inside it.
+
+    The zero sits at least 1/1000 of the box width from every edge: it is known
+    to about 1e-12 only, so a box edge closer than that makes "holds" undecidable.
+    """
+    kind = draw(st.sampled_from(["weights", "spline", "free_spline"]))
+    if kind == "free_spline":  # any real weights, repeats and zeros allowed
+        lams = draw(st.lists(st.sampled_from([-3.0, -1.5, 0.0, 0.7, 2.0]), min_size=2, max_size=5))
+        window = build_ebspline(lams)
+        tau = draw(st.floats(-0.3, 0.3))
+    else:
+        n = draw(st.integers(2, 5))
+        mags = draw(st.lists(st.floats(0.5, 5.0), min_size=n, max_size=n, unique=True))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        w = make_weights([s * m for s, m in zip(signs, mags)])
+        lams = [-a for a in w.raw]
+        window = w if kind == "weights" else _spline_for(w.raw)
+        tau = draw(st.floats(-0.6, 0.6)) * w.a0 / (2 * np.pi)
+    # the zero of Z B(., 1/2 + i tau), from the spline with weights lambda + 2 pi tau
+    x_tau = locate_zero_half(build_ebspline([lam + 2 * np.pi * tau for lam in lams]))
+    step = 1.0 / draw(st.sampled_from([16, 32, 64, 128, 256]))
+    zero = (x_tau + draw(st.integers(-1, 1)), 0.5 + draw(st.integers(-1, 0)))
+    corners = []
+    for c in zero:
+        width = draw(st.floats(2 * step, 0.5))
+        lo = c - draw(st.floats(0.001, 0.999)) * width
+        corners.append((lo, lo + width))
+    return window, Region(x=corners[0], omega=corners[1], tau=tau), step, zero
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_zero_boxes())
+def test_certify_finds_the_zero_in_every_box_that_holds_it(case):
+    window, region, step, zero = case
+    cert = certify_zero_free(window, region, grid_step=step)
+    assert cert.verdict == "zero_found"
+    assert np.max(np.abs(np.subtract(cert.zero_location, zero))) < 1e-9
+
+
+def _tilted_zak_mp(mp, a, tau, x):
+    """e^{2 pi tau x} Z g(x, 1/2 + i tau), x in [0, 1), for distinct weights a; real.
+
+    Partial fractions g = sum c_i e^{-a_i x} on the half-line where a term
+    decays, c_i = prod a / prod_{j != i} (a_j - a_i); each lattice sum is
+    geometric, and both half-lines give c_i e^{-a_i x} / (1 - q_i).
+    """
+    a = [mp.mpf(v) for v in a]
+    x, tau = mp.mpf(x), mp.mpf(tau)
+    q = [mp.exp(-(ai + 2j * mp.pi * (mp.mpf(0.5) + 1j * tau))) for ai in a]
+    out = 0
+    for i, ai in enumerate(a):
+        c = mp.fprod(a) / mp.fprod(aj - ai for j, aj in enumerate(a) if j != i)
+        out += c * mp.exp(-ai * x) / (1 - q[i])
+    return mp.re(mp.exp(2 * mp.pi * tau * x) * out)
+
+
+def test_certify_probe_has_no_false_verdict_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(59)
+    census = {}
+    with mp.workdps(30):
+        for wi in range(40):
+            n = int(rng.integers(2, 6))
+            mags = rng.uniform(0.5, 5.0, n)
+            while np.min(np.diff(np.sort(mags))) < 0.2:
+                mags = rng.uniform(0.5, 5.0, n)
+            a = mags * rng.choice([-1.0, 1.0], n)
+            w = make_weights(a)
+            tau = 0.0 if wi % 2 == 0 else float(rng.uniform(-0.6, 0.6) * w.a0 / (2 * np.pi))
+            # the float zero only brackets the mpmath root
+            x_est = locate_zero_half(make_weights(a - 2 * np.pi * tau))
+            f = functools.partial(_tilted_zak_mp, mp, a, tau)
+            lo, hi = mp.mpf(x_est - 1e-7), mp.mpf(x_est + 1e-7)
+            assert f(lo) * f(hi) < 0
+            x_star = float(mp.findroot(f, (lo, hi), solver="anderson"))
+            zeros = [(x_star + k, 0.5 + j) for k in range(-3, 4) for j in range(-2, 3)]
+            for ri in range(5):
+                window = _spline_for(w.raw) if ri % 2 else w
+                step = 1.0 / float(rng.choice([32, 64, 128, 256]))
+                if ri < 3:  # a box around one of the zeros
+                    hx, ho = rng.uniform(step, 0.2, 2)
+                    x0 = x_star + int(rng.integers(-1, 2)) - rng.uniform(0, 2 * hx)
+                    o0 = 0.5 + int(rng.integers(-1, 1)) - rng.uniform(0, 2 * ho)
+                    region = Region(x=(x0, x0 + 2 * hx), omega=(o0, o0 + 2 * ho), tau=tau)
+                else:
+                    x0, o0 = rng.uniform(-0.5, 1.0, 2)
+                    region = Region(
+                        x=(x0, x0 + rng.uniform(step, 0.5)), omega=(o0, o0 + rng.uniform(step, 0.5)), tau=tau
+                    )
+                inside = [z for z in zeros if region.x[0] <= z[0] <= region.x[1] and region.omega[0] <= z[1] <= region.omega[1]]
+                cert = certify_zero_free(window, region, grid_step=step)
+                key = (bool(inside), cert.verdict)
+                census[key] = census.get(key, 0) + 1
+                if inside:
+                    assert cert.verdict == "zero_found", (a, tau, region, step)
+                    assert np.max(np.abs(np.subtract(cert.zero_location, inside[0]))) < 1e-9
+                else:
+                    assert cert.verdict != "zero_found", (a, tau, region, step)
+    assert sum(census.values()) == 200
+    assert census[(True, "zero_found")] > 100 and census[(False, "zero_free_certified")] > 50
 
 
 @pytest.mark.parametrize("region", [Region(x=(0.8, 0.2), omega=(0.0, 0.4)), Region(x=(0.0, 1.0), omega=(0.5, 0.2))])
@@ -246,20 +330,16 @@ def test_series_tables_equal_per_shift_loop(case):
     # reference: one evaluation per lattice shift, as the tables were once built
     w = make_weights(REFINE_WEIGHTS)
     tau = 0.25 * w.a0 / (2 * np.pi) if case == "tau" else 0.0
-    window = _spline_for(w.raw) if case == "spline" else w
-    xg = np.linspace(-0.3, 1.2, 37)
-    ks, G0, G1, G2, column = _series_tables(window, tau, xg)
-    if case == "spline":
-        samp = [window, reduce_ebspline(window, 0.0), reduce_ebspline(reduce_ebspline(window, 0.0), 0.0)]
-    else:
-        rep = exp_sum_rep(w)
-        samp = [rep.eval, rep.derivative().eval, rep.derivative().derivative().eval]
-    weightk = np.exp(2.0 * np.pi * ks * tau)
+    # a weights window reaches the tables through its spline factor
+    B = build_ebspline([0.0, 0.0, 1.5, -0.7]) if case == "spline" else _factors(w)[0]
+    xg = np.linspace(-1.7, 2.6, 37)  # more than a period on either side of the cell
+    ks, G0, G1, G2 = _series_tables(B, tau, xg)
+    samp = [B, reduce_ebspline(B, 0.0), reduce_ebspline(reduce_ebspline(B, 0.0), 0.0)]
+    wide = range(-4, B.m + 4)  # every shift outside ks must vanish on the grid
     for f, G in zip(samp, (G0, G1, G2)):
-        ref = np.stack([np.real(np.asarray(f(xg + k))) * wk for k, wk in zip(ks, weightk)])
-        assert np.array_equal(G, ref)
-    for j in (0, 17, 36):
-        assert np.array_equal(column(xg[j]), G0[:, j])
+        ref = {k: np.real(np.asarray(f(xg + k))) * np.exp(2.0 * np.pi * k * tau) for k in wide}
+        assert np.array_equal(G, np.stack([ref[k] for k in ks]))
+        assert not any(ref[k].any() for k in wide if k not in ks)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (17, 17), (245, 513)])
@@ -346,3 +426,19 @@ def test_fully_reduced_sign_change_bound():
         om = float(rng.uniform(0.05, 0.45))
         s = fully_reduced_sign_changes(w, om, N)
         assert s <= 2 * N * om + w.n
+
+
+def test_reduced_slice_monotonicity_equals_piecewise_route():
+    # reference: the slice and its reduction as piecewise splines, as once computed
+    rng = np.random.default_rng(108)  # the weight sets of acceptance criterion 8
+    t = np.arange(512) / 512
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        w = make_weights(rng.uniform(0.5, 6.0, size=n) * rng.choice([-1, 1], size=n))
+        h0 = fundamental_slice(_spline_for(w.raw), 0.5)
+        eta = -w.distinct[-1][0]
+        ref = []
+        for h in (h0, reduce_ebspline(h0, eta)):
+            vals = np.real(np.asarray(h.piece_eval(0, t)))
+            ref.append(unit_monotone_offset(np.concatenate([vals, -vals])))
+        assert reduced_slice_monotonicity(w, 0) == MonotonicityReport(x0=ref[0], y0=ref[1], eta=eta)

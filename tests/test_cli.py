@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from zaktp.cli import parse_and_run
 
 
@@ -68,6 +70,22 @@ def test_certify_json(capsys):
     d = json.loads(out)
     assert d["schema"] == "zerocert/1"
     assert d["verdict"] == "zero_free_certified"
+
+
+def test_certify_overflowing_window_exits_with_error_class(capsys):
+    code, out, err = run(capsys, "certify", "--gen", "geometric:c=1,r=2", "--n", "64")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("IllConditioned: ")
+
+
+@pytest.mark.parametrize("flag", ["--x-range", "--omega-range"])
+@pytest.mark.parametrize("value", ["0.5", "0.1,0.2,0.9"])
+def test_certify_range_needs_two_values(capsys, flag, value):
+    code, out, err = run(capsys, "certify", "--weights=1,-1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: bad range {value!r}" in err
 
 
 def test_framebounds_zero_on_grid(capsys):

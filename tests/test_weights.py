@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from zaktp.errors import DerivativeUnavailable, EmptyInput, ZeroWeight
+from zaktp.convergence import WeightGenerator, truncate
+from zaktp.errors import DerivativeUnavailable, EmptyInput, IllConditioned, ZeroWeight
 from zaktp.weights import (
     divided_difference,
     eval_tp,
@@ -163,3 +164,11 @@ def test_exp_sum_rep_derivative_matches_finite_difference():
     for x in (-1.3, 0.4, 2.2):
         fd = (rep.eval(x + h) - rep.eval(x - h)) / (2 * h)
         assert drep.eval(x) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def test_exp_sum_rep_raises_when_the_weight_product_overflows():
+    # sum log|a| = 1442: prod a overflows, every residue is NaN, and a NaN
+    # residual must fail the reconstruction check rather than pass it
+    w = truncate(WeightGenerator.geometric(1.0, 2.0), 64)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IllConditioned, match="residual nan"):
+        exp_sum_rep(w)

@@ -85,6 +85,19 @@ def test_prefactor_pole_detection():
         zak_prefactor(w, complex(0.0, 1.0))
 
 
+def test_prefactor_vectorized_over_s():
+    # the array route may round differently from the scalar one (vector exp)
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        w = make_weights(rng.uniform(0.5, 6, size=n) * rng.choice([-1, 1], size=n))
+        s = rng.uniform(-1, 2, 40) + 1j * rng.uniform(-0.9, 0.9, 40) * w.a0 / (2 * np.pi)
+        ref = np.array([zak_prefactor(w, complex(v)) for v in s])
+        assert np.allclose(zak_prefactor(w, s), ref, rtol=1e-13, atol=0)
+    with pytest.raises(PoleHit):
+        zak_prefactor(make_weights([2 * np.pi]), np.array([0.3, 1j, 0.5]))
+
+
 def test_strip_violation():
     w = make_weights([1.0, -1.0])
     with pytest.raises(StripViolation):
