@@ -35,13 +35,19 @@ from .zak import _check_strip, _spline_for, zak_ebspline, zak_prefactor
 # Slice helpers
 
 
+def _prefactor(window):
+    """P with Z window(x, s) = P(s) Z B(x, s), B the spline factor; P = 1 for a spline."""
+    if isinstance(window, WeightMultiset):
+        return functools.partial(zak_prefactor, window)
+    if isinstance(window, PiecewiseExpPoly):
+        return np.ones_like
+    raise TypeError(f"unsupported window type {type(window)!r}")
+
+
 def _factors(window):
     """(B, P) with Z window(x, s) = P(s) Z B(x, s): the spline factor and the prefactor."""
-    if isinstance(window, WeightMultiset):
-        return _spline_for(window.raw), functools.partial(zak_prefactor, window)
-    if isinstance(window, PiecewiseExpPoly):
-        return window, np.ones_like
-    raise TypeError(f"unsupported window type {type(window)!r}")
+    P = _prefactor(window)
+    return (_spline_for(window.raw) if isinstance(window, WeightMultiset) else window), P
 
 
 def _half_slice_fun(window):
@@ -217,11 +223,19 @@ def _series_tables(B: PiecewiseExpPoly, tau: float, xg: np.ndarray):
     sum is finite: ``ks`` holds every shift that puts a grid point in [0, m].
     """
     ks = np.arange(math.floor(-xg[-1]), math.ceil(B.m - xg[0]) + 1)
-    dB = B.derivative()
+    d1 = B.table.reduce(0.0)  # the classical derivatives between the knots
     weightk = np.exp(2.0 * np.pi * ks * tau)
     shifted = xg[None, :] + ks[:, None]
-    G0, G1, G2 = (np.real(f(shifted)) * weightk[:, None] for f in (B, dB, dB.derivative()))
+    # the piece index and local coordinate of eval_ebspline, shared by the three tables
+    k = np.floor(shifted)
+    piece, t = np.where((shifted >= 0) & (shifted < B.m), k, -1), shifted - k
+    G0, G1, G2 = (np.real(T.eval(piece, t)) * weightk[:, None] for T in (B.table, d1, d1.reduce(0.0)))
     return ks, G0, G1, G2
+
+
+def _require_finite(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise IllConditioned("|Z| is not finite on the grid: the weight product leaves the double range")
 
 
 def _neigh_max(arr: np.ndarray) -> np.ndarray:
@@ -270,7 +284,7 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
     searched for the one zero the structure theorem allows (see
     :func:`_structure_zero`).  ``zero_tol`` is relative to the larger of 1
     and the grid maximum of |Z g|.  Raises :class:`IllConditioned` when |Z g|
-    is not finite on the grid.
+    is not finite on the grid; an overflowing |P| raises before B is built.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -280,10 +294,14 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
     tau = region.tau
     if isinstance(window, WeightMultiset):
         _check_strip(window, tau)
-    B, P = _factors(window)
-
     xg = _grid(region.x[0], region.x[1], grid_step)
     og = _grid(region.omega[0], region.omega[1], grid_step) if region.omega[1] > region.omega[0] else np.asarray([region.omega[0]])
+    # |P| first: where it overflows, so does |Z g| = |P| |Z B|, and B need not be built
+    P = _prefactor(window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pref = np.abs(P(og + 1j * tau))[:, None]
+    _require_finite(pref)
+    B, _ = _factors(window)
     ks, G0, G1, G2 = _series_tables(B, tau, xg)
     dk = (-2j * np.pi * ks)[:, None]
     phases = np.exp(-2j * np.pi * og[:, None] * ks[None, :])
@@ -302,11 +320,9 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
     drop = local * radius + 0.6 * _neigh_max(hess) * radius**2
     certified = bool(np.all(zv > drop))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed P raises below
-        pref = np.abs(P(og + 1j * tau))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product raises below
         zg = pref * zv
-    if not np.all(np.isfinite(zg)):
-        raise IllConditioned("|Z| is not finite on the grid: the weight product leaves the double range")
+    _require_finite(zg)
     i, j = np.unravel_index(int(np.argmin(zg)), zg.shape)
     min_mod = float(zg[i, j])
     lip = float(local[i, j] * pref[i, 0])

@@ -149,6 +149,23 @@ def truncate(gen: WeightGenerator, n: int) -> WeightMultiset:
     return make_weights([gen.weight(nu) for nu in range(1, n + 1)])
 
 
+def _sup_grid(a0: float, sigma: float, grid: np.ndarray | None = None) -> np.ndarray:
+    """Check sigma against a0 and return the grid, by default [-40/a0, 40/a0]."""
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if sigma >= a0:
+        raise SigmaTooLarge(f"sigma = {sigma} >= a0 = {a0}")
+    if grid is None:
+        R = 40.0 / a0
+        grid = np.linspace(-R, R, 4001)
+    return np.asarray(grid, dtype=float)
+
+
+def _sup_distance(vals_n: np.ndarray, vals_m: np.ndarray, grid: np.ndarray, sigma: float) -> float:
+    diff = np.abs(vals_n - vals_m)
+    return float(np.max(diff * np.exp(sigma * np.abs(grid))))
+
+
 def weighted_sup_distance(
     w_n: WeightMultiset,
     w_m: WeightMultiset,
@@ -160,17 +177,8 @@ def weighted_sup_distance(
     The default grid covers [-R, R] with R = 40 / a0, where the windows are
     below 4e-18 of their peak.
     """
-    a0 = min(w_n.a0, w_m.a0)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma >= a0:
-        raise SigmaTooLarge(f"sigma = {sigma} >= a0 = {a0}")
-    if grid is None:
-        R = 40.0 / a0
-        grid = np.linspace(-R, R, 4001)
-    grid = np.asarray(grid, dtype=float)
-    diff = np.abs(eval_tp(w_n, grid) - eval_tp(w_m, grid))
-    return float(np.max(diff * np.exp(sigma * np.abs(grid))))
+    grid = _sup_grid(min(w_n.a0, w_m.a0), sigma, grid)
+    return _sup_distance(eval_tp(w_n, grid), eval_tp(w_m, grid), grid, sigma)
 
 
 def zak_strip_distance(
@@ -244,12 +252,22 @@ def convergence_sweep(
     sigma: float | None = None,
     n_ref: int = 64,
 ) -> list[tuple[int, float, float, float]]:
-    """Rows (n, sigma, distance to the n_ref prefix, tail proxy) for a sweep."""
+    """Rows (n, sigma, distance to the n_ref prefix, tail proxy) for a sweep.
+
+    Each distance is :func:`weighted_sup_distance` on its default grid, which
+    depends only on min(a0) of the pair; the n_ref prefix is evaluated once
+    per distinct grid, not once per n, so the rows are unchanged.
+    """
     ref = truncate(gen, n_ref)
+    ref_vals = {}  # min(a0) -> the n_ref prefix on that default grid
     rows = []
     for n in ns:
         w = truncate(gen, n)
-        sig = 0.5 * min(w.a0, ref.a0) if sigma is None else sigma
-        d = weighted_sup_distance(w, ref, sig)
+        a0 = min(w.a0, ref.a0)
+        sig = 0.5 * a0 if sigma is None else sigma
+        grid = _sup_grid(a0, sig)
+        if a0 not in ref_vals:
+            ref_vals[a0] = eval_tp(ref, grid)
+        d = _sup_distance(eval_tp(w, grid), ref_vals[a0], grid, sig)
         rows.append((int(n), float(sig), d, gen.square_sum_tail(n)))
     return rows

@@ -5,9 +5,12 @@ its Fourier transform is the product of the factors 1 / (1 + 2*pi*i*w / a_nu)
 (shift-free normalization), and in the time domain it is the n-fold
 convolution of one-sided exponentials.  Evaluation goes through a confluent
 divided difference in the weights, or, for widely spread distinct weights,
-through the partial-fraction form computed in log space.  The partial
-fractions themselves, :class:`ExpSumRep`, are a two-piece exp-poly table
-(``ebspline.ExpPolyTable``), the same object the B-spline is built on.
+through the partial-fraction form computed in log space.  Both routes do
+no work where the window is zero by construction: a half-line without a
+weight of its sign (x < 0 for all-positive weights, x >= 0 for all-negative
+ones) gets the value the full computation gives there, a signed zero.  The
+partial fractions themselves, :class:`ExpSumRep`, are a two-piece exp-poly
+table (``ebspline.ExpPolyTable``), the same object the B-spline is built on.
 """
 from __future__ import annotations
 
@@ -177,15 +180,18 @@ def _eval_log_explicit(weights: WeightMultiset, x: np.ndarray) -> np.ndarray:
     # residue of prod(a) / prod(b_k + s) at s = -b_i: sign from prod_{k != i} (b_k - b_i)
     sgn = sign_prod / np.prod(np.sign(-diffs), axis=1)
 
-    out = np.zeros_like(x)
+    # each half-line is split off once and its terms added in weight order
     nonneg = x >= 0
+    right, left = x[nonneg], x[~nonneg]
+    acc_r, acc_l = np.zeros_like(right), np.zeros_like(left)
     for bi, lc, s in zip(b, logc, sgn):
         if bi > 0:
-            expo = lc - bi * x[nonneg]
-            out[nonneg] += s * np.exp(expo)
+            acc_r += s * np.exp(lc - bi * right)
         else:
-            expo = lc - bi * x[~nonneg]
-            out[~nonneg] -= s * np.exp(expo)
+            acc_l -= s * np.exp(lc - bi * left)
+    out = np.empty_like(x)
+    out[nonneg] = acc_r
+    out[~nonneg] = acc_l
     return out
 
 
@@ -195,6 +201,14 @@ def eval_tp(weights: WeightMultiset, x):
     Uses the divided-difference closed form; for widely spread distinct
     weights the log-space partial-fraction form is used instead to avoid
     overflow of the weight product.
+
+    The divided difference is taken only at live points.  At a dead point (x < 0
+    with no negative weight, or x >= 0 with no positive one) every node's row is
+    e^{-inf} = 0 and the recursion returns +0, so the result there is that +0
+    times the factor (-1)^(n-1) sign(x) prod(a), a zero whose sign is the one
+    the full computation gives: the output is bit-identical either way.  The
+    log-space route splits x into its two half-lines once and sums each side's
+    terms in weight order.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if weights.log_abs_product > _LOG_PRODUCT_SWITCH:
@@ -205,7 +219,18 @@ def eval_tp(weights: WeightMultiset, x):
         vals = _eval_log_explicit(weights, xs)
     else:
         nodes = weights.cluster_nodes()
-        dd = _dd_exp_chi(nodes, xs)
+        # dead points: see above; NaN stays live and takes the full route
+        if nodes[0] > 0:
+            live = ~(xs < 0)
+        elif nodes[-1] < 0:
+            live = ~(xs >= 0)
+        else:
+            live = None
+        if live is None or live.all():
+            dd = _dd_exp_chi(nodes, xs)
+        else:
+            dd = np.zeros_like(xs)
+            dd[live] = _dd_exp_chi(nodes, xs[live])
         prod_a = float(np.prod(np.asarray(weights.raw)))
         sign_x = np.sign(xs)
         sign_x[sign_x == 0] = 1.0  # x = 0 uses the dedicated chi formula (no sign factor)

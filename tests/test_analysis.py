@@ -205,6 +205,24 @@ def test_certify_raises_when_modulus_is_not_finite():
         certify_zero_free(w, Region(x=(0.0, 1.0), omega=(0.0, 0.48)), grid_step=1 / 64)
 
 
+@pytest.mark.parametrize("n", [46, 64])
+def test_certify_overflow_raises_before_building_the_spline(monkeypatch, n):
+    # |P| overflows, so |Z g| = |P| |Z B| cannot be finite: no spline is built
+    calls = []
+    real = zaktp.zak.build_ebspline
+
+    def counting(lam):
+        calls.append(lam)
+        return real(lam)
+
+    monkeypatch.setattr(zaktp.zak, "build_ebspline", counting)
+    _spline_for.cache_clear()
+    w = truncate(WeightGenerator.geometric(1.0, 2.0), n)
+    with pytest.raises(IllConditioned, match="not finite"):
+        certify_zero_free(w, Region(x=(0.0, 1.0), omega=(0.0, 0.48)), grid_step=1 / 64)
+    assert calls == []
+
+
 @pytest.mark.parametrize("lams", [[8.0, 6.0, 4.0], [6.0, 6.0, 5.0, 5.0]])
 def test_certify_finds_zero_of_a_large_spline(lams):
     # |Z B| reaches 5e5..5e6 here, so float rounding alone exceeds an absolute 1e-8
@@ -325,13 +343,15 @@ def test_certify_rejects_reversed_range(region):
         certify_zero_free(make_weights([1.0, -1.0]), region, grid_step=1 / 64)
 
 
-@pytest.mark.parametrize("case", ["weights", "spline", "tau"])
+@pytest.mark.parametrize("case", ["weights", "spline", "confluent", "tau"])
 def test_series_tables_equal_per_shift_loop(case):
-    # reference: one evaluation per lattice shift, as the tables were once built
+    # reference: one evaluation per lattice shift of B and of its derivative
+    # splines, built through reduce_ebspline, as the tables were once built
     w = make_weights(REFINE_WEIGHTS)
     tau = 0.25 * w.a0 / (2 * np.pi) if case == "tau" else 0.0
     # a weights window reaches the tables through its spline factor
-    B = build_ebspline([0.0, 0.0, 1.5, -0.7]) if case == "spline" else _factors(w)[0]
+    splines = {"spline": [0.0, 0.0, 1.5, -0.7], "confluent": [-2.0, -2.0, -2.0, 1.0, 1.0]}
+    B = build_ebspline(splines[case]) if case in splines else _factors(w)[0]
     xg = np.linspace(-1.7, 2.6, 37)  # more than a period on either side of the cell
     ks, G0, G1, G2 = _series_tables(B, tau, xg)
     samp = [B, reduce_ebspline(B, 0.0), reduce_ebspline(reduce_ebspline(B, 0.0), 0.0)]

@@ -136,3 +136,43 @@ def test_psi_monotone_decay():
         psi = eval_reciprocal_laplace(w, complex(0.0, t))
         mags.append(1.0 / abs(psi))
     assert all(mags[i] >= mags[i + 1] for i in range(len(mags) - 1))
+
+
+def _sweep_per_n(gen, ns, sigma=None, n_ref=64):
+    """convergence_sweep as one weighted_sup_distance call per n."""
+    ref = truncate(gen, n_ref)
+    rows = []
+    for n in ns:
+        w = truncate(gen, n)
+        sig = 0.5 * min(w.a0, ref.a0) if sigma is None else sigma
+        rows.append((int(n), float(sig), weighted_sup_distance(w, ref, sig), gen.square_sum_tail(n)))
+    return rows
+
+
+SWEEP_GENERATORS = [
+    WeightGenerator.harmonic(1.1),
+    WeightGenerator.alternating(0.9),
+    WeightGenerator.geometric(1.05, 2.1),
+    # past n_ref = 2, min(a0) of the pair moves with n (2.0, 0.5, 0.3): one grid each
+    WeightGenerator.explicit([2.0, 3.0, 0.5, 4.0, 0.3, -5.0, 6.0, 7.0]),
+]
+
+
+@pytest.mark.parametrize("gen", SWEEP_GENERATORS, ids=lambda g: g.rule)
+@pytest.mark.parametrize(
+    "ns, sigma, n_ref",
+    [((4, 8, 16, 32), None, 48), ((2, 4, 4, 8), None, 8), ((8, 3, 8, 5), 0.1, 8), ((1, 3, 5, 3), None, 2)],
+)
+def test_convergence_sweep_equals_per_n_distances(gen, ns, sigma, n_ref):
+    if gen.rule == "explicit":
+        ns, n_ref = tuple(min(n, 8) for n in ns), min(n_ref, 8)
+    rows = convergence_sweep(gen, ns, sigma=sigma, n_ref=n_ref)
+    assert np.asarray(rows).tobytes() == np.asarray(_sweep_per_n(gen, ns, sigma, n_ref)).tobytes()
+
+
+def test_convergence_sweep_checks_sigma_like_the_distance():
+    gen = WeightGenerator.harmonic(1.0)
+    with pytest.raises(SigmaTooLarge):
+        convergence_sweep(gen, [2, 4], sigma=1.0, n_ref=8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        convergence_sweep(gen, [2, 4], sigma=-0.1, n_ref=8)

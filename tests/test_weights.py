@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zaktp.convergence import WeightGenerator, truncate
 from zaktp.errors import DerivativeUnavailable, EmptyInput, IllConditioned, ZeroWeight
 from zaktp.weights import (
+    _LOG_PRODUCT_SWITCH,
+    _dd_exp_chi,
+    _eval_log_explicit,
     divided_difference,
     eval_tp,
     exp_sum_rep,
@@ -172,3 +177,114 @@ def test_exp_sum_rep_raises_when_the_weight_product_overflows():
     w = truncate(WeightGenerator.geometric(1.0, 2.0), 64)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IllConditioned, match="residual nan"):
         exp_sum_rep(w)
+
+
+# ---------------------------------------------------------------------------
+# eval_tp against its all-points reference: same bytes, signed zeros included
+
+
+def _eval_log_explicit_masked(weights, x):
+    """The log-space partial fractions with one boolean mask per weight and side."""
+    b = np.array([bi for bi, _ in weights.distinct])
+    raw = np.asarray(weights.raw)
+    log_prod = np.sum(np.log(np.abs(raw)))
+    sign_prod = np.prod(np.sign(raw))
+    diffs = b[:, None] - b[None, :]
+    np.fill_diagonal(diffs, -1.0)
+    logc = log_prod - np.sum(np.log(np.abs(diffs)), axis=1)
+    sgn = sign_prod / np.prod(np.sign(-diffs), axis=1)
+    out = np.zeros_like(x)
+    nonneg = x >= 0
+    for bi, lc, s in zip(b, logc, sgn):
+        if bi > 0:
+            out[nonneg] += s * np.exp(lc - bi * x[nonneg])
+        else:
+            out[~nonneg] -= s * np.exp(lc - bi * x[~nonneg])
+    return out
+
+
+def _eval_tp_all_points(weights, x):
+    """eval_tp with the divided difference taken at every point, dead or not."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if weights.log_abs_product > _LOG_PRODUCT_SWITCH:
+        vals = _eval_log_explicit_masked(weights, xs)
+    else:
+        dd = _dd_exp_chi(weights.cluster_nodes(), xs)
+        prod_a = float(np.prod(np.asarray(weights.raw)))
+        sign_x = np.sign(xs)
+        sign_x[sign_x == 0] = 1.0
+        vals = (-1.0) ** (weights.n - 1) * sign_x * prod_a * dd
+    vals[(vals < 0) & (vals > -1e-10)] = 0.0
+    return vals
+
+
+EDGE_POINTS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, math.nan]
+
+
+@st.composite
+def _weight_sets(draw):
+    """All-positive, all-negative, mixed or confluent sets of 1..7 weights."""
+    kind = draw(st.sampled_from(["positive", "negative", "mixed", "confluent"]))
+    mags = draw(st.lists(st.floats(0.25, 6.0), min_size=1, max_size=5))
+    if kind == "confluent":
+        mags = mags + mags[: draw(st.integers(1, len(mags)))]
+    if kind == "negative":
+        return [-m for m in mags]
+    if kind == "positive":
+        return mags
+    return [m * draw(st.sampled_from([-1.0, 1.0])) for m in mags]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _weight_sets(),
+    st.lists(st.one_of(st.floats(-40.0, 40.0), st.sampled_from(EDGE_POINTS)), min_size=1, max_size=40),
+)
+def test_eval_tp_equals_all_points_reference(values, points):
+    w = make_weights(values)
+    xs = np.asarray(points)
+    with np.errstate(all="ignore"):
+        assert eval_tp(w, xs).tobytes() == _eval_tp_all_points(w, xs).tobytes()
+        for x in points:
+            assert np.float64(eval_tp(w, x)).tobytes() == _eval_tp_all_points(w, x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["harmonic", "alternating", "geometric"]),
+    st.integers(1, 64),
+    st.lists(st.one_of(st.floats(-20.0, 20.0), st.sampled_from(EDGE_POINTS)), min_size=1, max_size=30),
+)
+def test_eval_tp_equals_all_points_reference_on_generator_prefixes(rule, n, points):
+    w = truncate(getattr(WeightGenerator, rule)(1.1), n)
+    xs = np.asarray(points)
+    with np.errstate(all="ignore"):
+        assert eval_tp(w, xs).tobytes() == _eval_tp_all_points(w, xs).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(0.25, 40.0), min_size=1, max_size=8, unique=True),
+    st.sampled_from(["positive", "negative", "mixed"]),
+    st.lists(st.one_of(st.floats(-30.0, 30.0), st.sampled_from(EDGE_POINTS)), min_size=0, max_size=40),
+)
+def test_eval_log_explicit_equals_masked_loop(mags, kind, points):
+    sign = {"positive": 1.0, "negative": -1.0}
+    values = [m * sign.get(kind, (-1.0) ** i) for i, m in enumerate(mags)]
+    w = make_weights(values, coalesce_tol=0.0)
+    if len(w.distinct) < len(values):  # the route needs distinct weights
+        return
+    xs = np.asarray(points, dtype=float)
+    with np.errstate(all="ignore"):
+        assert _eval_log_explicit(w, xs).tobytes() == _eval_log_explicit_masked(w, xs).tobytes()
+
+
+def test_eval_tp_wide_set_equals_all_points_reference():
+    # sum log|a| = 568 and 563: the log-explicit route, one- and two-signed
+    xs = np.concatenate([np.random.default_rng(3).uniform(-5, 30, 2000), EDGE_POINTS])
+    for values in ([1.2 * 2.0**k for k in range(1, 41)], [(-2.0) ** k for k in range(1, 41)]):
+        w = make_weights(values)
+        assert w.log_abs_product > _LOG_PRODUCT_SWITCH
+        with np.errstate(all="ignore"):
+            assert eval_tp(w, xs).tobytes() == _eval_tp_all_points(w, xs).tobytes()
+
