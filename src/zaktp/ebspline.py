@@ -160,10 +160,6 @@ class PiecewiseExpPoly:
         """Evaluate piece k at local coordinates t (no support clipping)."""
         return self.table.eval(k, t)
 
-    def derivative(self) -> "PiecewiseExpPoly":
-        """The classical derivative between the knots."""
-        return reduce_ebspline(self, 0.0)
-
     def __call__(self, x):
         return eval_ebspline(self, x)
 

@@ -5,12 +5,11 @@ its Fourier transform is the product of the factors 1 / (1 + 2*pi*i*w / a_nu)
 (shift-free normalization), and in the time domain it is the n-fold
 convolution of one-sided exponentials.  Evaluation goes through a confluent
 divided difference in the weights, or, for widely spread distinct weights,
-through the partial-fraction form computed in log space.  Both routes do
-no work where the window is zero by construction: a half-line without a
-weight of its sign (x < 0 for all-positive weights, x >= 0 for all-negative
-ones) gets the value the full computation gives there, a signed zero.  The
-partial fractions themselves, :class:`ExpSumRep`, are a two-piece exp-poly
-table (``ebspline.ExpPolyTable``), the same object the B-spline is built on.
+through the partial-fraction form computed in log space.  On a half-line
+without a weight of its sign the window is zero, and neither route computes
+there (see :func:`eval_tp`).  The partial fractions themselves,
+:class:`ExpSumRep`, are a two-piece exp-poly table (``ebspline.ExpPolyTable``),
+the same object the B-spline is built on.
 """
 from __future__ import annotations
 
