@@ -44,16 +44,15 @@ def _prefactor(window):
     raise TypeError(f"unsupported window type {type(window)!r}")
 
 
-def _factors(window):
-    """(B, P) with Z window(x, s) = P(s) Z B(x, s): the spline factor and the prefactor."""
-    P = _prefactor(window)
-    return (_spline_for(window.raw) if isinstance(window, WeightMultiset) else window), P
+def _spline_factor(window):
+    """B with Z window(x, s) = P(s) Z B(x, s); a spline is its own factor."""
+    return _spline_for(window.raw) if isinstance(window, WeightMultiset) else window
 
 
 def _half_slice_fun(window):
     """Real function x -> Re Z(x, 1/2) for a TP window or a spline."""
-    B, P = _factors(window)
-    pref = P(0.5)
+    pref = _prefactor(window)(0.5)
+    B = _spline_factor(window)
     return lambda x: np.real(pref * zak_ebspline(B, x, 0.5))
 
 
@@ -301,7 +300,7 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
     with np.errstate(over="ignore", invalid="ignore"):
         pref = np.abs(P(og + 1j * tau))[:, None]
     _require_finite(pref)
-    B, _ = _factors(window)
+    B = _spline_factor(window)
     ks, G0, G1, G2 = _series_tables(B, tau, xg)
     dk = (-2j * np.pi * ks)[:, None]
     phases = np.exp(-2j * np.pi * og[:, None] * ks[None, :])

@@ -195,7 +195,7 @@ def _eval_log_explicit(weights: WeightMultiset, x: np.ndarray) -> np.ndarray:
 
 
 def eval_tp(weights: WeightMultiset, x):
-    """Evaluate the window g_n at ``x`` (scalar or array).
+    """Evaluate the window g_n at ``x`` (scalar or array of any shape).
 
     Uses the divided-difference closed form; for widely spread distinct
     weights the log-space partial-fraction form is used instead to avoid
@@ -205,7 +205,9 @@ def eval_tp(weights: WeightMultiset, x):
     with no negative weight, or x >= 0 with no positive one) every node's row is
     e^{-inf} = 0 and the recursion returns +0, so the result there is that +0
     times the factor (-1)^(n-1) sign(x) prod(a), a zero whose sign is the one
-    the full computation gives: the output is bit-identical either way.  The
+    the full computation gives: the output is bit-identical either way.  Only a
+    one-signed window (all-positive, all-negative, every harmonic or geometric
+    prefix) has dead points; a mixed-sign window is live everywhere.  The
     log-space route splits x into its two half-lines once and sums each side's
     terms in weight order.
     """
@@ -224,12 +226,9 @@ def eval_tp(weights: WeightMultiset, x):
         elif nodes[-1] < 0:
             live = ~(xs >= 0)
         else:
-            live = None
-        if live is None or live.all():
-            dd = _dd_exp_chi(nodes, xs)
-        else:
-            dd = np.zeros_like(xs)
-            dd[live] = _dd_exp_chi(nodes, xs[live])
+            live = np.ones(xs.shape, dtype=bool)
+        dd = np.zeros_like(xs)
+        dd[live] = _dd_exp_chi(nodes, xs[live])
         prod_a = float(np.prod(np.asarray(weights.raw)))
         sign_x = np.sign(xs)
         sign_x[sign_x == 0] = 1.0  # x = 0 uses the dedicated chi formula (no sign factor)

@@ -14,10 +14,10 @@ from zaktp.analysis import (
     Region,
     _brentq,
     _cyclic_sign_changes,
-    _factors,
     _half_slice_fun,
     _neigh_max,
     _series_tables,
+    _spline_factor,
     certify_zero_free,
     fully_reduced_sign_changes,
     fundamental_slice,
@@ -351,7 +351,7 @@ def test_series_tables_equal_per_shift_loop(case):
     tau = 0.25 * w.a0 / (2 * np.pi) if case == "tau" else 0.0
     # a weights window reaches the tables through its spline factor
     splines = {"spline": [0.0, 0.0, 1.5, -0.7], "confluent": [-2.0, -2.0, -2.0, 1.0, 1.0]}
-    B = build_ebspline(splines[case]) if case in splines else _factors(w)[0]
+    B = build_ebspline(splines[case]) if case in splines else _spline_factor(w)
     xg = np.linspace(-1.7, 2.6, 37)  # more than a period on either side of the cell
     ks, G0, G1, G2 = _series_tables(B, tau, xg)
     samp = [B, reduce_ebspline(B, 0.0), reduce_ebspline(reduce_ebspline(B, 0.0), 0.0)]

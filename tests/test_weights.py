@@ -288,3 +288,20 @@ def test_eval_tp_wide_set_equals_all_points_reference():
         with np.errstate(all="ignore"):
             assert eval_tp(w, xs).tobytes() == _eval_tp_all_points(w, xs).tobytes()
 
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, -2.0], [1.0, 2.5], [-1.0, -2.5, -2.5], [1.2 * 2.0**k for k in range(1, 41)]],
+    ids=["mixed", "positive", "negative_confluent", "wide"],
+)
+@pytest.mark.parametrize("side", ["both", "dead_free"])
+def test_eval_tp_accepts_2d_points(values, side):
+    # one shape rule on both routes, whatever the points: the values of x.ravel(), reshaped
+    w = make_weights(values)
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    if side == "dead_free":
+        x = np.abs(x) if w.cluster_nodes()[0] > 0 else -np.abs(x) - 0.5
+    out = eval_tp(w, x)
+    assert out.shape == x.shape
+    assert out.tobytes() == eval_tp(w, x.ravel()).tobytes()
