@@ -3,9 +3,14 @@
 Frame bounds for the lattice alpha = 1, beta = 1/N are grid estimates of
 ess inf / ess sup of Sum_{j<N} |Zg(x, omega + j/N)|^2 over the unit cell,
 read from one separable grid: each refinement step is a strided view of the
-finest grid.  The discrete route periodizes and samples the window to C^K;
-the critically sampled frame operator is diagonalized by the discrete Zak
-transform, so its spectrum is M |DFT_{K/M}(v[qM + r])|^2 (Zibulski-Zeevi).
+finest grid.  That grid comes from one batched kernel per shift j: one
+prefactor call on the omega column and two real GEMMs against the table
+B(x + k) of the spline factor, on the rows omega <= 1/2 only, since for a
+real window the rows omega > 1/2 mirror them.  Finest grids above 2^22
+nodes are refused before allocation.  The discrete route periodizes and
+samples the window to C^K; the critically sampled frame operator is
+diagonalized by the discrete Zak transform, so its spectrum is
+M |DFT_{K/M}(v[qM + r])|^2 (Zibulski-Zeevi).
 """
 from __future__ import annotations
 
@@ -14,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ebspline import eval_ebspline
 from .errors import Indivisible, ToleranceUnreachable
 from .weights import WeightMultiset, eval_tp
-from .zak import _decay_constant, _spline_for, zak_prefactor
+from .zak import _decay_constant, _spline_columns, _spline_for, zak_prefactor
 
 _MAX_PERIODS = 10**6
+_MAX_GRID_NODES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -60,16 +65,29 @@ class DiscreteWindow:
 
 
 def _zak_squares(weights: WeightMultiset, N: int, xs: np.ndarray, oms: np.ndarray) -> np.ndarray:
-    """(len(oms), len(xs)) grid of Sum_{j<N} |Zg(x, omega + j/N)|^2."""
+    """(len(oms), len(xs)) grid of Sum_{j<N} |Zg(x, omega + j/N)|^2.
+
+    Per shift j: one prefactor call on the whole omega column and two real
+    GEMMs, Re = cos(2 pi omega k) @ B(x + k) and Im = sin(2 pi omega k) @ B(x + k),
+    each squared in place and scaled by |P|^2.  Re and Im are squared after
+    their sums, so the zero's cancellation happens in them; a squared
+    autocorrelation sum would turn it into noise of order eps * |P Z|^2.
+    """
     B = _spline_for(weights.raw)
-    ks = np.arange(B.m)
-    bv = np.stack([eval_ebspline(B, xs + k) for k in range(B.m)])
+    bv = _spline_columns(B, xs)
+    ks = 2.0 * np.pi * np.arange(B.m)
     total = np.zeros((len(oms), len(xs)))
+    part = np.empty_like(total)
     for j in range(N):
         om_j = oms + j / N
-        pref = np.asarray([zak_prefactor(weights, complex(om)) for om in om_j])
-        phases = np.exp(-2j * np.pi * np.outer(om_j, ks))
-        total += np.abs(np.einsum("wk,kx->wx", phases, bv) * pref[:, None]) ** 2
+        arg = np.outer(om_j, ks)
+        pref = zak_prefactor(weights, om_j)
+        p2 = (pref.real**2 + pref.imag**2)[:, None]
+        for trig in (np.cos, np.sin):
+            np.matmul(trig(arg), bv, out=part)
+            part *= part
+            part *= p2
+            total += part
     return total
 
 
@@ -87,11 +105,25 @@ def frame_bounds(
     trace records A_est over ``refinements`` grid doublings; only the
     finest grid is evaluated, and step s reads every 2^(refinements - s)-th
     node of it, which is exact since i/n and 2^d i/(2^d n) round alike.
+    The finest grid comes from one batched kernel per shift j, on the rows
+    omega <= 1/2 only.  For a real window Zg(x, 1 - omega) = conj Zg(x, omega),
+    and {omega + j/N} mod 1 reflects onto itself, so row n - i of the grid
+    equals row i: every minimum, maximum and first argmin over the full grid,
+    and over each strided step (n is a multiple of every stride), lies in
+    the rows i <= n/2, and the mirrored rows are never formed.  A finest
+    grid of more than 2^22 nodes is refused with ``ValueError`` before
+    anything is allocated.
     """
     if N < 1:
         raise ValueError("N must be positive")
     if min(resolution) < 1 or refinements < 0:
         raise ValueError("resolution must be positive and refinements nonnegative")
+    n_x, n_w = resolution
+    # past 16 doublings any grid exceeds the cap; min() keeps the shift small
+    if (n_x * n_w) << (2 * min(refinements, 16)) > _MAX_GRID_NODES:
+        raise ValueError(
+            f"a {n_x}x{n_w} grid refined {refinements} times exceeds {_MAX_GRID_NODES} nodes"
+        )
     if N == 1 and zero_hint is None and weights.n >= 2:
         from .analysis import locate_zero_half
 
@@ -99,9 +131,9 @@ def frame_bounds(
     extra = []
     if N == 1 and zero_hint is not None:
         extra = [float(_zak_squares(weights, 1, np.array([zero_hint]), np.array([0.5]))[0, 0])]
-    n_x, n_w = resolution
-    xs = np.arange(n_x << refinements) / (n_x << refinements)
-    oms = np.arange(n_w << refinements) / (n_w << refinements)
+    fine_x, fine_w = n_x << refinements, n_w << refinements
+    xs = np.arange(fine_x) / fine_x
+    oms = np.arange(fine_w // 2 + 1) / fine_w
     fine = _zak_squares(weights, N, xs, oms)
     trace = []
     for step in range(refinements + 1):

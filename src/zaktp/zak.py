@@ -116,8 +116,8 @@ def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
     n_shift = np.floor(xs)
     x0 = xs - n_shift
     out = np.zeros(xs.shape, dtype=complex)
-    for k in range(B.m):
-        out += eval_ebspline(B, x0 + k) * np.exp(-2j * np.pi * k * sc)
+    for k, col in enumerate(_spline_columns(B, x0)):
+        out += col * np.exp(-2j * np.pi * k * sc)
     out *= np.exp(2j * np.pi * n_shift * sc)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
@@ -129,8 +129,20 @@ def _spline_for(raw: tuple[float, ...]) -> PiecewiseExpPoly:
     return build_ebspline([-a for a in raw])
 
 
+def _spline_columns(B: PiecewiseExpPoly, xs: np.ndarray) -> np.ndarray:
+    """B(x + k) for k < m on a new first axis, from one spline evaluation."""
+    return eval_ebspline(B, np.add.outer(np.arange(B.m, dtype=float), xs))
+
+
 def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
-    """The factor prod a_nu / (1 - e^{-(a_nu + 2 pi i s)}) of the factorization, vectorized over s."""
+    """The factor prod a_nu / (1 - e^{-(a_nu + 2 pi i s)}) of the factorization, vectorized over s.
+
+    An ndarray s takes the array path, one call per omega column: the frame
+    kernel ``frames._zak_squares`` (once per shift j), the factorized route
+    of ``compute_zak_grid`` and the certificate scan.  Scalars serve the
+    single frequencies of ``zak_factorized`` (inversion and dilation checks)
+    and the zero search's slice at omega = 1/2.
+    """
     vec = isinstance(s, np.ndarray)  # a scalar stays off 0-d arrays, which cost ~6x per call
     sc = s.astype(complex) if vec else _as_s(s)
     out = 1.0 + 0.0j
@@ -285,16 +297,14 @@ def compute_zak_grid(
     if np.any(xs < 0) or np.any(xs >= 1) or np.any(oms < 0) or np.any(oms >= 1):
         raise ValueError("grid must lie within the lattice cell [0,1) x [0,1)")
     _check_strip(weights, tau)
-    values = np.empty((len(oms), len(xs)), dtype=complex)
     tail = 0.0
     if source == "ebspline_factorized":
         B = _spline_for(weights.raw)
-        bv = np.stack([eval_ebspline(B, xs + k) for k in range(B.m)])  # (m, nx)
-        for i, om in enumerate(oms):
-            s = complex(om, tau)
-            phases = np.exp(-2j * np.pi * np.arange(B.m) * s)
-            values[i] = zak_prefactor(weights, s) * (phases @ bv)
+        s = oms + 1j * tau
+        phases = np.exp(-2j * np.pi * np.outer(s, np.arange(B.m)))  # (n_omega, m)
+        values = zak_prefactor(weights, s)[:, None] * (phases @ _spline_columns(B, xs))
     elif source == "direct_series":
+        values = np.empty((len(oms), len(xs)), dtype=complex)
         for i, om in enumerate(oms):
             for j, xx in enumerate(xs):
                 v, b = zak_tp_with_tail(weights, float(xx), complex(om, tau), tol)

@@ -141,3 +141,12 @@ def test_json_round_trip(capsys):
                     "--step", "0.0078125")
     d = json.loads(out)
     assert json.loads(json.dumps(d)) == d
+
+
+@pytest.mark.parametrize("res,refinements", [("8x8", "40"), ("64x64", "10"), ("4096x2048", "0")])
+def test_framebounds_grid_cap_is_an_error(capsys, res, refinements):
+    # refused before any allocation: 64 TiB, 34 GB and 64 MB of grid
+    code, out, err = run(capsys, "framebounds", "--weights=1,-1", "--res", res, "--refinements", refinements)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ValueError: ") and "exceeds 4194304 nodes" in err

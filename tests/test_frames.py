@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zaktp import frames
 from zaktp.analysis import locate_zero_half
 from zaktp.ebspline import eval_ebspline
 from zaktp.errors import Indivisible, ToleranceUnreachable
@@ -45,7 +46,10 @@ def _reference_zak_squares(weights, N, n_x, n_w, extra=None):
 
 
 def _reference_frame_bounds(weights, N, resolution, refinements):
-    """frame_bounds with every refinement grid evaluated point by point."""
+    """frame_bounds with every refinement grid evaluated point by point.
+
+    Also returns the finest grid's second smallest value, the runner-up of A_est.
+    """
     extra = None
     if N == 1 and weights.n >= 2:
         extra = [(locate_zero_half(weights), 0.5)]
@@ -55,7 +59,7 @@ def _reference_frame_bounds(weights, N, resolution, refinements):
         pts, vals = _reference_zak_squares(weights, N, res[0], res[1], extra)
         loc = pts[int(np.argmin(vals))]
         trace.append((res, float(np.min(vals))))
-    return FrameBoundsReport(
+    report = FrameBoundsReport(
         N=N,
         grid_resolution=res,
         A_est=trace[-1][1],
@@ -63,6 +67,26 @@ def _reference_frame_bounds(weights, N, resolution, refinements):
         min_location=(float(loc[0]), float(loc[1])),
         refinement_trace=tuple(trace),
     )
+    return report, float(np.partition(vals, 1)[1])
+
+
+def _assert_matches_reference(got, weights, N, resolution, refinements):
+    """The accuracy contract: bounds and trace within 1e-14 B_est of the per-point oracle.
+
+    The batched kernel sums in another order than the per-point one, so the
+    last bits move; the argmin must agree wherever the oracle's minimum beats
+    its runner-up by more than that bound.
+    """
+    ref, runner_up = _reference_frame_bounds(weights, N, resolution, refinements)
+    tol = 1e-14 * ref.B_est
+    assert (got.N, got.grid_resolution) == (ref.N, ref.grid_resolution)
+    assert abs(got.A_est - ref.A_est) <= tol
+    assert abs(got.B_est - ref.B_est) <= tol
+    assert [r for r, _ in got.refinement_trace] == [r for r, _ in ref.refinement_trace]
+    for (_, a), (_, a_ref) in zip(got.refinement_trace, ref.refinement_trace):
+        assert abs(a - a_ref) <= tol
+    if runner_up - ref.A_est > tol:
+        assert got.min_location == ref.min_location
 
 
 def _brute_force_spectrum(v, M):
@@ -209,10 +233,10 @@ def test_discrete_frame_operator_matches_direct_sum():
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("refinements", [0, 1, 2, 3])
 def test_frame_bounds_equals_per_point_reference(ws, N, refinements):
-    # one strided fine grid reproduces every refinement step bit for bit
+    # one strided, mirrored fine grid reproduces every refinement step
     w = make_weights(ws)
     got = frame_bounds(w, N, resolution=(16, 24), refinements=refinements)
-    assert got.to_json_dict() == _reference_frame_bounds(w, N, (16, 24), refinements).to_json_dict()
+    _assert_matches_reference(got, w, N, (16, 24), refinements)
 
 
 @pytest.mark.parametrize("resolution,refinements", [((8, 8), -1), ((0, 8), 1), ((8, 0), 0)])
@@ -221,12 +245,158 @@ def test_frame_bounds_rejects_bad_grid(resolution, refinements):
         frame_bounds(make_weights([1.0, -1.0]), 2, resolution, refinements)
 
 
+class _Reached(Exception):
+    pass
+
+
+def _refuse_to_compute(*args):
+    raise _Reached
+
+
+@pytest.mark.parametrize(
+    "resolution,refinements",
+    [((8, 8), 40), ((64, 64), 10), ((2048, 2049), 0), ((1, 2**22 + 1), 0), ((1024, 1024), 2), ((1, 1), 12)],
+)
+def test_frame_bounds_caps_the_fine_grid(monkeypatch, resolution, refinements):
+    # refused before anything is allocated: the kernel must never be reached
+    monkeypatch.setattr(frames, "_zak_squares", _refuse_to_compute)
+    with pytest.raises(ValueError, match="exceeds 4194304 nodes"):
+        frame_bounds(make_weights([1.0, -1.0]), 2, resolution, refinements)
+
+
+@pytest.mark.parametrize("resolution,refinements", [((2048, 2048), 0), ((1024, 1024), 1), ((1, 1), 11)])
+def test_frame_bounds_cap_admits_2_to_the_22_nodes(monkeypatch, resolution, refinements):
+    monkeypatch.setattr(frames, "_zak_squares", _refuse_to_compute)
+    with pytest.raises(_Reached):
+        frame_bounds(make_weights([1.0, -1.0]), 2, resolution, refinements)
+
+
 def test_frame_bounds_zero_hint_is_argmin():
     # the zero x* of Zg(., 1/2) is off the dyadic grid, so the hint point wins
     w = make_weights([-1.5, 2.0])
     got = frame_bounds(w, 1, resolution=(16, 24), refinements=2)
     assert got.min_location == (locate_zero_half(w), 0.5)
-    assert got.to_json_dict() == _reference_frame_bounds(w, 1, (16, 24), 2).to_json_dict()
+    _assert_matches_reference(got, w, 1, (16, 24), 2)
+
+
+@pytest.mark.parametrize("ws", [[-1.5, 2.0], [1.0, -1.0], [0.9, -2.1, 1.4], [2.0, -3.0, 0.7, -1.1], [1.3, 2.3, -4.0]])
+def test_frame_bounds_value_at_zero_hint_is_exact(ws):
+    # Re and Im are squared after their sums, so |Zg|^2 at the hint keeps
+    # the zero's cancellation: within 1e-28 B_est of mpmath at the same
+    # float x; squaring an autocorrelation sum would miss by ~1e-16 B_est.
+    # Where Brent's root is good to the last bits the value itself is tiny
+    mp = pytest.importorskip("mpmath")
+    w = make_weights(ws)
+    rep = frame_bounds(w, 1, resolution=(8, 8), refinements=1)
+    assert rep.min_location == (locate_zero_half(w), 0.5)
+    with mp.workdps(40):
+        exact = float(abs(_zak_mp(mp, ws, rep.min_location[0], 0.5)) ** 2)
+    assert abs(rep.A_est - exact) <= 1e-28 * rep.B_est
+    if ws != [-1.5, 2.0]:  # its root is 3e-14 off: |Zg|^2 = 1.5e-27 B_est there
+        assert rep.A_est <= 1e-28 * rep.B_est
+    # next to the zero |Zg|^2 ~ (slope d)^2 keeps its digits: relative error
+    # about eps / d (measured <= 6e-7 at d = 1e-9); the squared sum is off by 100%
+    xs = rep.min_location[0] + np.array([1e-9, -1e-8, 1e-7, 1e-6])
+    near = frames._zak_squares(w, 1, xs, np.array([0.5]))[0]
+    with mp.workdps(40):
+        exact = np.array([float(abs(_zak_mp(mp, ws, x, 0.5)) ** 2) for x in xs])
+    assert np.max(np.abs(near - exact) / exact) <= 1e-5
+
+
+def _mirrored_report(weights, N, resolution, refinements):
+    """The report of frame_bounds read off an explicit full grid whose row n - i copies row i."""
+    n_x, n_w = resolution[0] << refinements, resolution[1] << refinements
+    xs, oms = np.arange(n_x) / n_x, np.arange(n_w) / n_w
+    half = n_w // 2
+    fine = np.empty((n_w, n_x))
+    fine[: half + 1] = frames._zak_squares(weights, N, xs, oms[: half + 1])
+    fine[half + 1 :] = fine[n_w - half - 1 : 0 : -1]
+    assert np.array_equal(fine[1:], fine[:0:-1])
+    hint, extra = None, []
+    if N == 1 and weights.n >= 2:
+        hint = locate_zero_half(weights)
+        extra = [float(frames._zak_squares(weights, 1, np.array([hint]), np.array([0.5]))[0, 0])]
+    trace = []
+    for step in range(refinements + 1):
+        stride = 1 << (refinements - step)
+        trace.append(((resolution[0] << step, resolution[1] << step), min([float(fine[::stride, ::stride].min())] + extra)))
+    i_w, i_x = divmod(int(np.argmin(fine)), n_x)
+    loc = (hint, 0.5) if extra and extra[0] < fine[i_w, i_x] else (xs[i_x], oms[i_w])
+    report = FrameBoundsReport(
+        N=N,
+        grid_resolution=trace[-1][0],
+        A_est=trace[-1][1],
+        B_est=max([float(fine.max())] + extra),
+        min_location=(float(loc[0]), float(loc[1])),
+        refinement_trace=tuple(trace),
+    )
+    return report, fine, xs, oms
+
+
+@pytest.mark.parametrize("ws", [[0.9, -2.1, 1.4], [2.0, -3.0, 0.7, -1.1], [1.0]])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("resolution,refinements", [((16, 24), 1), ((5, 7), 0), ((3, 1), 0), ((4, 2), 2), ((2, 3), 1)])
+def test_frame_bounds_equals_exactly_symmetric_full_grid(ws, N, resolution, refinements):
+    # bit for bit the report of the full grid that is exactly symmetric under
+    # omega <-> 1 - omega; and the kernel evaluated on the rows omega > 1/2
+    # directly agrees with their mirror copies, since Zg(x, 1 - w) = conj Zg(x, w)
+    w = make_weights(ws)
+    ref, fine, xs, oms = _mirrored_report(w, N, resolution, refinements)
+    got = frame_bounds(w, N, resolution=resolution, refinements=refinements)
+    assert got.to_json_dict() == ref.to_json_dict()
+    direct = frames._zak_squares(w, N, xs, oms)
+    assert np.max(np.abs(fine - direct)) <= 1e-14 * np.max(direct)
+
+
+def _zak_mp(mp, a, x, omega):
+    """Z g(x, omega), x in [0, 1), for distinct weights a, in mpmath.
+
+    Partial fractions g = sum c_i e^{-a_i x} on the half-line where a term
+    decays, c_i = prod a / prod_{j != i} (a_j - a_i); each lattice sum is
+    geometric, and both half-lines give c_i e^{-a_i x} / (1 - q_i) with
+    q_i = e^{-(a_i + 2 pi i omega)}.  ``_tilted_zak_mp`` of test_analysis.py
+    is the case omega = 1/2 + i tau.
+    """
+    a = [mp.mpf(v) for v in a]
+    x, omega = mp.mpf(x), mp.mpf(omega)
+    out = 0
+    for i, ai in enumerate(a):
+        c = mp.fprod(a) / mp.fprod(aj - ai for j, aj in enumerate(a) if j != i)
+        out += c * mp.exp(-ai * x) / (1 - mp.exp(-(ai + 2j * mp.pi * omega)))
+    return out
+
+
+@st.composite
+def _distinct_weights_and_N(draw):
+    # magnitudes 0.2 apart or more: the spline's own conditioning stays mild
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.2, 1.2), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    mags = 0.3 + np.cumsum(gaps)
+    return [s * float(m) for s, m in zip(signs, mags)], draw(st.integers(1, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_distinct_weights_and_N())
+def test_frame_bounds_match_mpmath(case):
+    # every node of the kernel's grid, and the reported bounds, within
+    # 1e-12 of the grid maximum (measured: at most 1e-14 at these gaps)
+    mp = pytest.importorskip("mpmath")
+    ws, N = case
+    w = make_weights(ws)
+    rep = frame_bounds(w, N, resolution=(4, 6), refinements=1)
+    xs, oms = np.arange(8) / 8, np.arange(12) / 12
+    fine = frames._zak_squares(w, N, xs, oms)
+    with mp.workdps(30):
+        ref = np.array(
+            [[float(sum(abs(_zak_mp(mp, ws, x, om + mp.mpf(j) / N)) ** 2 for j in range(N))) for x in xs] for om in oms]
+        )
+        hint = [float(abs(_zak_mp(mp, ws, locate_zero_half(w), 0.5)) ** 2)] if N == 1 else []
+    tol = 1e-12 * float(ref.max())
+    assert np.max(np.abs(fine - ref)) <= tol
+    assert abs(rep.B_est - float(ref.max())) <= tol
+    assert abs(rep.A_est - min([float(ref.min())] + hint)) <= tol
+    assert abs(rep.refinement_trace[0][1] - min([float(ref[::2, ::2].min())] + hint)) <= tol
 
 
 @pytest.mark.parametrize("K,M", [(12, 2), (30, 3), (48, 4), (64, 8)])
