@@ -1,7 +1,7 @@
 """Zak transforms of totally positive windows of finite type.
 
 Closed-form evaluation of the windows and their exponential-B-spline
-factorization, complexified Zak transforms with certified series tails,
+factorization, complexified Zak transforms as closed-form lattice sums,
 zero location and zero-free certification, truncation convergence
 diagnostics, and Gabor frame bounds (continuous estimates from one
 separable Zak grid, and discrete tests from the discrete Zak spectrum).

@@ -128,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--M", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-14, help="periodization tail tolerance")
     sp.add_argument("--window-only", action="store_true", help="emit the discrete window instead of the test report")
 
     sp = sub.add_parser("converge", help="truncation convergence sweep for a generator")
@@ -197,7 +196,7 @@ def _run(args) -> int:
 
     if args.command == "discrete-frame":
         w = _weights_from(args)
-        window = periodize_sample(w, args.K, tol=args.tol)
+        window = periodize_sample(w, args.K)
         if args.window_only:
             write_report(window, "csv", args.out)
         else:

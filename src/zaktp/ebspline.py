@@ -4,7 +4,8 @@ A TP window of finite type and its exponential B-spline are both sums
 p(t) e^{eta t} over one exponent set: the window on each half-line (its
 partial fractions, ``weights.ExpSumRep``), the spline on each unit interval.
 :class:`ExpPolyTable` holds such sums as arrays and evaluates, reduces and
-Zak-sums them; both representations run on it.
+Zak-sums them, and sums a window's table over a lattice in closed form;
+both representations run on it.
 
 A spline with weight vector (lambda_1, ..., lambda_m) is the m-fold
 convolution of the functions e^{lambda_j t} chi_[0,1).  Each convolution step
@@ -21,7 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import IllConditioned
+
 _P = np.polynomial.polynomial
+_PI = np.longdouble("3.14159265358979323846264338327950288")
 
 
 def cluster_values(vals: Sequence[float], tol: float):
@@ -36,7 +40,8 @@ def cluster_values(vals: Sequence[float], tol: float):
         else:
             groups.append([v])
         labels[idx] = len(groups) - 1
-    return tuple((float(np.mean(g)), len(g)) for g in groups), labels
+    # the mean as an offset from the first member: a run of equal values keeps its value
+    return tuple((g[0] + math.fsum(v - g[0] for v in g) / len(g), len(g)) for g in groups), labels
 
 
 @dataclass(frozen=True)
@@ -84,10 +89,7 @@ class ExpPolyTable:
         etas, c = self._live[p]
         vals = np.multiply.outer(etas, t)
         np.exp(vals, out=vals)
-        acc = c[:, -1:]
-        for d in range(c.shape[1] - 2, -1, -1):
-            acc = acc * t + c[:, d : d + 1]
-        vals = np.multiply(acc, vals, out=vals if c.dtype == vals.dtype else None)
+        vals = np.multiply(_horner(c, t), vals, out=vals if c.dtype == vals.dtype else None)
         out = np.zeros(t.shape, self.coeffs.dtype)
         for v in vals:
             out += v
@@ -117,6 +119,91 @@ class ExpPolyTable:
         for ph, c in zip(phases[1:], self.coeffs[1:]):
             acc = acc + ph * c
         return ExpPolyTable(self.etas, acc[None])
+
+    def lattice_sum(self, x, s, alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """Sum_k f(x + alpha k) e^{-2 pi i k alpha s} in closed form and its rounding bound,
+        shaped s.shape + x.shape; :class:`IllConditioned` where the bound passes
+        1e-10 max(1, |Z|), as the partial fractions of crowded weights cancel.
+
+        f is a window's two-piece table (piece 0 on y < 0, piece 1 on y >= 0), each
+        term decaying on its half-line, as inside the strip |Im s| < a0 / (2 pi).  From
+        y0 = x + alpha k0 in [0, alpha) a term sums p(y0 + h m) e^{eta y0} q^m, m >= 0:
+        h = alpha, q = e^{h (eta - 2 pi i s)} on the right, h = -alpha from y0 - alpha
+        on the left.  By Taylor's formula that is e^{eta y0} Sum_i h^i p^(i)(y0)/i! S_i(q),
+        S_i(q) = Sum_m m^i q^m = q A_i(q)/(1 - q)^(i+1) (Eulerian A_i): a factor in x
+        times one in s, so one matrix product, in the coefficients' precision.  kappa,
+        the same sum over the terms' moduli, bounds each quantity on the way by its
+        share.  The bound is (4 T D + 16) unit roundoffs of kappa (coefficients good to
+        2 T D units, Horner, moments, the sum), plus kappa_exp, the shares weighted by
+        the exponents rounded on the way (eta y, h (eta - 2 pi i s) via dS_i/dz =
+        S_(i+1), the phases), plus 2^-52 |Z| for the rounding to complex128.
+        """
+        xs, ss = np.asarray(x, dtype=float), np.asarray(s, dtype=complex)
+        xf, sf = xs.ravel(), ss.ravel()
+        # y0 = fmod(x, alpha) (+ alpha) is exact but for the last addition, made in
+        # the table's precision: a shift of y0 moves every term by |eta| times it
+        real = self.coeffs.real.dtype.type
+        r = np.fmod(xf, alpha)
+        y0 = r.astype(real) + np.where(r < 0, alpha, 0.0)
+        k0 = np.rint((r - xf) / alpha) + (r < 0)
+        w = 2 * real(_PI) * 1j * sf.astype(np.result_type(real, complex))  # 2 pi i s, rounded once
+        T, D = self.coeffs.shape[1:]
+        parts = []  # per block of terms: factors in s and in x of Z, kappa and kappa_exp
+        for p, h, y, pre in ((1, alpha, 0.0, 0.0), (0, -alpha, -alpha, alpha * w)):
+            etas, c = self._live[p]
+            if not len(etas):
+                continue
+            etas, y = etas.astype(real), y0 + y
+            z = h * (etas[:, None] - w)  # (T, Ns): q = e^z
+            eta_y = np.multiply.outer(etas, y)  # (T, Nx)
+            ey, moments, bounds = np.exp(eta_y), _moments(z, D), _moments(z.real, D + 1)
+            for i in range(D):
+                taylor = c[:, i:] * [math.comb(j, i) for j in range(i, D)]
+                scale, mod = np.exp(np.real(pre)) * abs(h) ** i, _horner(np.abs(taylor), np.abs(y)) * ey
+                f_exp = scale * (np.abs(pre) * bounds[i] + 2 * np.abs(z) * bounds[i + 1])
+                parts.append((np.exp(pre) * h**i * moments[i], _horner(taylor, y) * ey,
+                              scale * bounds[i], mod, f_exp, mod * np.abs(eta_y)))
+        shape = ss.shape + xs.shape
+        if not parts:
+            return np.zeros(shape, complex), np.zeros(shape)
+        fs, es, *rest = (np.concatenate(v) for v in zip(*parts))
+        out = fs.T @ es
+        fa, ea, fx, ex = (v.astype(float) for v in rest)  # no cancellation: doubles do
+        kappa, kappa_exp = fa.T @ ea, fx.T @ ea + fa.T @ ex
+        if np.any(k0):
+            shift = np.multiply.outer(-alpha * w, k0)
+            out *= np.exp(shift)
+            grow = np.exp(shift.real.astype(float))
+            kappa, kappa_exp = kappa * grow, (kappa_exp + np.abs(shift).astype(float) * kappa) * grow
+        out = out.astype(complex)
+        unit = np.finfo(real).eps / 2
+        bound = (unit * ((4 * T * D + 16) * kappa + kappa_exp) + 2.0**-52 * np.abs(out)).astype(float)
+        worst = float(np.max(bound / np.maximum(1.0, np.abs(out)), initial=0.0))
+        if not worst <= 1e-10:  # a NaN bound refuses too
+            raise IllConditioned(
+                f"partial fractions cancel: the lattice sum's rounding bound is {worst:.3e} "
+                "x max(1, |Z|), above 1e-10; the weights are too crowded"
+            )
+        return out.reshape(shape), bound.reshape(shape)
+
+
+def _horner(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row of ascending ``coeffs`` (T, d) at the points y; (T, 1) when d = 1."""
+    acc = coeffs[:, -1:]
+    for d in range(coeffs.shape[1] - 2, -1, -1):
+        acc = acc * y + coeffs[:, d : d + 1]
+    return acc
+
+
+def _moments(z: np.ndarray, count: int) -> list[np.ndarray]:
+    """S_i(q) = Sum_m m^i q^m at q = e^z, Re z < 0, for i < count."""
+    omq, q = -np.expm1(z), np.exp(z) if count > 1 else None  # 1 - q without cancellation
+    return [1.0 / omq] + [q * _P.polyval(q, _eulerian(i)) / omq ** (i + 1) for i in range(1, count)]
+
+
+def _eulerian(i: int) -> list[int]:
+    """Ascending coefficients A(i, k) = sum_j (-1)^j C(i+1, j) (k+1-j)^i of the Eulerian A_i."""
+    return [sum((-1) ** j * math.comb(i + 1, j) * (k + 1 - j) ** i for j in range(k + 2)) for k in range(i)]
 
 
 @dataclass(frozen=True)

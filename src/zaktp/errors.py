@@ -30,7 +30,7 @@ class StripViolation(ZakTPError):
 
 
 class ToleranceUnreachable(ZakTPError):
-    """The series truncation length needed for the requested tolerance exceeds the cap."""
+    """An iteration (Brent's root search) ran out of steps before reaching its tolerance."""
 
 
 class PoleHit(ZakTPError):

@@ -8,23 +8,20 @@ prefactor call on the omega column and two real GEMMs against the table
 B(x + k) of the spline factor, on the rows omega <= 1/2 only, since for a
 real window the rows omega > 1/2 mirror them.  Finest grids above 2^22
 nodes are refused before allocation.  The discrete route periodizes and
-samples the window to C^K; the critically sampled frame operator is
+samples the window to C^K, a closed-form lattice sum of its partial
+fractions with step K; the critically sampled frame operator is
 diagonalized by the discrete Zak transform, so its spectrum is
 M |DFT_{K/M}(v[qM + r])|^2 (Zibulski-Zeevi).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Indivisible, ToleranceUnreachable
-from .weights import WeightMultiset, eval_tp
-from .zak import _decay_constant, _spline_columns, _spline_for, zak_prefactor
-
-_MAX_PERIODS = 10**6
-_MAX_GRID_NODES = 1 << 22
+from .errors import Indivisible
+from .weights import WeightMultiset, exp_sum_rep
+from .zak import _MAX_GRID_NODES, _spline_columns, _spline_for, zak_prefactor
 
 
 @dataclass(frozen=True)
@@ -152,40 +149,11 @@ def frame_bounds(
     )
 
 
-def _period_count(C: float, a0: float, K: int, tol: float) -> int:
-    """Least kp >= 1 whose tail bound beyond kp periods each side is below tol.
-
-    |g(j + kK)| <= C e^{-a0(|k| K - K)} makes tail(kp) = tail(1) e^{-a0 K (kp - 1)}:
-    a logarithm gives kp, and one check each way against ``tail`` makes it exact.
-    """
-
-    def tail(kp: int) -> float:
-        return 2.0 * C * math.exp(-a0 * (kp * K - K)) / (1.0 - math.exp(-a0 * K))
-
-    if tail(_MAX_PERIODS) >= tol:
-        raise ToleranceUnreachable(
-            f"tail bound {tail(_MAX_PERIODS):.3g} >= tol = {tol} after 10^6 periods each side"
-        )
-    estimate = 1.0 + (math.log(tail(1)) - math.log(tol)) / (a0 * K)
-    kp = max(1, math.ceil(min(estimate, _MAX_PERIODS)))
-    while kp > 1 and tail(kp - 1) < tol:
-        kp -= 1
-    while tail(kp) >= tol:
-        kp += 1
-    return kp
-
-
-def periodize_sample(weights: WeightMultiset, K: int, tol: float = 1e-14) -> DiscreteWindow:
-    """Periodized integer samples of the window with tail below tol."""
+def periodize_sample(weights: WeightMultiset, K: int) -> DiscreteWindow:
+    """Periodized integer samples v_j = Z_K g(j, 0), summed in closed form."""
     if K < 1:
         raise ValueError("K must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    kp = _period_count(_decay_constant(weights.raw), weights.a0, K, tol)
-    js = np.arange(K)
-    vals = np.zeros(K)
-    for k in range(-kp, kp + 1):
-        vals += eval_tp(weights, js + k * K)
+    vals = exp_sum_rep(weights).table.lattice_sum(np.arange(K), 0.0, alpha=K)[0].real
     return DiscreteWindow(K=K, values=tuple(float(v) for v in vals), weights=weights)
 
 

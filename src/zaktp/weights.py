@@ -32,6 +32,10 @@ from .errors import (
 # evaluation switches to the log-space partial-fraction form.
 _LOG_PRODUCT_SWITCH = 500.0
 
+# partial fractions are built and lattice-summed in extended precision (80-bit
+# on x86; plain double where numpy has none, and the rounding bound follows)
+_EXT = np.longdouble
+
 
 @dataclass(frozen=True)
 class WeightMultiset:
@@ -269,7 +273,7 @@ class ExpSumRep:
     def eval(self, x) -> np.ndarray | float:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         # x = 0 is on the right piece unless no term lives there
-        out = self.table.eval(xs >= 0 if self.table.coeffs[1].any() else xs > 0, xs)
+        out = self.table.eval(xs >= 0 if self.table.coeffs[1].any() else xs > 0, xs).astype(float)
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(out[0])
         return out
@@ -284,32 +288,31 @@ def exp_sum_rep(weights: WeightMultiset, check_tol: float = 1e-8) -> ExpSumRep:
     """Partial-fraction representation of g_n as polynomial x exponential terms.
 
     The coefficients are the higher-order residues of the Fourier product at
-    s = -b_i, obtained from the log-derivative recursion; the result is
+    s = -b_i, obtained from the log-derivative recursion in extended precision
+    (they cancel against each other as the weights crowd); the result is
     verified against the Fourier product and :class:`IllConditioned` is raised
     unless the reconstruction residual is at most ``check_tol``.
     """
-    prod_a = float(np.prod(np.asarray(weights.raw)))
-    coeffs = np.zeros((2, len(weights.distinct), max(mu for _, mu in weights.distinct)))
-    all_c = []  # (b, mu, [c_1..c_mu]) for the residual check
+    # sorted raw weights line up with the cluster nodes, one cluster per run
+    raws, nodes = np.sort(np.asarray(weights.raw)), weights.cluster_nodes().astype(_EXT)
+    bs = np.array([b for b, _ in weights.distinct], _EXT)
+    mus = np.array([mu for _, mu in weights.distinct])
+    coeffs = np.zeros((2, len(bs), mus.max()), _EXT)
+    terms = []  # (b, j, c_j): c_j is the coefficient of (s + b)^-j, for the residual check
     for i, (b, mu) in enumerate(weights.distinct):
-        others = [(bk, mk) for k, (bk, mk) in enumerate(weights.distinct) if k != i]
-        h0 = prod_a
-        for bk, mk in others:
-            h0 *= (bk - b) ** (-mk)
-        hs = [h0]
+        # H(-b) = prod a / prod_k (b_k - b)^mu_k as a product of ratios a / (b_k - b):
+        # prod a itself leaves the double range for wide windows
+        hs = [np.prod(raws / np.where(nodes == b, 1.0, nodes - b))]
+        d, mk = (np.delete(bs - b, i), np.delete(mus, i)) if mu > 1 else (None, None)
 
         def l_deriv(p):
-            return sum(
-                -mk * (-1.0) ** p * math.factorial(p) / (bk - b) ** (p + 1)
-                for bk, mk in others
-            )
+            return -((-1.0) ** p) * math.factorial(p) * np.sum(mk / d ** (p + 1))
 
         for m_ in range(1, mu):
-            hm = sum(math.comb(m_ - 1, l) * hs[l] * l_deriv(m_ - 1 - l) for l in range(m_))
-            hs.append(hm)
+            hs.append(sum(math.comb(m_ - 1, l) * hs[l] * l_deriv(m_ - 1 - l) for l in range(m_)))
         # c_{i,j} = H^{(mu-j)}(-b) / (mu-j)!
         cs = [hs[mu - j] / math.factorial(mu - j) for j in range(1, mu + 1)]
-        all_c.append((b, mu, cs))
+        terms += [(b, j, c) for j, c in enumerate(cs, 1)]
         c = [cs[j] / math.factorial(j) for j in range(mu)]
         if b > 0:
             coeffs[1, i, :mu] = c
@@ -319,11 +322,9 @@ def exp_sum_rep(weights: WeightMultiset, check_tol: float = 1e-8) -> ExpSumRep:
     rep = ExpSumRep(ExpPolyTable([-b for b, _ in weights.distinct], coeffs))
 
     # residual check against the Fourier product at a few frequencies
+    tb, tj, tc = (np.array(v, t) for v, t in zip(zip(*terms), (_EXT, int, _EXT)))
     for om in (0.1318, 0.7, 2.31):
-        s = 2j * np.pi * om
-        recon = sum(
-            c / (b + s) ** (j + 1) for b, mu, cs in all_c for j, c in enumerate(cs)
-        )
+        recon = np.sum(tc / (tb + 2j * np.pi * om) ** tj)
         target = complex(fourier_tp(weights, om))
         # written so that a NaN residual (an overflowed weight product) raises too
         if not abs(recon - target) <= check_tol * max(1.0, abs(target)):

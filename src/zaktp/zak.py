@@ -1,15 +1,15 @@
-"""Zak transforms of TP windows and splines, with certified truncation.
+"""Zak transforms of TP windows and splines, in closed form.
 
-Two independent evaluation routes are provided: the direct quasi-periodic
-series with a geometric tail bound, and the exact factorization through the
-associated exponential B-spline (finite sum, no truncation error).  The
-frequency argument may be complex, s = omega + i*tau, inside the strip
-|tau| < a0 / (2*pi).
+Two independent evaluation routes are provided.  The direct route sums the
+window's partial fractions (``weights.exp_sum_rep``) over the lattice in closed
+form and states its rounding bound; where crowded weights make the bound pass
+1e-10 max(1, |Z|) it raises ``IllConditioned`` instead.  The factorized route
+goes through the associated exponential B-spline, a finite sum.  The frequency
+argument may be complex, s = omega + i*tau, inside the strip |tau| < a0 / (2*pi).
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,11 +17,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .ebspline import PiecewiseExpPoly, build_ebspline, eval_ebspline
-from .errors import PoleHit, SlowDecay, StripViolation, ToleranceUnreachable
-from .weights import WeightMultiset, eval_tp, fourier_tp, make_weights
+from .errors import PoleHit, SlowDecay, StripViolation
+from .weights import WeightMultiset, exp_sum_rep, fourier_tp, make_weights
 
 _STRIP_MARGIN = 1e-6
-_K_CAP = 10**6
+_MAX_GRID_NODES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -50,60 +50,17 @@ def _check_strip(weights: WeightMultiset, tau: float):
         )
 
 
-@functools.lru_cache(maxsize=128)
-def _decay_constant(raw: tuple[float, ...]) -> float:
-    """C with |g(x)| <= C e^{-a0 |x|} on the far field, safety factor 2."""
-    w = make_weights(raw, coalesce_tol=0.0)
-    a0 = w.a0
-    xs = np.concatenate([np.linspace(1.0, 40.0, 200), -np.linspace(1.0, 40.0, 200)]) / a0
-    vals = np.abs(eval_tp(w, xs)) * np.exp(a0 * np.abs(xs))
-    near = np.max(np.abs(eval_tp(w, np.linspace(-1.0, 1.0, 64) / a0)))
-    return 2.0 * max(float(np.max(vals)), float(near), 1e-300)
-
-
-def _series_length(weights: WeightMultiset, tau: float, tol: float) -> tuple[int, float]:
-    """Truncation K and the geometric tail bound it guarantees."""
-    a0 = weights.a0
-    C = _decay_constant(weights.raw)
-    rate = a0 - 2.0 * np.pi * abs(tau)
-    r = math.exp(-rate)
-    # tail over |k| > K: 2 C e^{a0} r^(K+1) / (1 - r)
-    K = 8
-    while True:
-        bound = 2.0 * C * math.exp(a0) * r ** (K + 1) / (1.0 - r)
-        if bound < tol:
-            return K, bound
-        K = max(K + 1, int(K * 1.5))
-        if K > _K_CAP:
-            raise ToleranceUnreachable(
-                f"series needs more than {_K_CAP} terms (tau too near the strip edge?)"
-            )
-
-
-def zak_tp_with_tail(
-    weights: WeightMultiset, x: float, s, tol: float = 1e-10
-) -> tuple[complex, float]:
-    """Direct Zak series value and the certified truncation tail bound."""
+def zak_tp_with_tail(weights: WeightMultiset, x: float, s) -> tuple[complex, float]:
+    """Direct Zak value and its rounding bound: the lattice sum is in closed form, with no tail."""
     sc = _as_s(s)
     _check_strip(weights, sc.imag)
-    n_shift = math.floor(x)
-    x0 = x - n_shift
-    K, bound = _series_length(weights, sc.imag, tol)
-    k = np.arange(-K, K + 1)
-    g = np.asarray(eval_tp(weights, x0 + k), dtype=float)
-    # combine magnitudes in log space: g * e^{2 pi k tau} can pair overflow
-    with np.errstate(divide="ignore"):
-        mag = np.exp(np.log(np.abs(g)) + 2.0 * np.pi * k * sc.imag)
-    phase = np.exp(-2j * np.pi * k * sc.real)
-    val = complex(np.sum(np.sign(g) * mag * phase))
-    if n_shift != 0:
-        val *= np.exp(2j * np.pi * n_shift * sc)
-    return val, bound
+    z, bound = exp_sum_rep(weights).table.lattice_sum(float(x), sc)
+    return complex(z), float(bound)
 
 
-def zak_tp(weights: WeightMultiset, x: float, s, tol: float = 1e-10) -> complex:
-    """Zak transform of the TP window by the direct series (the oracle route)."""
-    return zak_tp_with_tail(weights, x, s, tol)[0]
+def zak_tp(weights: WeightMultiset, x: float, s) -> complex:
+    """Zak transform of the TP window by the direct lattice sum (the oracle route)."""
+    return zak_tp_with_tail(weights, x, s)[0]
 
 
 def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
@@ -148,8 +105,10 @@ def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
     out = 1.0 + 0.0j
     for a in weights.raw:
         denom = 1.0 - np.exp(-(a + 2j * np.pi * sc))
-        if (abs(denom) < 1e-14).any() if vec else abs(denom) < 1e-14:
-            raise PoleHit(f"prefactor denominator vanishes for weight {a} at s = {sc}")
+        pole = abs(denom) < 1e-14
+        if pole.any() if vec else pole:
+            at = sc[pole].flat[0] if vec else sc
+            raise PoleHit(f"prefactor denominator vanishes for weight {a} at s = {complex(at)}")
         out *= a / denom
     return out if vec else complex(out)
 
@@ -187,29 +146,17 @@ def zak_inversion_check(weights: WeightMultiset, omega: float, quad_points: int 
     return complex(np.sum(0.5 * wts * vals))
 
 
-def _zak_series_lattice(
-    weights: WeightMultiset, alpha: float, x: float, omega: float, tol: float = 1e-10
-) -> complex:
-    """Z_alpha g(x, w) = sum_k g(x + alpha k) e^{-2 pi i k alpha w}, truncated."""
-    a0 = weights.a0
-    C = _decay_constant(weights.raw)
-    rate = a0 * alpha
-    K = max(16, int(math.ceil((math.log(C / tol) + a0 * (abs(x) + 1)) / rate)) + 2)
-    k = np.arange(-K, K + 1)
-    g = np.asarray(eval_tp(weights, x + alpha * k), dtype=float)
-    return complex(np.sum(g * np.exp(-2j * np.pi * k * alpha * omega)))
-
-
 def zak_dilation_check(
     weights: WeightMultiset,
     alpha: float,
     x: float,
     omega: float,
     identities: Sequence[str] = ("d",),
-    tol: float = 1e-10,
 ) -> dict[str, tuple[complex, complex]]:
     """Evaluate both sides of the scaling identity (d) and, on request, the
-    Fourier-side identity (c); each side uses an independent route.
+    Fourier-side identity (c); each side uses an independent route.  The
+    alpha-lattice sum Z_alpha g is the closed-form lattice sum of the partial
+    fractions.
 
     (d):  Z_alpha g(x, w)  vs  Z_1 g(alpha .)(x/alpha, alpha w)
     (c):  alpha Z_alpha g(x, w)  vs  e^{2 pi i x w} Z_{1/alpha} g-hat(w, -x)
@@ -217,15 +164,16 @@ def zak_dilation_check(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     out: dict[str, tuple[complex, complex]] = {}
+    z_alpha = complex(exp_sum_rep(weights).table.lattice_sum(x, omega, alpha)[0])
     if "d" in identities:
-        lhs = _zak_series_lattice(weights, alpha, x, omega, tol)
+        lhs = z_alpha
         scaled = make_weights([alpha * a for a in weights.raw], coalesce_tol=0.0)
         rhs = zak_factorized(scaled, x / alpha, alpha * omega) / alpha
         out["d"] = (lhs, complex(rhs))
     if "c" in identities:
         if weights.n < 2:
             raise SlowDecay("identity (c) needs type n >= 2 for a summable Fourier side")
-        lhs = alpha * _zak_series_lattice(weights, alpha, x, omega, tol)
+        lhs = alpha * z_alpha
         # algebraic tail: |g-hat(w')| <= prod|a| (2 pi |w'|)^{-n}
         n = weights.n
         prod_abs = float(np.prod(np.abs(np.asarray(weights.raw))))
@@ -260,7 +208,7 @@ class ZakGrid:
     omega_samples: tuple[float, ...]
     tau: float
     values: np.ndarray = field(repr=False)  # shape (n_omega, n_x)
-    tail_bound: float
+    tail_bound: float  # direct: its rounding bound; factorized: 0.0 (a finite sum)
     source: str  # "direct_series" | "ebspline_factorized"
 
     def to_csv_rows(self):
@@ -289,27 +237,27 @@ def compute_zak_grid(
     omega_samples: Sequence[float],
     tau: float = 0.0,
     source: str = "ebspline_factorized",
-    tol: float = 1e-10,
 ) -> ZakGrid:
-    """Scan the Zak transform over a rectangle of one lattice cell."""
+    """Scan the Zak transform over a rectangle of one lattice cell.
+
+    Both sources evaluate the whole grid at once; a grid of more than 2^22
+    nodes is refused with ``ValueError`` before it is allocated.
+    """
     xs = np.asarray(x_samples, dtype=float)
     oms = np.asarray(omega_samples, dtype=float)
+    if len(xs) * len(oms) > _MAX_GRID_NODES:
+        raise ValueError(f"a {len(xs)}x{len(oms)} grid exceeds {_MAX_GRID_NODES} nodes")
     if np.any(xs < 0) or np.any(xs >= 1) or np.any(oms < 0) or np.any(oms >= 1):
         raise ValueError("grid must lie within the lattice cell [0,1) x [0,1)")
     _check_strip(weights, tau)
-    tail = 0.0
     if source == "ebspline_factorized":
         B = _spline_for(weights.raw)
         s = oms + 1j * tau
         phases = np.exp(-2j * np.pi * np.outer(s, np.arange(B.m)))  # (n_omega, m)
-        values = zak_prefactor(weights, s)[:, None] * (phases @ _spline_columns(B, xs))
+        values, tail = zak_prefactor(weights, s)[:, None] * (phases @ _spline_columns(B, xs)), 0.0
     elif source == "direct_series":
-        values = np.empty((len(oms), len(xs)), dtype=complex)
-        for i, om in enumerate(oms):
-            for j, xx in enumerate(xs):
-                v, b = zak_tp_with_tail(weights, float(xx), complex(om, tau), tol)
-                values[i, j] = v
-                tail = max(tail, b)
+        values, bound = exp_sum_rep(weights).table.lattice_sum(xs, oms + 1j * tau)
+        tail = float(bound.max(initial=0.0))
     else:
         raise ValueError(f"unknown source {source!r}")
     return ZakGrid(

@@ -52,7 +52,7 @@ def test_criterion_1_factorization_oracle():
         for _ in range(20):
             x = float(rng.uniform(0, 1))
             s = complex(rng.uniform(0, 1), rng.uniform(-tau_max, tau_max))
-            z1 = zak_tp(w, x, s, tol=1e-12)
+            z1 = zak_tp(w, x, s)
             z2 = zak_factorized(w, x, s)
             rel = abs(z1 - z2) / max(abs(z1), 1e-30)
             worst = max(worst, rel)
@@ -102,8 +102,8 @@ def test_criterion_3_zero_free_certification():
 
 def test_criterion_4_closed_form_spot_values():
     w1 = make_weights([1.0])
-    e1 = abs(zak_tp(w1, 0.0, 0.0, tol=1e-14) - 1 / (1 - math.exp(-1)))
-    e2 = abs(zak_tp(w1, 0.0, 0.5, tol=1e-14) - 1 / (1 + math.exp(-1)))
+    e1 = abs(zak_tp(w1, 0.0, 0.0) - 1 / (1 - math.exp(-1)))
+    e2 = abs(zak_tp(w1, 0.0, 0.5) - 1 / (1 + math.exp(-1)))
     hat = build_ebspline([0.0, 0.0])
     xs = np.arange(64) / 64
     e3 = float(np.max(np.abs(zak_ebspline(hat, xs, 0.5) - (2 * xs - 1))))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mp_oracle import lattice_sum
 
 import zaktp.zak
 from zaktp.analysis import (
@@ -275,20 +276,8 @@ def test_certify_finds_the_zero_in_every_box_that_holds_it(case):
 
 
 def _tilted_zak_mp(mp, a, tau, x):
-    """e^{2 pi tau x} Z g(x, 1/2 + i tau), x in [0, 1), for distinct weights a; real.
-
-    Partial fractions g = sum c_i e^{-a_i x} on the half-line where a term
-    decays, c_i = prod a / prod_{j != i} (a_j - a_i); each lattice sum is
-    geometric, and both half-lines give c_i e^{-a_i x} / (1 - q_i).
-    """
-    a = [mp.mpf(v) for v in a]
-    x, tau = mp.mpf(x), mp.mpf(tau)
-    q = [mp.exp(-(ai + 2j * mp.pi * (mp.mpf(0.5) + 1j * tau))) for ai in a]
-    out = 0
-    for i, ai in enumerate(a):
-        c = mp.fprod(a) / mp.fprod(aj - ai for j, aj in enumerate(a) if j != i)
-        out += c * mp.exp(-ai * x) / (1 - q[i])
-    return mp.re(mp.exp(2 * mp.pi * tau * x) * out)
+    """e^{2 pi tau x} Z g(x, 1/2 + i tau), x in [0, 1); real."""
+    return mp.re(mp.exp(2 * mp.pi * tau * mp.mpf(x)) * lattice_sum(mp, a, x, mp.mpf(0.5) + 1j * mp.mpf(tau)))
 
 
 def test_certify_probe_has_no_false_verdict_against_mpmath():

@@ -25,6 +25,18 @@ def test_zero_type1_reports_error(capsys):
     assert "NoZero" in err
 
 
+def test_zak_refuses_a_huge_grid(capsys):
+    # exit 1 with a message, before the 4e10-node grid is allocated
+    code, out, err = run(capsys, "zak", "--weights=1,-1", "--nx", "200000", "--nomega", "200000")
+    assert (code, out) == (1, "")
+    assert err == "ValueError: a 200000x200000 grid exceeds 4194304 nodes\n"
+
+
+def test_discrete_frame_has_no_tol_option(capsys):
+    # the periodization is a closed form: there is no tail tolerance to set
+    assert run(capsys, "discrete-frame", "--weights", "1,-1", "--K", "4", "--M", "2", "--tol", "1e-14")[0] == 2
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mp_oracle import lattice_sum
 
 from zaktp.convergence import (
     WeightGenerator,
@@ -15,7 +16,7 @@ from zaktp.convergence import (
     weighted_sup_distance,
     zak_strip_distance,
 )
-from zaktp.errors import SigmaTooLarge, StripViolation
+from zaktp.errors import IllConditioned, SigmaTooLarge, StripViolation
 from zaktp.weights import make_weights
 
 
@@ -92,13 +93,25 @@ def test_geometric_cauchy_rate():
 
 
 def test_zak_strip_distance_decreasing():
+    # harmonic n = 20 is the largest reference that this strip accepts: from
+    # n = 22 the rounding bound near x = 0 passes 1e-10 and the closed form
+    # refuses.  Each distance bounds |Zg_n - Zg_20| at grid nodes, in mpmath
+    mp = pytest.importorskip("mpmath")
     gen = WeightGenerator.harmonic(1.0)
-    ref = truncate(gen, 40)
+    ref = truncate(gen, 20)
     xi = 0.1 / (2 * np.pi)
     d5 = zak_strip_distance(truncate(gen, 5), ref, xi)
-    d20 = zak_strip_distance(truncate(gen, 20), ref, xi)
-    assert d20 < d5
+    d16 = zak_strip_distance(truncate(gen, 16), ref, xi)
+    assert d16 < d5
     assert zak_strip_distance(ref, ref, xi) == 0.0
+    nodes = [(13 / 64, complex(0.25, -xi)), (50 / 64, complex(0.5, xi)), (0.0, 0.75)]
+    with mp.workdps(40):
+        for n, d in ((5, d5), (16, d16)):
+            for x, s in nodes:
+                gap = abs(lattice_sum(mp, ref.raw[:n], x, s) - lattice_sum(mp, ref.raw, x, s))
+                assert float(gap) <= d + 1e-10
+    with pytest.raises(IllConditioned):
+        zak_strip_distance(truncate(gen, 5), truncate(gen, 40), xi)
 
 
 def test_zak_strip_distance_dominates_real_slice():

@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mp_oracle import lattice_sum
 
 from zaktp import frames
 from zaktp.analysis import locate_zero_half
 from zaktp.ebspline import eval_ebspline
-from zaktp.errors import Indivisible, ToleranceUnreachable
+from zaktp.errors import Indivisible
 from zaktp.frames import (
     DiscreteWindow,
     FrameBoundsReport,
-    _period_count,
     discrete_frame_test,
     frame_bounds,
     periodize_sample,
 )
 from zaktp.weights import eval_tp, make_weights
-from zaktp.zak import _decay_constant, _spline_for, zak_prefactor
+from zaktp.zak import _spline_for, zak_prefactor
 
 
 def _reference_zak_squares(weights, N, n_x, n_w, extra=None):
@@ -290,7 +290,7 @@ def test_frame_bounds_value_at_zero_hint_is_exact(ws):
     rep = frame_bounds(w, 1, resolution=(8, 8), refinements=1)
     assert rep.min_location == (locate_zero_half(w), 0.5)
     with mp.workdps(40):
-        exact = float(abs(_zak_mp(mp, ws, rep.min_location[0], 0.5)) ** 2)
+        exact = float(abs(lattice_sum(mp, ws, rep.min_location[0], 0.5)) ** 2)
     assert abs(rep.A_est - exact) <= 1e-28 * rep.B_est
     if ws != [-1.5, 2.0]:  # its root is 3e-14 off: |Zg|^2 = 1.5e-27 B_est there
         assert rep.A_est <= 1e-28 * rep.B_est
@@ -299,7 +299,7 @@ def test_frame_bounds_value_at_zero_hint_is_exact(ws):
     xs = rep.min_location[0] + np.array([1e-9, -1e-8, 1e-7, 1e-6])
     near = frames._zak_squares(w, 1, xs, np.array([0.5]))[0]
     with mp.workdps(40):
-        exact = np.array([float(abs(_zak_mp(mp, ws, x, 0.5)) ** 2) for x in xs])
+        exact = np.array([float(abs(lattice_sum(mp, ws, x, 0.5)) ** 2) for x in xs])
     assert np.max(np.abs(near - exact) / exact) <= 1e-5
 
 
@@ -348,24 +348,6 @@ def test_frame_bounds_equals_exactly_symmetric_full_grid(ws, N, resolution, refi
     assert np.max(np.abs(fine - direct)) <= 1e-14 * np.max(direct)
 
 
-def _zak_mp(mp, a, x, omega):
-    """Z g(x, omega), x in [0, 1), for distinct weights a, in mpmath.
-
-    Partial fractions g = sum c_i e^{-a_i x} on the half-line where a term
-    decays, c_i = prod a / prod_{j != i} (a_j - a_i); each lattice sum is
-    geometric, and both half-lines give c_i e^{-a_i x} / (1 - q_i) with
-    q_i = e^{-(a_i + 2 pi i omega)}.  ``_tilted_zak_mp`` of test_analysis.py
-    is the case omega = 1/2 + i tau.
-    """
-    a = [mp.mpf(v) for v in a]
-    x, omega = mp.mpf(x), mp.mpf(omega)
-    out = 0
-    for i, ai in enumerate(a):
-        c = mp.fprod(a) / mp.fprod(aj - ai for j, aj in enumerate(a) if j != i)
-        out += c * mp.exp(-ai * x) / (1 - mp.exp(-(ai + 2j * mp.pi * omega)))
-    return out
-
-
 @st.composite
 def _distinct_weights_and_N(draw):
     # magnitudes 0.2 apart or more: the spline's own conditioning stays mild
@@ -389,9 +371,9 @@ def test_frame_bounds_match_mpmath(case):
     fine = frames._zak_squares(w, N, xs, oms)
     with mp.workdps(30):
         ref = np.array(
-            [[float(sum(abs(_zak_mp(mp, ws, x, om + mp.mpf(j) / N)) ** 2 for j in range(N))) for x in xs] for om in oms]
+            [[float(sum(abs(lattice_sum(mp, ws, x, om + mp.mpf(j) / N)) ** 2 for j in range(N))) for x in xs] for om in oms]
         )
-        hint = [float(abs(_zak_mp(mp, ws, locate_zero_half(w), 0.5)) ** 2)] if N == 1 else []
+        hint = [float(abs(lattice_sum(mp, ws, locate_zero_half(w), 0.5)) ** 2)] if N == 1 else []
     tol = 1e-12 * float(ref.max())
     assert np.max(np.abs(fine - ref)) <= tol
     assert abs(rep.B_est - float(ref.max())) <= tol
@@ -433,56 +415,73 @@ def test_discrete_frame_large_K():
     assert 0.0 <= rep["lambda_min"] <= rep["lambda_max"] < math.inf
 
 
-def test_periodize_sample_unreachable_tolerance():
-    # a0 = 1e-6 at K = 1: the tail bound is still 1.47 after 10^6 periods
-    with pytest.raises(ToleranceUnreachable):
-        periodize_sample(make_weights([1e-6]), 1)
+def test_periodize_sample_tiny_weight_matches_closed_form():
+    # a0 = 1e-6 at K = 1: v_0 = a / (1 - e^{-a}), a geometric series of 10^7
+    # significant terms that no truncation could finish
+    mp = pytest.importorskip("mpmath")
+    dw = periodize_sample(make_weights([1e-6]), 1)
+    with mp.workdps(30):
+        a = mp.mpf(1e-6)
+        ref = float(a / (1 - mp.exp(-a)))
+    assert dw.values[0] == pytest.approx(ref, rel=1e-12)
 
 
 def _reference_period_count(C, a0, K, tol):
-    """The period count as a plain loop over kp, one period at a time."""
+    """Periods each side after which a window |g(x)| <= C e^{-a0 |x|} has a
+    periodization tail below tol, as a plain loop over kp (None past 10^6)."""
     kp = 1
-    while (tail := 2.0 * C * math.exp(-a0 * (kp * K - K)) / (1.0 - math.exp(-a0 * K))) >= tol:
+    while 2.0 * C * math.exp(-a0 * (kp * K - K)) / (1.0 - math.exp(-a0 * K)) >= tol:
         if kp == 10**6:
-            raise ToleranceUnreachable(
-                f"tail bound {tail:.3g} >= tol = {tol} after 10^6 periods each side"
-            )
+            return None
         kp += 1
     return kp
+
+
+def _assert_periodization_within_tail(C, a0, K, kp, tail):
+    """The closed form against the loop over |k| <= kp for the window
+    C e^{-a0 |x|}, i.e. weights [a0, -a0] scaled by 2C / a0: apart from
+    rounding the two differ by at most the tail of the dropped periods."""
+    w = make_weights([a0, -a0])
+    scale = 2.0 * C / a0
+    js = np.arange(K)
+    ks = np.arange(-kp, kp + 1)
+    loop = scale * eval_tp(w, js[None, :] + K * ks[:, None]).sum(axis=0)
+    got = scale * np.asarray(periodize_sample(w, K).values)
+    assert np.all(np.abs(got - loop) <= tail + 1e-13 * np.abs(got))
 
 
 @pytest.mark.parametrize("C", [1e-300, 0.37, 1.0, 2.5e3])
 @pytest.mark.parametrize("a0,K", [(1.0, 1), (0.3, 7), (2.5, 360), (1e-3, 1), (1e-3, 40), (7.0, 2)])
 @pytest.mark.parametrize("tol", [1e-320, 1e-14, 1e-3, 0.5, 1e3])
 def test_period_count_matches_loop(C, a0, K, tol):
-    assert _period_count(C, a0, K, tol) == _reference_period_count(C, a0, K, tol)
+    # the closed form needs no period count; a loop stopped at the count whose
+    # geometric tail bound is below tol agrees with it to within tol
+    kp = _reference_period_count(C, a0, K, tol)
+    _assert_periodization_within_tail(C, a0, K, kp, tol)
 
 
 @pytest.mark.parametrize("target", [10**6 - 3.5, 10**6 - 0.5, 10**6 + 0.5])
 def test_period_count_at_the_cap(target):
-    # a0 solves tail(target) = tol, so the least kp is ceil(target): at, or
-    # just past, the 10^6 periods where the loop gives up
+    # a0 solves tail(target) = tol, so a loop needs ceil(target) periods each
+    # side: at, or just past, 10^6; the closed form is exact at every a0
     C, K, a0, tol = 1.0, 1, 1e-5, 1e-14
     for _ in range(60):
         a0 = math.log(2.0 * C / (tol * -math.expm1(-a0))) / (target - 1.0)
-    try:
-        expected = _reference_period_count(C, a0, K, tol)
-    except ToleranceUnreachable as exc:
+    kp = _reference_period_count(C, a0, K, tol)
+    if kp is None:
         assert target > 10**6
-        with pytest.raises(ToleranceUnreachable) as got:
-            _period_count(C, a0, K, tol)
-        assert str(got.value) == str(exc)
+        kp = 10**6
     else:
-        assert expected == math.ceil(target)
-        assert _period_count(C, a0, K, tol) == expected
+        assert kp == math.ceil(target)
+    tail = 2.0 * C * math.exp(-a0 * (kp * K - K)) / -math.expm1(-a0 * K)
+    _assert_periodization_within_tail(C, a0, K, kp, tail)
 
 
-def test_period_count_values_equal_loop():
-    w = make_weights([0.4, -1.3, 2.0])
-    dw = periodize_sample(w, 5, tol=1e-12)
-    kp = _reference_period_count(_decay_constant(w.raw), w.a0, 5, 1e-12)
-    js = np.arange(5)
-    vals = np.zeros(5)
-    for k in range(-kp, kp + 1):
-        vals += eval_tp(w, js + k * 5)
-    assert dw.values == tuple(float(v) for v in vals)
+@pytest.mark.parametrize("ws,K", [([0.4, -1.3, 2.0], 5), ([0.9, -2.1, 1.4], 360), ([1.3, 2.3, -4.0], 1), ([0.7], 3)])
+def test_periodize_sample_matches_mpmath(ws, K):
+    # v_j = sum_k g(j + kK) = Z_K g(j, 0)
+    mp = pytest.importorskip("mpmath")
+    dw = periodize_sample(make_weights(ws), K)
+    with mp.workdps(30):
+        ref = [float(mp.re(lattice_sum(mp, ws, j, 0, K))) for j in range(K)]
+    assert np.max(np.abs(np.asarray(dw.values) - ref)) <= 1e-14 * max(1.0, max(map(abs, ref)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mp_oracle import window
 
 from zaktp.convergence import WeightGenerator, truncate
 from zaktp.errors import DerivativeUnavailable, EmptyInput, IllConditioned, ZeroWeight
@@ -171,12 +172,18 @@ def test_exp_sum_rep_derivative_matches_finite_difference():
         assert drep.eval(x) == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
-def test_exp_sum_rep_raises_when_the_weight_product_overflows():
-    # sum log|a| = 1442: prod a overflows, every residue is NaN, and a NaN
-    # residual must fail the reconstruction check rather than pass it
+def test_exp_sum_rep_survives_an_overflowing_weight_product():
+    # sum log|a| = 1442: prod a overflows, but each residue is a product of
+    # ratios a_k / (a_k - a_i) that stays in range; the table is within 1e-14
+    # of the mpmath partial fractions (measured 4.8e-15; eval_tp's log-space
+    # route is off by 5.4e-13 at the same points)
+    mp = pytest.importorskip("mpmath")
     w = truncate(WeightGenerator.geometric(1.0, 2.0), 64)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IllConditioned, match="residual nan"):
-        exp_sum_rep(w)
+    assert not math.isfinite(math.prod(w.raw))
+    xs = np.concatenate([[0.0], np.geomspace(1e-6, 3.0, 40)])
+    with mp.workdps(60):
+        ref = [float(window(mp, w.raw, x)) for x in xs]
+    assert np.max(np.abs(exp_sum_rep(w).eval(xs) - ref)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

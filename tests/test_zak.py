@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mp_oracle import lattice_sum
 
+from zaktp.convergence import WeightGenerator, truncate, zak_strip_distance
 from zaktp.ebspline import build_ebspline
-from zaktp.errors import PoleHit, StripViolation, ToleranceUnreachable
-from zaktp.weights import fourier_tp, make_weights
+from zaktp.errors import IllConditioned, PoleHit, StripViolation
+from zaktp.frames import periodize_sample
+from zaktp.weights import exp_sum_rep, fourier_tp, make_weights
 from zaktp.zak import (
     compute_zak_grid,
     extend_quasiperiodic,
@@ -23,17 +28,19 @@ from zaktp.zak import (
 
 def test_type1_geometric_series_values():
     w = make_weights([1.0])
-    assert zak_tp(w, 0.0, 0.0, tol=1e-14) == pytest.approx(1 / (1 - math.exp(-1)), abs=1e-12)
-    assert zak_tp(w, 0.0, 0.5, tol=1e-14) == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-12)
+    assert zak_tp(w, 0.0, 0.0) == pytest.approx(1 / (1 - math.exp(-1)), abs=1e-12)
+    assert zak_tp(w, 0.0, 0.5) == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-12)
 
 
 def test_tail_bound_is_honest():
+    # the lattice sum is in closed form: no tail, and the reported bound is
+    # its rounding, which holds against mpmath
+    mp = pytest.importorskip("mpmath")
     w = make_weights([1.0, -2.0])
-    val, tail = zak_tp_with_tail(w, 0.3, 0.2, tol=1e-10)
-    assert tail < 1e-10
-    # oracle: much tighter tolerance changes the value by less than the bound
-    val2, _ = zak_tp_with_tail(w, 0.3, 0.2, tol=1e-15)
-    assert abs(val - val2) <= 1e-10
+    val, bound = zak_tp_with_tail(w, 0.3, 0.2)
+    assert 0.0 < bound <= 1e-15
+    with mp.workdps(30):
+        assert abs(mp.mpc(val) - lattice_sum(mp, w.raw, 0.3, 0.2)) <= bound
 
 
 def test_quasi_periodicity():
@@ -66,9 +73,75 @@ def test_factorization_matches_direct_series():
         x = float(rng.uniform(0, 1))
         tau_max = 0.8 * w.a0 / (2 * np.pi)
         s = complex(rng.uniform(0, 1), rng.uniform(-tau_max, tau_max))
-        z1 = zak_tp(w, x, s, tol=1e-12)
+        z1 = zak_tp(w, x, s)
         z2 = zak_factorized(w, x, s)
         assert z2 == pytest.approx(z1, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def _lattice_case(draw):
+    # distinct weights, or clusters of multiplicity up to 3; magnitudes 0.2 apart
+    n = draw(st.integers(2, 8))
+    mults = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)) if draw(st.booleans()) else [1] * n
+    mags = draw(st.lists(st.floats(0.5, 8.0), min_size=n, max_size=n).filter(
+        lambda m: np.min(np.diff(np.sort(m))) >= 0.2))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    # at most 8 weights; the first two clusters (6 weights at most) always stay
+    weights = [sgn * mag for mag, sgn, mu in zip(mags, signs, mults) for _ in range(mu)][:8]
+    a0 = min(abs(a) for a in weights)
+    tau = draw(st.floats(-0.6, 0.6)) * a0 / (2 * np.pi)
+    s = complex(draw(st.floats(0.0, 1.0)), tau)
+    return weights, draw(st.floats(-3.0, 3.0)), s, draw(st.floats(0.5, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lattice_case())
+def test_lattice_sum_matches_mpmath(case):
+    # Every value returned is within 1e-10 max(1, |Z|) of mpmath, and within
+    # its own stated rounding bound.  Crowded windows of this range cancel in
+    # their partial fractions; where the bound passes 1e-10 max(1, |Z|) they
+    # raise IllConditioned and return no value.  A window whose magnitudes
+    # are 1 apart never does (none of 11,500 random windows of this range).
+    mp = pytest.importorskip("mpmath")
+    weights, x, s, alpha = case
+    try:
+        got, bound = exp_sum_rep(make_weights(weights)).table.lattice_sum(x, s, alpha)
+    except IllConditioned:
+        mags = np.unique(np.abs(weights))
+        assert len(mags) > 1 and np.min(np.diff(mags)) < 1.0
+        return
+    with mp.workdps(40):
+        ref = lattice_sum(mp, weights, x, s, alpha)
+        err = float(abs(mp.mpc(complex(got)) - ref))
+    assert err <= 1e-10 * max(1.0, float(abs(ref)))
+    assert err <= float(bound)
+
+
+@pytest.mark.parametrize("n", [28, 32, 40])
+def test_crowded_harmonic_prefixes_raise(n):
+    # Harmonic n = 32 and 40 lost 5e-8 and 7e-5 of their Zak values to
+    # cancellation, silently.  The refusal is per point: at these inputs
+    # n = 32 and 40 fail on all five closed-form routes; n = 28 fails near
+    # x = 0 and returns a value within its stated bound of mpmath at x = 1/2,
+    # where e^{-a y} damps the large residues.
+    mp = pytest.importorskip("mpmath")
+    w = truncate(WeightGenerator.harmonic(1.0), n)
+    for route in (
+        lambda: zak_tp(w, 0.3, 0.2),
+        lambda: zak_dilation_check(w, 1.3, 0.2, 0.4),
+        lambda: zak_strip_distance(w, w, 0.01),
+        lambda: periodize_sample(w, 8),
+    ):
+        with pytest.raises(IllConditioned):
+            route()
+    if n > 28:
+        with pytest.raises(IllConditioned):
+            compute_zak_grid(w, [0.5], [0.5], source="direct_series")
+        return
+    g = compute_zak_grid(w, [0.5], [0.5], source="direct_series")
+    assert g.tail_bound <= 1e-10
+    with mp.workdps(60):
+        assert abs(mp.mpc(complex(g.values[0, 0])) - lattice_sum(mp, w.raw, 0.5, 0.5)) <= g.tail_bound
 
 
 def test_hat_spline_zak_slice():
@@ -96,6 +169,13 @@ def test_prefactor_vectorized_over_s():
         assert np.allclose(zak_prefactor(w, s), ref, rtol=1e-13, atol=0)
     with pytest.raises(PoleHit):
         zak_prefactor(make_weights([2 * np.pi]), np.array([0.3, 1j, 0.5]))
+
+
+def test_prefactor_pole_message_names_weight_and_first_pole():
+    with pytest.raises(PoleHit) as exc:
+        zak_prefactor(make_weights([2 * np.pi]), np.arange(2000) / 1000 + 1j)
+    msg = str(exc.value)
+    assert msg == f"prefactor denominator vanishes for weight {2 * np.pi} at s = {1j}"
 
 
 def test_strip_violation():
@@ -128,8 +208,17 @@ def test_zak_grid_routes_agree():
     oms = np.linspace(0, 0.9, 5)
     g1 = compute_zak_grid(w, xs, oms, source="ebspline_factorized")
     g2 = compute_zak_grid(w, xs, oms, source="direct_series")
-    assert np.allclose(g1.values, g2.values, rtol=1e-8, atol=1e-10)
-    assert g1.values.shape == (5, 7)
+    assert np.allclose(g1.values, g2.values, rtol=1e-12, atol=1e-14)
+    assert g1.values.shape == g2.values.shape == (5, 7)
+    # the factorized route is a finite sum; the direct one states its rounding
+    assert g1.tail_bound == 0.0 < g2.tail_bound <= 1e-15
+
+
+@pytest.mark.parametrize("source", ["ebspline_factorized", "direct_series"])
+def test_zak_grid_refuses_more_than_2_to_the_22_nodes(source):
+    w = make_weights([1.0, -1.0])
+    with pytest.raises(ValueError, match="exceeds 4194304 nodes"):
+        compute_zak_grid(w, np.zeros(2049), np.zeros(2048), source=source)
 
 
 def test_zak_grid_csv_schema():
@@ -142,8 +231,13 @@ def test_zak_grid_csv_schema():
     assert d["schema"] == "zakgrid/1"
 
 
-def test_tolerance_unreachable_near_strip_edge():
+def test_zak_near_strip_edge_matches_mpmath():
+    # q = e^{-(a0 - 2 pi tau)} = e^{-1e-4}: the geometric series the old
+    # truncation could not finish is summed exactly
+    mp = pytest.importorskip("mpmath")
     w = make_weights([1.0, -1.0])
-    tau = 0.9999 * w.a0 / (2 * np.pi)
-    with pytest.raises(ToleranceUnreachable):
-        zak_tp(w, 0.1, complex(0.2, tau), tol=1e-300)
+    s = complex(0.2, 0.9999 * w.a0 / (2 * np.pi))
+    with mp.workdps(30):
+        ref = complex(lattice_sum(mp, w.raw, 0.1, s))
+    got = zak_tp(w, 0.1, s)
+    assert abs(got - ref) <= 1e-10 * abs(ref)
