@@ -46,7 +46,6 @@ from .ebspline import (
     reduce_ebspline,
 )
 from .errors import (
-    DerivativeUnavailable,
     EmptyInput,
     IllConditioned,
     Indivisible,
@@ -55,7 +54,6 @@ from .errors import (
     NoZero,
     PoleHit,
     SigmaTooLarge,
-    SlowDecay,
     StripViolation,
     ToleranceUnreachable,
     ZakTPError,
@@ -72,17 +70,14 @@ from .report_io import write_report
 from .weights import (
     ExpSumRep,
     WeightMultiset,
-    divided_difference,
     eval_tp,
     exp_sum_rep,
     fourier_tp,
     make_weights,
 )
 from .zak import (
-    ComplexFrequency,
     ZakGrid,
     compute_zak_grid,
-    extend_quasiperiodic,
     zak_dilation_check,
     zak_ebspline,
     zak_factorized,

@@ -61,11 +61,6 @@ def _slice_table(B: PiecewiseExpPoly, s: complex) -> ExpPolyTable:
     return B.table.zak_sum([np.exp(-2j * np.pi * k * s) for k in range(B.m)])
 
 
-def fundamental_slice(B: PiecewiseExpPoly, s: complex) -> PiecewiseExpPoly:
-    """Z B(., s) restricted to [0,1) as a single-piece exp-poly (complex)."""
-    return PiecewiseExpPoly.from_table(_slice_table(B, s))
-
-
 def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     """Root of f in a sign-changing bracket [xa, xb] by Brent's method.
 

@@ -13,8 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SigmaTooLarge, StripViolation
+from .errors import SigmaTooLarge
 from .weights import WeightMultiset, eval_tp, exp_sum_rep, make_weights
+from .zak import _check_strip
 
 
 @dataclass(frozen=True)
@@ -191,11 +192,9 @@ def zak_strip_distance(
 ) -> float:
     """max |Zg_n - Zg_m| over [0,1) x [-xi, xi] at the sampled omegas, from the
     closed-form lattice sums (``IllConditioned`` where they refuse)."""
-    a0 = min(w_n.a0, w_m.a0)
     if xi < 0:
         raise ValueError("xi must be nonnegative")
-    if xi >= a0 / (2.0 * np.pi):
-        raise StripViolation(f"xi = {xi} >= a0/(2 pi) = {a0 / (2 * np.pi)}")
+    _check_strip(min(w_n, w_m, key=lambda w: w.a0), xi)
     grid = (float(xi), n_x, n_tau, tuple(float(om) for om in omegas))
     return float(np.max(np.abs(_strip_values(w_n, *grid) - _strip_values(w_m, *grid))))
 

@@ -26,6 +26,7 @@ from .errors import IllConditioned
 
 _P = np.polynomial.polynomial
 _PI = np.longdouble("3.14159265358979323846264338327950288")
+_COALESCE_TOL = 1e-9  # weights this close share a cluster: make_weight_vector, make_weights' default
 
 
 def cluster_values(vals: Sequence[float], tol: float):
@@ -56,15 +57,15 @@ class WeightVector:
         return len(self.lambdas)
 
 
-def make_weight_vector(values: Sequence[float], coalesce_tol: float = 1e-9) -> WeightVector:
-    """Cluster the values; each entry becomes its cluster mean, so repeats compare equal."""
+def make_weight_vector(values: Sequence[float]) -> WeightVector:
+    """Cluster as ``make_weights`` does by default; each entry becomes its cluster mean, so repeats compare equal."""
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("weight vector is empty")
     for v in vals:
         if not math.isfinite(v):
             raise ValueError(f"weight {v!r} is not finite")
-    clusters, labels = cluster_values(vals, coalesce_tol)
+    clusters, labels = cluster_values(vals, _COALESCE_TOL)
     return WeightVector(lambdas=tuple(clusters[i][0] for i in labels), clusters=clusters)
 
 
@@ -242,10 +243,6 @@ class PiecewiseExpPoly:
     @property
     def m(self) -> int:
         return len(self.pieces)
-
-    def piece_eval(self, k: int, t):
-        """Evaluate piece k at local coordinates t (no support clipping)."""
-        return self.table.eval(k, t)
 
     def __call__(self, x):
         return eval_ebspline(self, x)

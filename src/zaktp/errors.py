@@ -17,10 +17,6 @@ class ZeroWeight(ZakTPError):
     """A weight is zero or indistinguishable from zero at the coalescing tolerance."""
 
 
-class DerivativeUnavailable(ZakTPError):
-    """A confluent divided difference needs a derivative that was not supplied."""
-
-
 class IllConditioned(ZakTPError):
     """A coefficient solve failed its residual check (weights too close without coalescing)."""
 
@@ -35,10 +31,6 @@ class ToleranceUnreachable(ZakTPError):
 
 class PoleHit(ZakTPError):
     """A prefactor denominator of the Zak factorization is numerically zero."""
-
-
-class SlowDecay(ZakTPError):
-    """The Fourier-side Zak series needs type n >= 2 for summability."""
 
 
 class NoZero(ZakTPError):

@@ -15,17 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ebspline import ExpPolyTable, cluster_values
-from .errors import (
-    DerivativeUnavailable,
-    EmptyInput,
-    IllConditioned,
-    ZeroWeight,
-)
+from .ebspline import _COALESCE_TOL, ExpPolyTable, cluster_values
+from .errors import EmptyInput, IllConditioned, ZeroWeight
 
 # Beyond this value of sum(log|a_nu|) the product of the weights (and the
 # reciprocal scale of the divided difference) leaves the double range, so
@@ -59,12 +54,6 @@ class WeightMultiset:
         return any(mu > 1 for _, mu in self.distinct)
 
     @property
-    def is_even(self) -> bool:
-        """True when the weight multiset is symmetric, {a} = {-a}."""
-        vals = np.sort(np.asarray(self.raw))
-        return bool(np.allclose(vals, -vals[::-1], rtol=0.0, atol=1e-12 * max(1.0, abs(vals).max())))
-
-    @property
     def log_abs_product(self) -> float:
         return float(np.sum(np.log(np.abs(np.asarray(self.raw)))))
 
@@ -73,7 +62,7 @@ class WeightMultiset:
         return np.concatenate([np.full(mu, b) for b, mu in self.distinct])
 
 
-def make_weights(values: Sequence[float], coalesce_tol: float = 1e-9) -> WeightMultiset:
+def make_weights(values: Sequence[float], coalesce_tol: float = _COALESCE_TOL) -> WeightMultiset:
     """Build a :class:`WeightMultiset`, merging values closer than ``coalesce_tol``.
 
     Values whose pairwise distance is at most the tolerance are chained into
@@ -94,42 +83,6 @@ def make_weights(values: Sequence[float], coalesce_tol: float = 1e-9) -> WeightM
     distinct, _ = cluster_values(vals, coalesce_tol)
     a0 = min(abs(v) for v in vals)
     return WeightMultiset(raw=tuple(vals), distinct=distinct, a0=a0)
-
-
-# ---------------------------------------------------------------------------
-# Divided differences
-
-
-def divided_difference(
-    weights: WeightMultiset,
-    f: Callable[[float], float],
-    derivatives: Sequence[Callable[[float], float]] | None = None,
-) -> float:
-    """Confluent divided difference of ``f`` over the weight nodes.
-
-    ``derivatives[j-1]`` must supply the j-th derivative of ``f`` wherever a
-    cluster has multiplicity above j; for all-distinct weights only ``f``
-    itself is needed and the result reduces to the classical alternating sum.
-    """
-    nodes = weights.cluster_nodes()
-    n = len(nodes)
-    max_order = max(mu for _, mu in weights.distinct) - 1
-    if max_order > 0 and (derivatives is None or len(derivatives) < max_order):
-        raise DerivativeUnavailable(
-            f"need derivatives up to order {max_order}, got "
-            f"{0 if derivatives is None else len(derivatives)}"
-        )
-
-    table = [float(f(t)) for t in nodes]
-    for level in range(1, n):
-        nxt = []
-        for i in range(n - level):
-            if nodes[i + level] == nodes[i]:
-                nxt.append(derivatives[level - 1](nodes[i]) / math.factorial(level))
-            else:
-                nxt.append((table[i + 1] - table[i]) / (nodes[i + level] - nodes[i]))
-        table = nxt
-    return table[0]
 
 
 def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -279,9 +232,6 @@ class ExpSumRep:
         return out
 
     __call__ = eval
-
-    def derivative(self) -> "ExpSumRep":
-        return ExpSumRep(self.table.reduce(0.0))
 
 
 def exp_sum_rep(weights: WeightMultiset, check_tol: float = 1e-8) -> ExpSumRep:

@@ -17,29 +17,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .ebspline import PiecewiseExpPoly, build_ebspline, eval_ebspline
-from .errors import PoleHit, SlowDecay, StripViolation
-from .weights import WeightMultiset, exp_sum_rep, fourier_tp, make_weights
+from .errors import PoleHit, StripViolation
+from .weights import WeightMultiset, exp_sum_rep, make_weights
 
 _STRIP_MARGIN = 1e-6
 _MAX_GRID_NODES = 1 << 22
-
-
-@dataclass(frozen=True)
-class ComplexFrequency:
-    """Frequency point s = omega + i*tau of the complexified Zak transform."""
-
-    omega: float
-    tau: float = 0.0
-
-    @property
-    def s(self) -> complex:
-        return complex(self.omega, self.tau)
-
-
-def _as_s(s) -> complex:
-    if isinstance(s, ComplexFrequency):
-        return s.s
-    return complex(s)
 
 
 def _check_strip(weights: WeightMultiset, tau: float):
@@ -52,7 +34,7 @@ def _check_strip(weights: WeightMultiset, tau: float):
 
 def zak_tp_with_tail(weights: WeightMultiset, x: float, s) -> tuple[complex, float]:
     """Direct Zak value and its rounding bound: the lattice sum is in closed form, with no tail."""
-    sc = _as_s(s)
+    sc = complex(s)
     _check_strip(weights, sc.imag)
     z, bound = exp_sum_rep(weights).table.lattice_sum(float(x), sc)
     return complex(z), float(bound)
@@ -68,7 +50,7 @@ def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
 
     Any complex s is legal.  Vectorized over x.
     """
-    sc = _as_s(s)
+    sc = complex(s)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     n_shift = np.floor(xs)
     x0 = xs - n_shift
@@ -101,7 +83,7 @@ def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
     and the zero search's slice at omega = 1/2.
     """
     vec = isinstance(s, np.ndarray)  # a scalar stays off 0-d arrays, which cost ~6x per call
-    sc = s.astype(complex) if vec else _as_s(s)
+    sc = s.astype(complex) if vec else complex(s)
     out = 1.0 + 0.0j
     for a in weights.raw:
         denom = 1.0 - np.exp(-(a + 2j * np.pi * sc))
@@ -117,11 +99,6 @@ def zak_factorized(weights: WeightMultiset, x, s) -> complex | np.ndarray:
     """Zak transform via the spline factorization (exact, preferred for scans)."""
     B = _spline_for(weights.raw)
     return zak_prefactor(weights, s) * zak_ebspline(B, x, s)
-
-
-def extend_quasiperiodic(z: complex, shift_n: int, omega: float) -> complex:
-    """Value at (x + shift_n, omega) from z at (x, omega); Z is 1-periodic in omega."""
-    return z * np.exp(2j * np.pi * shift_n * omega)
 
 
 @functools.lru_cache(maxsize=8)
@@ -147,53 +124,20 @@ def zak_inversion_check(weights: WeightMultiset, omega: float, quad_points: int 
 
 
 def zak_dilation_check(
-    weights: WeightMultiset,
-    alpha: float,
-    x: float,
-    omega: float,
-    identities: Sequence[str] = ("d",),
+    weights: WeightMultiset, alpha: float, x: float, omega: float
 ) -> dict[str, tuple[complex, complex]]:
-    """Evaluate both sides of the scaling identity (d) and, on request, the
-    Fourier-side identity (c); each side uses an independent route.  The
-    alpha-lattice sum Z_alpha g is the closed-form lattice sum of the partial
-    fractions.
+    """Evaluate both sides of the scaling identity (d), each by an independent
+    route.  The alpha-lattice sum Z_alpha g is the closed-form lattice sum of the
+    partial fractions; the right side goes through the spline factorization.
 
     (d):  Z_alpha g(x, w)  vs  Z_1 g(alpha .)(x/alpha, alpha w)
-    (c):  alpha Z_alpha g(x, w)  vs  e^{2 pi i x w} Z_{1/alpha} g-hat(w, -x)
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    out: dict[str, tuple[complex, complex]] = {}
-    z_alpha = complex(exp_sum_rep(weights).table.lattice_sum(x, omega, alpha)[0])
-    if "d" in identities:
-        lhs = z_alpha
-        scaled = make_weights([alpha * a for a in weights.raw], coalesce_tol=0.0)
-        rhs = zak_factorized(scaled, x / alpha, alpha * omega) / alpha
-        out["d"] = (lhs, complex(rhs))
-    if "c" in identities:
-        if weights.n < 2:
-            raise SlowDecay("identity (c) needs type n >= 2 for a summable Fourier side")
-        lhs = alpha * z_alpha
-        # algebraic tail: |g-hat(w')| <= prod|a| (2 pi |w'|)^{-n}
-        n = weights.n
-        prod_abs = float(np.prod(np.abs(np.asarray(weights.raw))))
-        K = 64
-        while True:
-            tail = (
-                2.0
-                * prod_abs
-                * (alpha / (2.0 * np.pi)) ** n
-                * (K - alpha * abs(omega) - 1) ** (-(n - 1))
-                / (n - 1)
-            )
-            if tail < 1e-8 or K > 10**7:
-                break
-            K *= 4
-        k = np.arange(-K, K + 1)
-        fh = fourier_tp(weights, omega + k / alpha)
-        rhs = np.exp(2j * np.pi * x * omega) * np.sum(fh * np.exp(2j * np.pi * k * x / alpha))
-        out["c"] = (lhs, complex(rhs))
-    return out
+    lhs = complex(exp_sum_rep(weights).table.lattice_sum(x, omega, alpha)[0])
+    scaled = make_weights([alpha * a for a in weights.raw], coalesce_tol=0.0)
+    rhs = zak_factorized(scaled, x / alpha, alpha * omega) / alpha
+    return {"d": (lhs, complex(rhs))}
 
 
 # ---------------------------------------------------------------------------

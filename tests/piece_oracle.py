@@ -1,0 +1,42 @@
+"""Per-term oracles for the spline's term table, shared by the tests: each
+piece or slice as a list of (eta, ascending coefficients) terms, evaluated and
+reduced one term at a time from the spline's pieces, not through ExpPolyTable."""
+
+import numpy as np
+
+
+def piece(terms, t):
+    """One piece by the per-term loop: polyval * exp, terms added in order."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape, dtype=np.result_type(float, *[np.asarray(c) for _, c in terms]))
+    for eta, coeffs in terms:
+        out += np.polynomial.polynomial.polyval(t, np.asarray(coeffs)) * np.exp(eta * t)
+    return out
+
+
+def slice_terms(B, s):
+    """Terms of the fundamental slice: phase-weighted pieces added per exponent in k order."""
+    acc = {}
+    for k, pc in enumerate(B.pieces):
+        phase = np.exp(-2j * np.pi * k * s)
+        for eta, coeffs in pc:
+            c = phase * np.asarray(coeffs, dtype=complex)
+            if eta in acc:
+                a = np.zeros(max(len(acc[eta]), len(c)), dtype=complex)
+                a[: len(acc[eta])] += acc[eta]
+                a[: len(c)] += c
+                acc[eta] = a
+            else:
+                acc[eta] = c
+    return [(eta, acc[eta]) for eta in sorted(acc)]
+
+
+def reduce_terms(terms, eta0):
+    """Each term p(t) e^{eta t} becomes (p' + (eta - eta0) p)(t) e^{eta t}."""
+    out = []
+    for eta, coeffs in terms:
+        c = np.asarray(coeffs)
+        red = (eta - eta0) * c
+        red[:-1] += c[1:] * np.arange(1, len(c))
+        out.append((eta, red))
+    return out

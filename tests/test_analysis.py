@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mp_oracle import lattice_sum
+from piece_oracle import piece, reduce_terms, slice_terms
 
 import zaktp.zak
 from zaktp.analysis import (
@@ -21,7 +22,6 @@ from zaktp.analysis import (
     _spline_factor,
     certify_zero_free,
     fully_reduced_sign_changes,
-    fundamental_slice,
     locate_zero_half,
     reduced_slice_monotonicity,
     strong_sign_changes,
@@ -438,16 +438,16 @@ def test_fully_reduced_sign_change_bound():
 
 
 def test_reduced_slice_monotonicity_equals_piecewise_route():
-    # reference: the slice and its reduction as piecewise splines, as once computed
+    # reference: the slice and its reduction term by term from the spline's pieces, not the table
     rng = np.random.default_rng(108)  # the weight sets of acceptance criterion 8
     t = np.arange(512) / 512
     for _ in range(50):
         n = int(rng.integers(2, 7))
         w = make_weights(rng.uniform(0.5, 6.0, size=n) * rng.choice([-1, 1], size=n))
-        h0 = fundamental_slice(_spline_for(w.raw), 0.5)
+        h0 = slice_terms(_spline_for(w.raw), 0.5)
         eta = -w.distinct[-1][0]
         ref = []
-        for h in (h0, reduce_ebspline(h0, eta)):
-            vals = np.real(np.asarray(h.piece_eval(0, t)))
+        for h in (h0, reduce_terms(h0, eta)):
+            vals = np.real(piece(h, t))
             ref.append(unit_monotone_offset(np.concatenate([vals, -vals])))
         assert reduced_slice_monotonicity(w, 0) == MonotonicityReport(x0=ref[0], y0=ref[1], eta=eta)

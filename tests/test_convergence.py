@@ -125,6 +125,9 @@ def test_strip_violation():
     w = truncate(WeightGenerator.harmonic(1.0), 4)
     with pytest.raises(StripViolation):
         zak_strip_distance(w, w, 1.0)
+    # the shared strip check refuses from (1 - 1e-6) a0 / (2 pi), as the Zak routes do
+    with pytest.raises(StripViolation):
+        zak_strip_distance(w, w, (1 - 1e-7) * w.a0 / (2 * math.pi))
 
 
 def test_reciprocal_laplace_values():

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from piece_oracle import piece, reduce_terms, slice_terms
 
-from zaktp.analysis import fundamental_slice
+from zaktp.analysis import _slice_table
 from zaktp.ebspline import (
     build_ebspline,
     eval_ebspline,
@@ -142,39 +143,13 @@ def test_make_weight_vector_clusters():
 # The term table against the per-term loop it replaced
 
 
-def _oracle_piece(terms, t):
-    """One piece by the per-term loop: polyval * exp, terms added in order."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape, dtype=np.result_type(float, *[np.asarray(c) for _, c in terms]))
-    for eta, coeffs in terms:
-        out += np.polynomial.polynomial.polyval(t, np.asarray(coeffs)) * np.exp(eta * t)
-    return out
-
-
 def _oracle_eval(B, x):
-    out = np.zeros(x.shape, dtype=_oracle_piece(B.pieces[0], x[:0]).dtype)
+    out = np.zeros(x.shape, dtype=piece(B.pieces[0], x[:0]).dtype)
     k = np.floor(x).astype(int)
     for kk in range(B.m):
         sel = (x >= 0) & (x < B.m) & (k == kk)
-        out[sel] = _oracle_piece(B.pieces[kk], x[sel] - kk)
+        out[sel] = piece(B.pieces[kk], x[sel] - kk)
     return out
-
-
-def _oracle_slice_terms(B, s):
-    """Terms of the fundamental slice: phase-weighted pieces added per exponent in k order."""
-    acc = {}
-    for k, piece in enumerate(B.pieces):
-        phase = np.exp(-2j * np.pi * k * s)
-        for eta, coeffs in piece:
-            c = phase * np.asarray(coeffs, dtype=complex)
-            if eta in acc:
-                a = np.zeros(max(len(acc[eta]), len(c)), dtype=complex)
-                a[: len(acc[eta])] += acc[eta]
-                a[: len(c)] += c
-                acc[eta] = a
-            else:
-                acc[eta] = c
-    return [(eta, acc[eta]) for eta in sorted(acc)]
 
 
 _POOL = [0.0, 0.0, 1.0, -1.0, 0.5, -2.25, 2.5, 1.0 + 1e-10]
@@ -192,9 +167,9 @@ def test_table_equals_per_term_oracle(lams, eta, s):
     red = reduce_ebspline(B, eta)
     assert np.array_equal(eval_ebspline(red, x), _oracle_eval(red, x))
     t = np.linspace(0.0, 1.0, 101)
-    h = fundamental_slice(B, s)
-    assert np.array_equal(h.piece_eval(0, t), _oracle_piece(_oracle_slice_terms(B, s), t))
-    assert np.array_equal(reduce_ebspline(h, eta).piece_eval(0, t), _oracle_piece(reduce_ebspline(h, eta).pieces[0], t))
+    h = _slice_table(B, s)
+    assert np.array_equal(h.eval(0, t), piece(slice_terms(B, s), t))
+    assert np.array_equal(h.reduce(eta).eval(0, t), piece(reduce_terms(slice_terms(B, s), eta), t))
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,6 +21,79 @@ def _python(*args, env=None):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
+# one name a line, sorted
+PUBLIC_NAMES = """
+DiscreteWindow
+EmptyInput
+ExpSumRep
+FrameBoundsReport
+IllConditioned
+Indivisible
+MultipleZeros
+NoZero
+NotUnitMonotone
+PiecewiseExpPoly
+PoleHit
+Region
+SigmaTooLarge
+StripViolation
+ToleranceUnreachable
+WeightGenerator
+WeightMultiset
+WeightVector
+ZakGrid
+ZakTPError
+ZeroCertificate
+ZeroWeight
+analysis
+build_ebspline
+certify_zero_free
+compute_zak_grid
+convergence
+convergence_sweep
+discrete_frame_test
+ebspline
+errors
+eval_ebspline
+eval_reciprocal_laplace
+eval_tp
+exp_sum_rep
+fourier_ebspline
+fourier_tp
+frame_bounds
+frames
+fully_reduced_sign_changes
+locate_zero_half
+make_weight_vector
+make_weights
+periodize_sample
+psi_decay_diagnostic
+reduce_ebspline
+reduced_slice_monotonicity
+report_io
+strong_sign_changes
+truncate
+unit_monotone_offset
+weighted_sup_distance
+weights
+write_report
+zak
+zak_dilation_check
+zak_ebspline
+zak_factorized
+zak_inversion_check
+zak_prefactor
+zak_strip_distance
+zak_tp
+zak_tp_with_tail
+""".split()
+
+
+def test_public_surface_is_pinned():
+    # an addition to or removal from the public names must show up as a diff here
+    assert sorted(zaktp.__all__) == PUBLIC_NAMES
+
+
 def test_import_loads_no_scipy():
     proc = _python("-c", "import sys, zaktp; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr

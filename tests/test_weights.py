@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from mp_oracle import window
 
 from zaktp.convergence import WeightGenerator, truncate
-from zaktp.errors import DerivativeUnavailable, EmptyInput, IllConditioned, ZeroWeight
+from zaktp.errors import EmptyInput, IllConditioned, ZeroWeight
 from zaktp.weights import (
     _LOG_PRODUCT_SWITCH,
     _dd_exp_chi,
     _eval_log_explicit,
-    divided_difference,
     eval_tp,
     exp_sum_rep,
     fourier_tp,
@@ -41,32 +40,6 @@ def test_make_weights_errors():
         make_weights([])
     with pytest.raises(ZeroWeight):
         make_weights([1.0, 0.0])
-
-
-def test_even_detection():
-    assert make_weights([1.5, -1.5]).is_even
-    assert not make_weights([1.0, -2.0]).is_even
-
-
-def test_divided_difference_monomials():
-    # [x0,...,xk | t^k] = 1 for distinct nodes (classical identity)
-    w = make_weights([1.0, 2.0, 4.0])
-    assert divided_difference(w, lambda t: t**2) == pytest.approx(1.0)
-    assert divided_difference(w, lambda t: t) == pytest.approx(0.0)
-
-
-def test_divided_difference_confluent_matches_limit():
-    # repeated node vs a tight cluster of distinct nodes
-    f = math.exp
-    conf = divided_difference(make_weights([1.0, 1.0, 3.0]), f, derivatives=[math.exp])
-    eps = 1e-6
-    close = divided_difference(make_weights([1.0, 1.0 + eps, 3.0], coalesce_tol=0.0), f)
-    assert conf == pytest.approx(close, rel=1e-5)
-
-
-def test_divided_difference_requires_derivatives():
-    with pytest.raises(DerivativeUnavailable):
-        divided_difference(make_weights([1.0, 1.0]), math.exp)
 
 
 def test_eval_tp_type1_is_exponential():
@@ -160,16 +133,6 @@ def test_exp_sum_rep_matches_eval():
         rep = exp_sum_rep(w)
         xs = rng.uniform(-5, 5, size=30)
         assert np.allclose(rep.eval(xs), eval_tp(w, xs), rtol=1e-8, atol=1e-12)
-
-
-def test_exp_sum_rep_derivative_matches_finite_difference():
-    w = make_weights([1.0, -2.0, 0.8])
-    rep = exp_sum_rep(w)
-    drep = rep.derivative()
-    h = 1e-6
-    for x in (-1.3, 0.4, 2.2):
-        fd = (rep.eval(x + h) - rep.eval(x - h)) / (2 * h)
-        assert drep.eval(x) == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def test_exp_sum_rep_survives_an_overflowing_weight_product():

@@ -15,7 +15,6 @@ from zaktp.frames import periodize_sample
 from zaktp.weights import exp_sum_rep, fourier_tp, make_weights
 from zaktp.zak import (
     compute_zak_grid,
-    extend_quasiperiodic,
     zak_dilation_check,
     zak_ebspline,
     zak_factorized,
@@ -54,14 +53,6 @@ def test_quasi_periodicity():
 def test_periodicity_in_omega():
     w = make_weights([1.3, -0.6])
     assert zak_tp(w, 0.4, 1.3) == pytest.approx(zak_tp(w, 0.4, 0.3), rel=1e-10)
-
-
-def test_extend_quasiperiodic():
-    w = make_weights([1.0, -1.0])
-    s = 0.31
-    base = zak_tp(w, 0.2, s)
-    ext = extend_quasiperiodic(base, shift_n=3, omega=s)
-    assert ext == pytest.approx(zak_tp(w, 3.2, s), rel=1e-9)
 
 
 def test_factorization_matches_direct_series():
@@ -195,11 +186,37 @@ def test_inversion_formula():
         assert approx == pytest.approx(fourier_tp(w, om), abs=1e-8)
 
 
+def _fourier_side_zak(w, alpha, x, omega):
+    """e^{2 pi i x w} Z_{1/alpha} g-hat(w, -x), the Fourier side of identity (c),
+    truncated where the algebraic tail |g-hat(w')| <= prod|a| (2 pi |w'|)^{-n}
+    drops below 1e-8."""
+    n, prod_abs = w.n, float(np.prod(np.abs(np.asarray(w.raw))))
+    K = 64
+    while True:
+        tail = (
+            2.0
+            * prod_abs
+            * (alpha / (2.0 * np.pi)) ** n
+            * (K - alpha * abs(omega) - 1) ** (-(n - 1))
+            / (n - 1)
+        )
+        if tail < 1e-8 or K > 10**7:
+            break
+        K *= 4
+    k = np.arange(-K, K + 1)
+    fh = fourier_tp(w, omega + k / alpha)
+    return np.exp(2j * np.pi * x * omega) * np.sum(fh * np.exp(2j * np.pi * k * x / alpha))
+
+
 def test_dilation_identity():
+    # (d): Z_alpha g(x, w) = Z_1 g(alpha .)(x/alpha, alpha w) / alpha, from the code;
+    # (c): alpha Z_alpha g(x, w) = e^{2 pi i x w} Z_{1/alpha} g-hat(w, -x), the oracle
     w = make_weights([1.0, -2.0, 0.7])
-    res = zak_dilation_check(w, alpha=1.7, x=0.3, omega=0.25, identities=("d", "c"))
-    for name, (lhs, rhs) in res.items():
-        assert lhs == pytest.approx(rhs, rel=1e-8), name
+    res = zak_dilation_check(w, alpha=1.7, x=0.3, omega=0.25)
+    assert list(res) == ["d"]
+    lhs, rhs = res["d"]
+    assert lhs == pytest.approx(rhs, rel=1e-8)
+    assert 1.7 * lhs == pytest.approx(_fourier_side_zak(w, 1.7, 0.3, 0.25), rel=1e-8)
 
 
 def test_zak_grid_routes_agree():
