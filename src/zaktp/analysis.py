@@ -30,6 +30,8 @@ from .errors import (
 from .weights import WeightMultiset
 from .zak import _check_strip, _spline_for, zak_ebspline, zak_prefactor
 
+_ZERO_TOL = 1e-8  # certify_zero_free: a zero, relative to max(1, max |Z g|)
+
 
 # ---------------------------------------------------------------------------
 # Slice helpers
@@ -263,7 +265,7 @@ def _structure_zero(B: PiecewiseExpPoly, P, region: Region):
     return float(abs(P(s) * zak_ebspline(B, x, s))), (x, omega)
 
 
-def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float = 1e-8) -> ZeroCertificate:
+def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertificate:
     """Scan |Z| over the region; certify it zero-free, or report a zero.
 
     Z g = P Z B with the spline factor B and the prefactor P, which has no
@@ -276,9 +278,10 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
     ``lipschitz_bound`` is the local gradient bound of Z B times |P| at that
     grid point — the binding one.  A region the grid does not certify is
     searched for the one zero the structure theorem allows (see
-    :func:`_structure_zero`).  ``zero_tol`` is relative to the larger of 1
-    and the grid maximum of |Z g|.  Raises :class:`IllConditioned` when |Z g|
-    is not finite on the grid; an overflowing |P| raises before B is built.
+    :func:`_structure_zero`).  A zero is a modulus below ``_ZERO_TOL`` times
+    the larger of 1 and the grid maximum of |Z g|.  Raises
+    :class:`IllConditioned` when |Z g| is not finite on the grid; an
+    overflowing |P| raises before B is built.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -322,7 +325,7 @@ def certify_zero_free(window, region: Region, grid_step: float, zero_tol: float 
     lip = float(local[i, j] * pref[i, 0])
     loc = (float(xg[j]), float(og[i]))
     # a spline can reach 1e10 and round far above any absolute tolerance
-    tol = zero_tol * max(1.0, float(zg.max()))
+    tol = _ZERO_TOL * max(1.0, float(zg.max()))
 
     if certified and min_mod >= tol:
         verdict, loc = "zero_free_certified", None
@@ -359,7 +362,7 @@ def strong_sign_changes(samples: Sequence[float]) -> int:
     return int(np.sum(s[1:] * s[:-1] < 0))
 
 
-def unit_monotone_offset(f_samples: Sequence[float], dead_band: float = 1e-12) -> float:
+def unit_monotone_offset(f_samples: Sequence[float]) -> float:
     """Offset x0 making the sampled 2-periodic function monotone on
     [x0 + k, x0 + k + 1) for k = 0, 1, within sampling resolution.
 
@@ -372,7 +375,7 @@ def unit_monotone_offset(f_samples: Sequence[float], dead_band: float = 1e-12) -
         raise ValueError("need at least 64 samples per period (128 total)")
     half = N // 2
     d = np.roll(f, -1) - f  # cyclic first differences
-    d = np.where(np.abs(d) <= dead_band, 0.0, d)
+    d = np.where(np.abs(d) <= 1e-12, 0.0, d)  # differences this small count as flat
 
     def monotone(seg):
         return bool(np.all(seg >= 0.0) or np.all(seg <= 0.0))
@@ -416,14 +419,12 @@ def reduced_slice_monotonicity(weights: WeightMultiset, eta_index: int) -> Monot
     return MonotonicityReport(x0=x0, y0=y0, eta=eta)
 
 
-def fully_reduced_sign_changes(
-    weights: WeightMultiset, omega: float, N: int, per_unit: int = 256
-) -> int:
+def fully_reduced_sign_changes(weights: WeightMultiset, omega: float, N: int) -> int:
     """S^- of the fully reduced real Zak slice of B over [0, N).
 
     Applies D_{eta_1}^{mu_1 - 1} prod_j D_{eta_j}^{mu_j} to the fundamental
     slice, extends by quasi-periodicity, and counts strong sign changes of
-    the real part.
+    the real part, 256 samples per unit.
     """
     B = _spline_for(weights.raw)
     red = _slice_table(B, complex(omega))
@@ -431,7 +432,7 @@ def fully_reduced_sign_changes(
     for idx, (eta, mu) in enumerate(clusters):
         for _ in range(mu - 1 if idx == 0 else mu):
             red = red.reduce(eta)
-    base = red.eval(0, np.arange(per_unit) / per_unit)
+    base = red.eval(0, np.arange(256) / 256)
     samples = np.concatenate(
         [np.real(np.exp(2j * np.pi * k * omega) * base) for k in range(N)]
     )

@@ -27,12 +27,11 @@ from .weights import WeightMultiset, eval_tp, make_weights
 from .zak import compute_zak_grid
 
 
-def _parse_weights(text: str) -> WeightMultiset:
+def _parse_weights(text: str) -> list[float]:
     try:
-        vals = [float(t) for t in text.split(",") if t.strip()]
+        return [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad weights list {text!r}")
-    return make_weights(vals)
 
 
 def _parse_gen(text: str) -> WeightGenerator:
@@ -71,11 +70,10 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _weights_from(args) -> WeightMultiset:
-    if getattr(args, "weights", None) is not None:
-        return args.weights
-    if getattr(args, "gen", None) is not None:
-        return truncate(args.gen, args.n)
-    raise SystemExit(2)
+    """``--weights`` or ``--gen``; parse_and_run has checked that one is given."""
+    if args.weights is not None:
+        return make_weights(args.weights)  # ZeroWeight, EmptyInput: domain errors, exit 1
+    return truncate(args.gen, args.n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,6 +223,8 @@ def parse_and_run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "weights", ()) is None and getattr(args, "gen", None) is None:
+            parser.error(f"{args.command} needs --weights or --gen")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

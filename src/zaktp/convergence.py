@@ -182,29 +182,21 @@ def weighted_sup_distance(
     return _sup_distance(eval_tp(w_n, grid), eval_tp(w_m, grid), grid, sigma)
 
 
-def zak_strip_distance(
-    w_n: WeightMultiset,
-    w_m: WeightMultiset,
-    xi: float,
-    n_x: int = 64,
-    n_tau: int = 9,
-    omegas: Sequence[float] = (0.0, 0.25, 0.5, 0.75),
-) -> float:
-    """max |Zg_n - Zg_m| over [0,1) x [-xi, xi] at the sampled omegas, from the
-    closed-form lattice sums (``IllConditioned`` where they refuse)."""
+def zak_strip_distance(w_n: WeightMultiset, w_m: WeightMultiset, xi: float) -> float:
+    """max |Zg_n - Zg_m| over [0,1) x [-xi, xi], from the closed-form lattice sums
+    (``IllConditioned`` where they refuse): 64 x, 9 tau and omega in {0, 1/4, 1/2, 3/4}."""
     if xi < 0:
         raise ValueError("xi must be nonnegative")
     _check_strip(min(w_n, w_m, key=lambda w: w.a0), xi)
-    grid = (float(xi), n_x, n_tau, tuple(float(om) for om in omegas))
-    return float(np.max(np.abs(_strip_values(w_n, *grid) - _strip_values(w_m, *grid))))
+    return float(np.max(np.abs(_strip_values(w_n, float(xi)) - _strip_values(w_m, float(xi)))))
 
 
 @functools.lru_cache(maxsize=2)
-def _strip_values(weights: WeightMultiset, xi: float, n_x: int, n_tau: int, omegas: tuple) -> np.ndarray:
-    """Zg on the strip grid, (n_tau, len(omegas), n_x); a sweep pairs each prefix with one reference."""
-    xs = np.arange(n_x) / n_x
-    taus = np.linspace(-xi, xi, n_tau) if xi > 0 else np.asarray([0.0])
-    out = exp_sum_rep(weights).table.lattice_sum(xs, np.add.outer(1j * taus, np.asarray(omegas)))[0]
+def _strip_values(weights: WeightMultiset, xi: float) -> np.ndarray:
+    """Zg on the strip grid, (9, 4, 64); a sweep pairs each prefix with one reference."""
+    xs = np.arange(64) / 64
+    taus = np.linspace(-xi, xi, 9) if xi > 0 else np.asarray([0.0])
+    out = exp_sum_rep(weights).table.lattice_sum(xs, np.add.outer(1j * taus, [0.0, 0.25, 0.5, 0.75]))[0]
     out.setflags(write=False)
     return out
 

@@ -85,15 +85,11 @@ class ExpPolyTable:
         self._live = [(self.etas[m], c[m]) for m, c in zip(live, self.coeffs)]
 
     def _piece(self, p: int, t: np.ndarray) -> np.ndarray:
-        """Piece p at the 1-D points t: padded Horner per term, the terms added in
-        slot order.  In place where the dtype allows: fresh (T, n) arrays cost more."""
-        etas, c = self._live[p]
-        vals = np.multiply.outer(etas, t)
-        np.exp(vals, out=vals)
-        vals = np.multiply(_horner(c, t), vals, out=vals if c.dtype == vals.dtype else None)
+        """Piece p at the 1-D points t, term by term in slot order: padded Horner on
+        the term's row times its exponential, added in.  No (T, n) array is formed."""
         out = np.zeros(t.shape, self.coeffs.dtype)
-        for v in vals:
-            out += v
+        for eta, row in zip(*self._live[p]):
+            out += _horner(row, t) * np.exp(eta * t)
         return out
 
     def eval(self, piece, t) -> np.ndarray:
@@ -189,10 +185,10 @@ class ExpPolyTable:
 
 
 def _horner(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Each row of ascending ``coeffs`` (T, d) at the points y; (T, 1) when d = 1."""
-    acc = coeffs[:, -1:]
-    for d in range(coeffs.shape[1] - 2, -1, -1):
-        acc = acc * y + coeffs[:, d : d + 1]
+    """Each row of ascending ``coeffs`` (..., d) at the points y; (..., 1) when d = 1."""
+    acc = coeffs[..., -1:]
+    for d in range(coeffs.shape[-1] - 2, -1, -1):
+        acc = acc * y + coeffs[..., d : d + 1]
     return acc
 
 

@@ -93,11 +93,10 @@ def frame_bounds(
     N: int,
     resolution: tuple[int, int] = (64, 64),
     refinements: int = 3,
-    zero_hint: float | None = None,
 ) -> FrameBoundsReport:
     """Grid estimates of the optimal frame bounds for alpha = 1, beta = 1/N.
 
-    When N = 1 the grid additionally contains the known zero (x~, 1/2) of
+    When N = 1 and n >= 2 the grid additionally contains the zero (x~, 1/2) of
     the Zak transform, so A_est is exactly zero there.  The refinement
     trace records A_est over ``refinements`` grid doublings; only the
     finest grid is evaluated, and step s reads every 2^(refinements - s)-th
@@ -121,13 +120,12 @@ def frame_bounds(
         raise ValueError(
             f"a {n_x}x{n_w} grid refined {refinements} times exceeds {_MAX_GRID_NODES} nodes"
         )
-    if N == 1 and zero_hint is None and weights.n >= 2:
+    extra, zero = [], None
+    if N == 1 and weights.n >= 2:
         from .analysis import locate_zero_half
 
-        zero_hint = locate_zero_half(weights)
-    extra = []
-    if N == 1 and zero_hint is not None:
-        extra = [float(_zak_squares(weights, 1, np.array([zero_hint]), np.array([0.5]))[0, 0])]
+        zero = locate_zero_half(weights)
+        extra = [float(_zak_squares(weights, 1, np.array([zero]), np.array([0.5]))[0, 0])]
     fine_x, fine_w = n_x << refinements, n_w << refinements
     xs = np.arange(fine_x) / fine_x
     oms = np.arange(fine_w // 2 + 1) / fine_w
@@ -138,7 +136,7 @@ def frame_bounds(
         res = (n_x << step, n_w << step)
         trace.append((res, min([float(fine[::stride, ::stride].min())] + extra)))
     i_w, i_x = divmod(int(np.argmin(fine)), len(xs))
-    loc = (zero_hint, 0.5) if extra and extra[0] < fine[i_w, i_x] else (xs[i_x], oms[i_w])
+    loc = (zero, 0.5) if extra and extra[0] < fine[i_w, i_x] else (xs[i_x], oms[i_w])
     return FrameBoundsReport(
         N=N,
         grid_resolution=res,

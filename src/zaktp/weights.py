@@ -4,12 +4,12 @@ A window of finite type n is determined by nonzero reals (a_1, ..., a_n):
 its Fourier transform is the product of the factors 1 / (1 + 2*pi*i*w / a_nu)
 (shift-free normalization), and in the time domain it is the n-fold
 convolution of one-sided exponentials.  Evaluation goes through a confluent
-divided difference in the weights, or, for widely spread distinct weights,
-through the partial-fraction form computed in log space.  On a half-line
-without a weight of its sign the window is zero, and neither route computes
-there (see :func:`eval_tp`).  The partial fractions themselves,
-:class:`ExpSumRep`, are a two-piece exp-poly table (``ebspline.ExpPolyTable``),
-the same object the B-spline is built on.
+divided difference in the weights, or, where the weight product leaves the
+double range, through the partial fractions.  On a half-line without a weight
+of its sign the window is zero, and neither route computes there (see
+:func:`eval_tp`).  The partial fractions, :class:`ExpSumRep`, are a two-piece
+exp-poly table (``ebspline.ExpPolyTable``), the same object the B-spline is
+built on; every lattice sum runs on it too.
 """
 from __future__ import annotations
 
@@ -24,12 +24,14 @@ from .errors import EmptyInput, IllConditioned, ZeroWeight
 
 # Beyond this value of sum(log|a_nu|) the product of the weights (and the
 # reciprocal scale of the divided difference) leaves the double range, so
-# evaluation switches to the log-space partial-fraction form.
+# evaluation switches to the partial-fraction table.
 _LOG_PRODUCT_SWITCH = 500.0
 
 # partial fractions are built and lattice-summed in extended precision (80-bit
 # on x86; plain double where numpy has none, and the rounding bound follows)
 _EXT = np.longdouble
+
+_CHECK_TOL = 1e-8  # exp_sum_rep's residual against the Fourier product
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,6 @@ class WeightMultiset:
     @property
     def n(self) -> int:
         return len(self.raw)
-
-    @property
-    def is_confluent(self) -> bool:
-        return any(mu > 1 for _, mu in self.distinct)
 
     @property
     def log_abs_product(self) -> float:
@@ -124,39 +122,13 @@ def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return table[0]
 
 
-def _eval_log_explicit(weights: WeightMultiset, x: np.ndarray) -> np.ndarray:
-    """Partial-fraction evaluation in log space; distinct weights only."""
-    b = np.array([bi for bi, _ in weights.distinct])
-    raw = np.asarray(weights.raw)
-    log_prod = np.sum(np.log(np.abs(raw)))
-    sign_prod = np.prod(np.sign(raw))
-    diffs = b[:, None] - b[None, :]
-    np.fill_diagonal(diffs, -1.0)  # |.| = 1 and sign(-diag) = +1: neutral below
-    logc = log_prod - np.sum(np.log(np.abs(diffs)), axis=1)
-    # residue of prod(a) / prod(b_k + s) at s = -b_i: sign from prod_{k != i} (b_k - b_i)
-    sgn = sign_prod / np.prod(np.sign(-diffs), axis=1)
-
-    # each half-line is split off once and its terms added in weight order
-    nonneg = x >= 0
-    right, left = x[nonneg], x[~nonneg]
-    acc_r, acc_l = np.zeros_like(right), np.zeros_like(left)
-    for bi, lc, s in zip(b, logc, sgn):
-        if bi > 0:
-            acc_r += s * np.exp(lc - bi * right)
-        else:
-            acc_l -= s * np.exp(lc - bi * left)
-    out = np.empty_like(x)
-    out[nonneg] = acc_r
-    out[~nonneg] = acc_l
-    return out
-
-
 def eval_tp(weights: WeightMultiset, x):
     """Evaluate the window g_n at ``x`` (scalar or array of any shape).
 
-    Uses the divided-difference closed form; for widely spread distinct
-    weights the log-space partial-fraction form is used instead to avoid
-    overflow of the weight product.
+    Uses the divided-difference closed form; where sum(log|a|) passes
+    ``_LOG_PRODUCT_SWITCH`` the weight product overflows, and the window's
+    partial-fraction table, ``exp_sum_rep(weights).eval``, is used instead
+    (confluent weights included).
 
     The divided difference is taken only at live points.  At a dead point (x < 0
     with no negative weight, or x >= 0 with no positive one) every node's row is
@@ -164,17 +136,14 @@ def eval_tp(weights: WeightMultiset, x):
     times the factor (-1)^(n-1) sign(x) prod(a), a zero whose sign is the one
     the full computation gives: the output is bit-identical either way.  Only a
     one-signed window (all-positive, all-negative, every harmonic or geometric
-    prefix) has dead points; a mixed-sign window is live everywhere.  The
-    log-space route splits x into its two half-lines once and sums each side's
-    terms in weight order.
+    prefix) has dead points; a mixed-sign window is live everywhere.  The table
+    evaluates each half-line's terms only there, so a point on a half-line
+    without terms gets +0 uncomputed too; x = 0 counts as the left half-line
+    when no weight is positive.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if weights.log_abs_product > _LOG_PRODUCT_SWITCH:
-        if weights.is_confluent:
-            raise IllConditioned(
-                "confluent clusters combined with an extreme weight product are unsupported"
-            )
-        vals = _eval_log_explicit(weights, xs)
+        vals = exp_sum_rep(weights).eval(xs)
     else:
         nodes = weights.cluster_nodes()
         # dead points: see above; NaN stays live and takes the full route
@@ -218,15 +187,18 @@ class ExpSumRep:
 
     The exponents are eta = -b for the clusters b in ascending order, summed in
     that order.  A term lives on the half-line where it decays (b > 0 on the
-    right); its polynomial is in the global coordinate x, ascending.
+    right); its polynomial is in the global coordinate x, ascending.  ``table``
+    holds the residues in extended precision, for the lattice sums; ``eval``
+    runs on a float64 copy of it.
     """
 
     table: ExpPolyTable
 
     def eval(self, x) -> np.ndarray | float:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        f64 = ExpPolyTable(self.table.etas, self.table.coeffs.astype(float))
         # x = 0 is on the right piece unless no term lives there
-        out = self.table.eval(xs >= 0 if self.table.coeffs[1].any() else xs > 0, xs).astype(float)
+        out = f64.eval(xs >= 0 if f64.coeffs[1].any() else xs > 0, xs)
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(out[0])
         return out
@@ -234,14 +206,15 @@ class ExpSumRep:
     __call__ = eval
 
 
-def exp_sum_rep(weights: WeightMultiset, check_tol: float = 1e-8) -> ExpSumRep:
+def exp_sum_rep(weights: WeightMultiset) -> ExpSumRep:
     """Partial-fraction representation of g_n as polynomial x exponential terms.
 
     The coefficients are the higher-order residues of the Fourier product at
     s = -b_i, obtained from the log-derivative recursion in extended precision
     (they cancel against each other as the weights crowd); the result is
     verified against the Fourier product and :class:`IllConditioned` is raised
-    unless the reconstruction residual is at most ``check_tol``.
+    unless the reconstruction residual is at most ``_CHECK_TOL`` relative to
+    max(1, |Fourier product|).
     """
     # sorted raw weights line up with the cluster nodes, one cluster per run
     raws, nodes = np.sort(np.asarray(weights.raw)), weights.cluster_nodes().astype(_EXT)
@@ -277,7 +250,7 @@ def exp_sum_rep(weights: WeightMultiset, check_tol: float = 1e-8) -> ExpSumRep:
         recon = np.sum(tc / (tb + 2j * np.pi * om) ** tj)
         target = complex(fourier_tp(weights, om))
         # written so that a NaN residual (an overflowed weight product) raises too
-        if not abs(recon - target) <= check_tol * max(1.0, abs(target)):
+        if not abs(recon - target) <= _CHECK_TOL * max(1.0, abs(target)):
             raise IllConditioned(
                 f"partial-fraction residual {abs(recon - target):.3e} at omega={om}; "
                 "weights may be too close without coalescing, or their product overflows"

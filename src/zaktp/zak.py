@@ -101,23 +101,25 @@ def zak_factorized(weights: WeightMultiset, x, s) -> complex | np.ndarray:
     return zak_prefactor(weights, s) * zak_ebspline(B, x, s)
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]; every caller shares them, so read-only."""
-    nodes, wts = leggauss(quad_points)
+_QUAD_POINTS = 256  # Gauss-Legendre nodes of zak_inversion_check
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights on [-1, 1], made on first use rather than at import;
+    every caller shares them, so read-only."""
+    nodes, wts = leggauss(_QUAD_POINTS)
     nodes.setflags(write=False)
     wts.setflags(write=False)
     return nodes, wts
 
 
-def zak_inversion_check(weights: WeightMultiset, omega: float, quad_points: int = 256) -> complex:
+def zak_inversion_check(weights: WeightMultiset, omega: float) -> complex:
     """Gauss-Legendre quadrature of Z g(x, w) e^{-2 pi i x w} over one period.
 
     The caller compares the result with the Fourier transform at w.
     """
-    if quad_points < 16:
-        raise ValueError("quad_points must be at least 16")
-    nodes, wts = _gauss_legendre(quad_points)
+    nodes, wts = _gauss_legendre()
     x = 0.5 * (nodes + 1.0)
     vals = zak_factorized(weights, x, omega) * np.exp(-2j * np.pi * x * omega)
     return complex(np.sum(0.5 * wts * vals))

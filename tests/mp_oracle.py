@@ -25,15 +25,18 @@ def residues(mp, weights):
     return out
 
 
-def window(mp, weights, y):
-    """g(y)."""
-    y = mp.mpf(y)
-    return mp.fsum(
-        (c if b > 0 else -c) * y ** (j - 1) / mp.factorial(j - 1) * mp.exp(-b * y)
-        for b, cs in residues(mp, weights)
-        if (b > 0) == (y >= 0)
-        for j, c in enumerate(cs, 1)
-    )
+def windows(mp, weights, ys):
+    """[g(y) for y in ys], the residues formed once."""
+    terms = residues(mp, weights)
+    out = []
+    for y in map(mp.mpf, ys):
+        out.append(mp.fsum(
+            (c if b > 0 else -c) * y ** (j - 1) / mp.factorial(j - 1) * mp.exp(-b * y)
+            for b, cs in terms
+            if (b > 0) == (y >= 0)
+            for j, c in enumerate(cs, 1)
+        ))
+    return out
 
 
 def lattice_sum(mp, weights, x, s, alpha=1):

@@ -41,6 +41,20 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+@pytest.mark.parametrize("weights,error", [("--weights=0", "ZeroWeight: "), ("--weights=,", "EmptyInput: ")])
+def test_eval_bad_weights_exit_with_error_class(capsys, weights, error):
+    # the weights are checked after parsing, so their errors are domain errors
+    code, out, err = run(capsys, "eval", weights)
+    assert (code, out) == (1, "")
+    assert err.startswith(error)
+
+
+def test_eval_without_weights_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "eval")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: zaktp") and "eval needs --weights or --gen" in err
+
+
 def test_eval_csv(capsys):
     code, out, _ = run(capsys, "eval", "--weights", "1,-1", "--x", "0,1")
     assert code == 0

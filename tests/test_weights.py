@@ -1,19 +1,20 @@
 """Tests for TP weight multisets and window evaluation."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mp_oracle import window
+from mp_oracle import windows
 
 from zaktp.convergence import WeightGenerator, truncate
 from zaktp.errors import EmptyInput, IllConditioned, ZeroWeight
 from zaktp.weights import (
     _LOG_PRODUCT_SWITCH,
     _dd_exp_chi,
-    _eval_log_explicit,
     eval_tp,
     exp_sum_rep,
     fourier_tp,
@@ -25,7 +26,6 @@ def test_make_weights_basic():
     w = make_weights([2.0, -1.0, 2.0])
     assert w.n == 3
     assert w.a0 == 1.0
-    assert w.is_confluent
     assert dict(w.distinct) == {-1.0: 1, 2.0: 2}
 
 
@@ -137,55 +137,61 @@ def test_exp_sum_rep_matches_eval():
 
 def test_exp_sum_rep_survives_an_overflowing_weight_product():
     # sum log|a| = 1442: prod a overflows, but each residue is a product of
-    # ratios a_k / (a_k - a_i) that stays in range; the table is within 1e-14
-    # of the mpmath partial fractions (measured 4.8e-15; eval_tp's log-space
-    # route is off by 5.4e-13 at the same points)
+    # ratios a_k / (a_k - a_i) that stays in range; the table, evaluated in
+    # float64 as eval_tp does here, is within 1e-14 of the mpmath partial
+    # fractions (measured 3.0e-15)
     mp = pytest.importorskip("mpmath")
     w = truncate(WeightGenerator.geometric(1.0, 2.0), 64)
     assert not math.isfinite(math.prod(w.raw))
     xs = np.concatenate([[0.0], np.geomspace(1e-6, 3.0, 40)])
     with mp.workdps(60):
-        ref = [float(window(mp, w.raw, x)) for x in xs]
+        ref = [float(v) for v in windows(mp, w.raw, xs)]
     assert np.max(np.abs(exp_sum_rep(w).eval(xs) - ref)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
-# eval_tp against its all-points reference: same bytes, signed zeros included
-
-
-def _eval_log_explicit_masked(weights, x):
-    """The log-space partial fractions with one boolean mask per weight and side."""
-    b = np.array([bi for bi, _ in weights.distinct])
-    raw = np.asarray(weights.raw)
-    log_prod = np.sum(np.log(np.abs(raw)))
-    sign_prod = np.prod(np.sign(raw))
-    diffs = b[:, None] - b[None, :]
-    np.fill_diagonal(diffs, -1.0)
-    logc = log_prod - np.sum(np.log(np.abs(diffs)), axis=1)
-    sgn = sign_prod / np.prod(np.sign(-diffs), axis=1)
-    out = np.zeros_like(x)
-    nonneg = x >= 0
-    for bi, lc, s in zip(b, logc, sgn):
-        if bi > 0:
-            out[nonneg] += s * np.exp(lc - bi * x[nonneg])
-        else:
-            out[~nonneg] -= s * np.exp(lc - bi * x[~nonneg])
-    return out
+# eval_tp on the divided-difference route against its all-points reference (same
+# bytes, signed zeros included); on the partial-fraction table against mpmath
 
 
 def _eval_tp_all_points(weights, x):
-    """eval_tp with the divided difference taken at every point, dead or not."""
+    """eval_tp's divided-difference route taken at every point, dead or not."""
+    assert weights.log_abs_product <= _LOG_PRODUCT_SWITCH
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if weights.log_abs_product > _LOG_PRODUCT_SWITCH:
-        vals = _eval_log_explicit_masked(weights, xs)
-    else:
-        dd = _dd_exp_chi(weights.cluster_nodes(), xs)
-        prod_a = float(np.prod(np.asarray(weights.raw)))
-        sign_x = np.sign(xs)
-        sign_x[sign_x == 0] = 1.0
-        vals = (-1.0) ** (weights.n - 1) * sign_x * prod_a * dd
+    dd = _dd_exp_chi(weights.cluster_nodes(), xs)
+    prod_a = float(np.prod(np.asarray(weights.raw)))
+    sign_x = np.sign(xs)
+    sign_x[sign_x == 0] = 1.0
+    vals = (-1.0) ** (weights.n - 1) * sign_x * prod_a * dd
     vals[(vals < 0) & (vals > -1e-10)] = 0.0
     return vals
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_peak(values):
+    """max |g| over 71 points in [-2, 5], from 80-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        return float(max(abs(v) for v in windows(mp, values, np.linspace(-2.0, 5.0, 71))))
+
+
+def _assert_table_route(w, xs):
+    """eval_tp where sum log|a| > 500, on the partial-fraction table: within
+    1e-13 peak of 80-digit mpmath at finite x, +0 uncomputed on a half-line
+    without terms, and at +-inf and NaN the bytes that the log-space route it
+    replaced gave (+0, or the NaN itself where terms live on the left)."""
+    mp = pytest.importorskip("mpmath")
+    assert w.log_abs_product > _LOG_PRODUCT_SWITCH
+    nodes = w.cluster_nodes()
+    got = eval_tp(w, xs)
+    fin = np.isfinite(xs)
+    with mp.workdps(80):
+        ref = np.array([float(v) for v in windows(mp, w.raw, xs[fin])])
+    assert np.all(np.abs(got[fin] - ref) <= 1e-13 * _mp_peak(w.raw))
+    dead = ((xs < 0) & (nodes[0] > 0)) | ((xs > 0) & (nodes[-1] < 0))
+    assert got[dead].tobytes() == np.zeros(np.count_nonzero(dead)).tobytes()
+    edge = np.where(np.isnan(xs) & (nodes[0] < 0), xs, 0.0)
+    assert got[~fin].tobytes() == edge[~fin].tobytes()
 
 
 EDGE_POINTS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, math.nan]
@@ -226,38 +232,63 @@ def test_eval_tp_equals_all_points_reference(values, points):
     st.lists(st.one_of(st.floats(-20.0, 20.0), st.sampled_from(EDGE_POINTS)), min_size=1, max_size=30),
 )
 def test_eval_tp_equals_all_points_reference_on_generator_prefixes(rule, n, points):
+    # geometric prefixes from n = 38 on pass sum log|a| = 500: the table route
     w = truncate(getattr(WeightGenerator, rule)(1.1), n)
-    xs = np.asarray(points)
-    with np.errstate(all="ignore"):
-        assert eval_tp(w, xs).tobytes() == _eval_tp_all_points(w, xs).tobytes()
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.floats(0.25, 40.0), min_size=1, max_size=8, unique=True),
-    st.sampled_from(["positive", "negative", "mixed"]),
-    st.lists(st.one_of(st.floats(-30.0, 30.0), st.sampled_from(EDGE_POINTS)), min_size=0, max_size=40),
-)
-def test_eval_log_explicit_equals_masked_loop(mags, kind, points):
-    sign = {"positive": 1.0, "negative": -1.0}
-    values = [m * sign.get(kind, (-1.0) ** i) for i, m in enumerate(mags)]
-    w = make_weights(values, coalesce_tol=0.0)
-    if len(w.distinct) < len(values):  # the route needs distinct weights
-        return
     xs = np.asarray(points, dtype=float)
     with np.errstate(all="ignore"):
-        assert _eval_log_explicit(w, xs).tobytes() == _eval_log_explicit_masked(w, xs).tobytes()
+        if w.log_abs_product > _LOG_PRODUCT_SWITCH:
+            _assert_table_route(w, xs)
+        else:
+            assert eval_tp(w, xs).tobytes() == _eval_tp_all_points(w, xs).tobytes()
+
+
+WIDE = [1.2 * 2.0**k for k in range(1, 41)]
 
 
 def test_eval_tp_wide_set_equals_all_points_reference():
-    # sum log|a| = 568 and 563: the log-explicit route, one- and two-signed
+    # sum log|a| = 576, 568 and 576: the table route, all-positive, two-signed and
+    # all-negative; x = 0 on the last is the left piece, 3.6e-15 of rounding
     xs = np.concatenate([np.random.default_rng(3).uniform(-5, 30, 2000), EDGE_POINTS])
-    for values in ([1.2 * 2.0**k for k in range(1, 41)], [(-2.0) ** k for k in range(1, 41)]):
-        w = make_weights(values)
-        assert w.log_abs_product > _LOG_PRODUCT_SWITCH
+    for values in (WIDE, [(-2.0) ** k for k in range(1, 41)], [-a for a in WIDE]):
         with np.errstate(all="ignore"):
-            assert eval_tp(w, xs).tobytes() == _eval_tp_all_points(w, xs).tobytes()
+            _assert_table_route(make_weights(values), xs)
 
+
+WIDE_WINDOWS = {
+    "wide": WIDE,
+    "powers_of_minus_2": [(-2.0) ** k for k in range(1, 41)],
+    "geometric_48_c0.8_r1.8": truncate(WeightGenerator.geometric(0.8, 1.8), 48).raw,
+    "geometric_48_c1.25_r2.2": truncate(WeightGenerator.geometric(1.25, 2.2), 48).raw,
+    "geometric_64": truncate(WeightGenerator.geometric(1.0, 2.0), 64).raw,
+    "wide_confluent": WIDE + [2.4, 4.8],
+}
+
+
+@pytest.mark.parametrize("values", WIDE_WINDOWS.values(), ids=WIDE_WINDOWS.keys())
+def test_eval_tp_wide_windows_against_mpmath(values):
+    # the log-space partial fractions that the table replaced were off by
+    # 5.3e-13, 9.7e-14, 2.2e-13, 1.3e-13 and 6.0e-13 of the peak here, and
+    # refused the confluent set
+    mp = pytest.importorskip("mpmath")
+    w = make_weights(values)
+    assert w.log_abs_product > _LOG_PRODUCT_SWITCH
+    xs = np.linspace(-2.0, 5.0, 71)
+    with mp.workdps(80):
+        ref = np.array([float(v) for v in windows(mp, w.raw, xs)])
+    assert np.max(np.abs(eval_tp(w, xs) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_eval_tp_wide_route_sums_term_by_term():
+    # 42 terms on 1e5 points would take 34 MB as one (terms, points) array
+    w = make_weights(WIDE + [2.4, 4.8])
+    xs = np.linspace(-2.0, 30.0, 100_000)
+    tracemalloc.start()
+    try:
+        eval_tp(w, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize(
