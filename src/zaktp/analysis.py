@@ -243,6 +243,16 @@ def _neigh_max(arr: np.ndarray) -> np.ndarray:
     return np.maximum(out, rows[:, 2:], out=out)
 
 
+def _majorants(ks, G0, G1, G2):
+    """Per x column, U_g and U_h of :func:`certify_zero_free` times its rounding margin."""
+    w, a0, a1 = 2.0 * np.pi * np.abs(ks)[:, None], np.abs(G0), np.abs(G1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed majorant fails stage one
+        ug = np.hypot(a1.sum(0), (w * a0).sum(0))
+        uh = np.sqrt(np.abs(G2).sum(0) ** 2 + 2.0 * (w * a1).sum(0) ** 2 + (w**2 * a0).sum(0) ** 2)
+    margin = 1.0 + 16 * len(ks) * np.finfo(float).eps
+    return margin * ug, margin * uh
+
+
 def _structure_zero(B: PiecewiseExpPoly, P, region: Region):
     """The zero of Z B in the region, as (|Z g| there, (x, omega)), or None.
 
@@ -269,12 +279,29 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
     """Scan |Z| over the region; certify it zero-free, or report a zero.
 
     Z g = P Z B with the spline factor B and the prefactor P, which has no
-    zero in the strip, so the certified function is the finite sum Z B (for
-    a spline window P = 1).  Certification is cell-wise and second order:
-    each grid point must have |Z B| above its local gradient bound (exact
-    gradient on the grid, maximized over the 3x3 neighbourhood) times half
-    the cell diagonal, plus an exact-Hessian curvature term in the cell
-    radius squared.  ``min_modulus`` is the grid minimum of |Z g| = |P| |Z B|;
+    zero in the strip, so the certified function is the finite sum Z B =
+    sum_k e^{-2 pi i k omega} G0_k(x) (P = 1 for a spline window; tau is
+    folded into G, see :func:`_series_tables`).  Certification is cell-wise
+    and second order: each grid point must have |Z B| above its local
+    gradient bound (1.1 times the gradient norm's 3x3 neighbourhood maximum)
+    times half the cell diagonal, plus 0.6 times the Hessian norm's maximum
+    times the radius squared.  It runs in two stages.  As |e^{-2 pi i k
+    omega}| = 1, U_g(x) = hypot(sum |G1_k|, sum 2 pi |k| |G0_k|) and U_h(x)
+    = sqrt((sum |G2_k|)^2 + 2 (sum 2 pi |k| |G1_k|)^2 + (sum (2 pi k)^2
+    |G0_k|)^2) bound the two norms at every omega, so their maxima over three
+    columns bound the 3x3 maxima: where stage one's drop built from them
+    passes at every node, the exact drop passes too, and the gradient is
+    formed only on the rows around the minimum.  Elsewhere stage two forms
+    the exact gradient and Hessian grids.  Rounding (u = eps / 2, K shifts):
+    a computed |sum_k phi_k G_k| is at most (1 + sqrt(2) gamma_{K+2})(1 +
+    2u)^2 sum |G_k| (Higham's complex inner product, |fl(phi_k)| <= 1 + 2u,
+    the modulus), a computed sum of K moduli at least (1 - gamma_{K-1}) times
+    its value, and hypot, squares and sqrt add a few u per side, so to first
+    order the grid norms are within 1 + (3K + 16) u of the majorants; the
+    factor 1 + 16 K eps covers that, and as rounded + and * are monotone,
+    the same operations give stage one the larger drop.
+
+    ``min_modulus`` is the grid minimum of |Z g| = |P| |Z B|;
     ``lipschitz_bound`` is the local gradient bound of Z B times |P| at that
     grid point — the binding one.  A region the grid does not certify is
     searched for the one zero the structure theorem allows (see
@@ -303,27 +330,25 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
     dk = (-2j * np.pi * ks)[:, None]
     phases = np.exp(-2j * np.pi * og[:, None] * ks[None, :])
     zv = np.abs(phases @ G0)
-    grad = np.hypot(np.abs(phases @ G1), np.abs(phases @ (dk * G0)))
-    hess = np.sqrt(
-        np.abs(phases @ G2) ** 2
-        + 2.0 * np.abs(phases @ (dk * G1)) ** 2
-        + np.abs(phases @ (dk**2 * G0)) ** 2
-    )
-
-    # local bound: 3x3 neighbourhood max of the exact grid gradient (captures
-    # knot jumps) times the cell radius, plus an exact-Hessian curvature term
-    radius = grid_step * math.sqrt(2.0) / 2.0
-    local = 1.1 * _neigh_max(grad)
-    drop = local * radius + 0.6 * _neigh_max(hess) * radius**2
-    certified = bool(np.all(zv > drop))
-
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product raises below
         zg = pref * zv
     _require_finite(zg)
     i, j = np.unravel_index(int(np.argmin(zg)), zg.shape)
     min_mod = float(zg[i, j])
-    lip = float(local[i, j] * pref[i, 0])
     loc = (float(xg[j]), float(og[i]))
+
+    # local bound: 3x3 neighbourhood max of the grid gradient (captures knot
+    # jumps) times the cell radius, plus a Hessian term; stage one on majorants
+    radius = grid_step * math.sqrt(2.0) / 2.0
+    ug, uh = (_neigh_max(u[None]) for u in _majorants(ks, G0, G1, G2))
+    certified = bool(np.all(zv > 1.1 * ug * radius + 0.6 * uh * radius**2))
+    r0, r1 = (max(i - 1, 0), i + 2) if certified else (0, len(og))
+    ph = phases[r0:r1]
+    local = 1.1 * _neigh_max(np.hypot(np.abs(ph @ G1), np.abs(ph @ (dk * G0))))
+    if not certified:  # stage two: the exact Hessian grid
+        hess = np.abs(phases @ G2) ** 2 + 2.0 * np.abs(phases @ (dk * G1)) ** 2 + np.abs(phases @ (dk**2 * G0)) ** 2
+        certified = bool(np.all(zv > local * radius + 0.6 * _neigh_max(np.sqrt(hess)) * radius**2))
+    lip = float(local[i - r0, j] * pref[i, 0])
     # a spline can reach 1e10 and round far above any absolute tolerance
     tol = _ZERO_TOL * max(1.0, float(zg.max()))
 

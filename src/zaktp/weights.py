@@ -113,7 +113,7 @@ def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
             if nodes[i + level] == nodes[i]:
                 # repeated node: f^{(level)}(t)/level! = (-x)^level e^{-x t}/level!
                 row = np.zeros(m)
-                mask = active[i] & ~zero  # chi derivatives vanish at x = 0
+                mask = active[i] & ~zero & ~np.isinf(x)  # chi derivatives vanish at x = 0; 0 is the limit at +-inf
                 row[mask] = ((-x[mask]) ** level) * np.exp(-nodes[i] * x[mask]) / fact
                 nxt[i] = row
             else:
@@ -139,7 +139,8 @@ def eval_tp(weights: WeightMultiset, x):
     prefix) has dead points; a mixed-sign window is live everywhere.  The table
     evaluates each half-line's terms only there, so a point on a half-line
     without terms gets +0 uncomputed too; x = 0 counts as the left half-line
-    when no weight is positive.
+    when no weight is positive.  At x = +-inf both routes give a zero, the
+    window's limit, and a NaN stays NaN.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if weights.log_abs_product > _LOG_PRODUCT_SWITCH:
@@ -197,8 +198,10 @@ class ExpSumRep:
     def eval(self, x) -> np.ndarray | float:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         f64 = ExpPolyTable(self.table.etas, self.table.coeffs.astype(float))
-        # x = 0 is on the right piece unless no term lives there
-        out = f64.eval(xs >= 0 if f64.coeffs[1].any() else xs > 0, xs)
+        # x = 0 is on the right piece unless no term lives there; +-inf gets the
+        # limit 0 uncomputed (c x e^{-b x} would be inf * 0 there), and NaN stays
+        piece = np.where(np.isfinite(xs), xs >= 0 if f64.coeffs[1].any() else xs > 0, -1)
+        out = np.where(np.isnan(xs), xs, f64.eval(piece, xs))
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(out[0])
         return out

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mp_oracle import lattice_sum
 from piece_oracle import piece, reduce_terms, slice_terms
+from scan_oracle import full_grid_certificate, scan_grids
 
+import zaktp.analysis
 import zaktp.zak
 from zaktp.analysis import (
     MonotonicityReport,
@@ -17,6 +21,7 @@ from zaktp.analysis import (
     _brentq,
     _cyclic_sign_changes,
     _half_slice_fun,
+    _majorants,
     _neigh_max,
     _series_tables,
     _spline_factor,
@@ -29,7 +34,7 @@ from zaktp.analysis import (
 )
 from zaktp.convergence import WeightGenerator, truncate
 from zaktp.ebspline import build_ebspline, reduce_ebspline
-from zaktp.errors import IllConditioned, NotUnitMonotone, NoZero, StripViolation, ToleranceUnreachable
+from zaktp.errors import IllConditioned, NotUnitMonotone, NoZero, StripViolation, ToleranceUnreachable, ZakTPError
 from zaktp.weights import make_weights
 from zaktp.zak import _spline_for, zak_tp
 
@@ -324,6 +329,95 @@ def test_certify_probe_has_no_false_verdict_against_mpmath():
                     assert cert.verdict != "zero_found", (a, tau, region, step)
     assert sum(census.values()) == 200
     assert census[(True, "zero_found")] > 100 and census[(False, "zero_free_certified")] > 50
+
+
+@st.composite
+def _scan_cases(draw):
+    """A window of 1-6 weights (one-signed, mixed or confluent) or its spline
+    factor, tau inside the strip, a step in 1/32..1/512 and a region: a box
+    around one of the zeros, one a few steps beside it, or one anywhere, its
+    omega range possibly one line."""
+    kind = draw(st.sampled_from(["positive", "negative", "mixed", "confluent"]))
+    n = draw(st.integers(2 if kind == "confluent" else 1, 6))
+    mags = draw(st.lists(st.floats(0.5, 7.0), min_size=n, max_size=n))
+    if kind == "confluent":  # each value at least twice
+        mags = [mags[i % (n // 2)] for i in range(n)]
+    signs = {"positive": [1.0] * n, "negative": [-1.0] * n}.get(kind) or draw(
+        st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
+    )
+    w = make_weights([s * m for s, m in zip(signs, mags)])
+    window = _spline_for(w.raw) if draw(st.booleans()) else w
+    tau = draw(st.sampled_from([0.0, draw(st.floats(-0.6, 0.6)) * w.a0 / (2 * np.pi)]))
+    step = 1.0 / draw(st.sampled_from([32, 64, 128, 256, 512]))
+    try:
+        x_tau = locate_zero_half(build_ebspline([-a + 2 * np.pi * tau for a in w.raw]))
+    except NoZero:
+        x_tau = None
+    place = draw(st.sampled_from(["around", "beside", "anywhere"])) if x_tau is not None else "anywhere"
+    if place != "anywhere":
+        zx, zo = x_tau + draw(st.integers(-1, 1)), 0.5 + draw(st.integers(-1, 0))
+        if place == "around":
+            x = (zx - draw(st.floats(0.0, 0.3)), zx + draw(st.floats(step, 0.3)))
+        else:  # a gap of a few steps to the zero, where the verdict is close
+            gap = draw(st.floats(0.5, 8.0)) * step
+            x = (zx + gap, zx + gap + draw(st.floats(step, 0.5)))
+        region = Region(x=x, omega=(zo - draw(st.floats(0.0, 0.3)), zo + draw(st.floats(0.0, 0.3))), tau=tau)
+    else:
+        x0, o0 = draw(st.floats(-0.5, 1.0)), draw(st.floats(-0.5, 1.0))
+        o1 = o0 + draw(st.sampled_from([0.0, draw(st.floats(step, 0.5))]))
+        region = Region(x=(x0, x0 + draw(st.floats(step, 1.0))), omega=(o0, o1), tau=tau)
+    return window, region, step
+
+
+def _outcome(window, region, step, certify):
+    try:
+        return repr(certify(window, region, step))
+    except ZakTPError as exc:
+        return type(exc).__name__
+
+
+def test_certify_equals_the_full_grid_reference():
+    # stage one certifies with three _neigh_max calls (two majorants, the
+    # gradient rows); where it fails, stage two adds the Hessian's
+    stages = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_scan_cases())
+    def check(case):
+        with mock.patch.object(zaktp.analysis, "_neigh_max", side_effect=_neigh_max) as spy:
+            got = _outcome(*case, certify_zero_free)
+        stages.append(spy.call_count)
+        assert got == _outcome(*case, full_grid_certificate)
+
+    check()
+    assert stages.count(3) >= 20 and stages.count(4) >= 20
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_scan_cases())
+def test_majorants_dominate_the_exact_norms_at_every_node(case):
+    window, region, step = case
+    *_, grad, hess, tables = scan_grids(window, region, step)
+    ug, uh = _majorants(*tables)
+    assert np.all(grad <= ug) and np.all(hess <= uh)
+    # so their 3-column maxima bound the 3x3 maxima of the exact grids
+    assert np.all(_neigh_max(grad) <= _neigh_max(ug[None])) and np.all(_neigh_max(hess) <= _neigh_max(uh[None]))
+
+
+def test_certify_piece_peak_memory():
+    # a zero-free piece at step 1/512 (513 x 241 nodes): stage one forms no gradient or
+    # Hessian grid, where the six complex grids of the full scan take 7.8 MB
+    w = make_weights([3.3, -4.6, 5.2, -6.1])
+    region = Region(x=(0.0, 1.0), omega=(0.0, 15 / 32))
+    certify_zero_free(w, region, 1 / 512)  # builds and caches the spline factor
+    tracemalloc.start()
+    try:
+        cert = certify_zero_free(w, region, 1 / 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == "zero_free_certified"
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("region", [Region(x=(0.8, 0.2), omega=(0.0, 0.4)), Region(x=(0.0, 1.0), omega=(0.5, 0.2))])

@@ -178,8 +178,7 @@ def _mp_peak(values):
 def _assert_table_route(w, xs):
     """eval_tp where sum log|a| > 500, on the partial-fraction table: within
     1e-13 peak of 80-digit mpmath at finite x, +0 uncomputed on a half-line
-    without terms, and at +-inf and NaN the bytes that the log-space route it
-    replaced gave (+0, or the NaN itself where terms live on the left)."""
+    without terms and at +-inf, and the NaN itself at NaN."""
     mp = pytest.importorskip("mpmath")
     assert w.log_abs_product > _LOG_PRODUCT_SWITCH
     nodes = w.cluster_nodes()
@@ -190,7 +189,7 @@ def _assert_table_route(w, xs):
     assert np.all(np.abs(got[fin] - ref) <= 1e-13 * _mp_peak(w.raw))
     dead = ((xs < 0) & (nodes[0] > 0)) | ((xs > 0) & (nodes[-1] < 0))
     assert got[dead].tobytes() == np.zeros(np.count_nonzero(dead)).tobytes()
-    edge = np.where(np.isnan(xs) & (nodes[0] < 0), xs, 0.0)
+    edge = np.where(np.isnan(xs), xs, 0.0)
     assert got[~fin].tobytes() == edge[~fin].tobytes()
 
 
@@ -276,6 +275,30 @@ def test_eval_tp_wide_windows_against_mpmath(values):
     with mp.workdps(80):
         ref = np.array([float(v) for v in windows(mp, w.raw, xs)])
     assert np.max(np.abs(eval_tp(w, xs) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, 1.0, 2.0], [-1.0, -1.0, -2.0], [1.0, 1.0, -2.0, -2.0], [3.0, 3.0, 3.0], WIDE + [2.4, 4.8], [-a for a in WIDE] + [-2.4]],
+    ids=["positive", "negative", "mixed", "triple", "wide_positive", "wide_negative"],
+)
+def test_eval_tp_confluent_window_is_zero_at_infinity(values):
+    # the limit at +-inf is 0, where c x e^{-b x} would be inf * 0 = NaN
+    w = make_weights(values)
+    with np.errstate(invalid="raise"):  # no inf * 0 is formed on the way
+        got = eval_tp(w, np.array([math.inf, -math.inf]))
+        scalars = [eval_tp(w, math.inf), eval_tp(w, -math.inf)]
+    assert np.all(got == 0.0) and scalars == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "values", [WIDE, [-a for a in WIDE], [(-2.0) ** k for k in range(1, 41)], [1.0, 2.0], [1.0, 1.0]]
+)
+def test_eval_tp_nan_stays_nan(values):
+    # NaN >= 0 is false, so on the table route NaN must not reach a left piece without terms
+    w = make_weights(values)
+    assert math.isnan(eval_tp(w, math.nan))
+    assert np.isnan(eval_tp(w, np.array([0.5, math.nan, -0.5]))).tolist() == [False, True, False]
 
 
 def test_eval_tp_wide_route_sums_term_by_term():
