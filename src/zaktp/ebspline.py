@@ -27,6 +27,7 @@ from .errors import IllConditioned
 _P = np.polynomial.polynomial
 _PI = np.longdouble("3.14159265358979323846264338327950288")
 _COALESCE_TOL = 1e-9  # weights this close share a cluster: make_weight_vector, make_weights' default
+_UNDERFLOW = -746.0  # np.exp is exactly +0 below this: e^-746 is under half the least subnormal, e^-744.4
 
 
 def cluster_values(vals: Sequence[float], tol: float):
@@ -83,13 +84,29 @@ class ExpPolyTable:
         self.coeffs = np.asarray(coeffs)
         live = [np.any(c != 0, axis=1) for c in self.coeffs]
         self._live = [(self.etas[m], c[m]) for m, c in zip(live, self.coeffs)]
+        # on |t| <= 1, e^{eta t} underflows only if |eta| > 746: a spline's table (t in [0, 1)) never skips
+        self._may_underflow = bool(np.any(np.abs(self.etas) > -_UNDERFLOW))
 
     def _piece(self, p: int, t: np.ndarray) -> np.ndarray:
         """Piece p at the 1-D points t, term by term in slot order: padded Horner on
-        the term's row times its exponential, added in.  No (T, n) array is formed."""
+        the term's row times its exponential, added in.  No (T, n) array is formed.
+
+        On a wide table a term whose |eta| max|t| reaches 746 is added only where
+        eta t >= -746 (NaN included).  Elsewhere np.exp(eta t) is exactly +0 and the
+        product is +-0, and adding +-0 changes no bit: the sum starts at +0 and
+        never becomes -0 (x + -x is +0), so +0 + -0 = +0 and v + (+-0) = v.  The
+        only difference is at a Horner value that overflows, where inf * 0 was NaN.
+        """
         out = np.zeros(t.shape, self.coeffs.dtype)
+        if not self._may_underflow:
+            for eta, row in zip(*self._live[p]):
+                out += _horner(row, t) * np.exp(eta * t)
+            return out
+        span = np.max(np.abs(t), initial=0.0)
         for eta, row in zip(*self._live[p]):
-            out += _horner(row, t) * np.exp(eta * t)
+            with np.errstate(over="ignore"):  # an eta t past the double range is -inf: skipped
+                keep = slice(None) if abs(eta) * span < -_UNDERFLOW else np.flatnonzero(~(eta * t < _UNDERFLOW))
+            out[keep] += _horner(row, t[keep]) * np.exp(eta * t[keep])
         return out
 
     def eval(self, piece, t) -> np.ndarray:

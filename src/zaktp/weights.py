@@ -88,37 +88,36 @@ def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Used by :func:`eval_tp`; the x = 0 entries use the characteristic-function
     formula directly (value 1 at positive nodes, all derivatives zero).
+
+    Node i is active at x when it has the sign of x (x = 0 and NaN count as
+    positive); an inactive entry is +0.  An active -node x is <= 0 (past the
+    double range it is -inf, whose exponential is the limit 0), so clipping at 0
+    before np.exp changes no active value and keeps np.exp off its slow paths
+    for -inf and overflow.  The recursion runs in place in the (n, m) buffer:
+    row i of a level overwrites row i of the one before, which row i - 1 has
+    already read, so every entry gets the same operations in the same order as
+    level-by-level tables would give it, and the same bits.
     """
     n = len(nodes)
-    m = len(x)
-    pos = x > 0
     neg = x < 0
-    zero = ~pos & ~neg
-
-    # active[i, j]: node i contributes for sample j
-    active = np.empty((n, m), dtype=bool)
-    active[:, pos] = (nodes > 0)[:, None]
-    active[:, neg] = (nodes < 0)[:, None]
-    active[:, zero] = (nodes > 0)[:, None]
-
-    expo = -np.outer(nodes, x)
-    expo[:, zero] = 0.0
-    expo[~active] = -np.inf
-    table = np.exp(expo)
-
+    zero = ~(x > 0) & ~neg
+    active = (nodes > 0)[:, None] != neg  # active[i, j]: node i contributes for sample j
+    with np.errstate(over="ignore"):
+        table = -np.outer(nodes, np.where(zero, 0.0, x))
+    np.exp(np.minimum(table, 0.0, out=table), out=table)
+    np.copyto(table, 0.0, where=~active)
+    rows, b = list(table), nodes.tolist()
     for level in range(1, n):
-        nxt = np.empty((n - level, m))
         fact = math.factorial(level)
         for i in range(n - level):
-            if nodes[i + level] == nodes[i]:
+            if b[i + level] == b[i]:
                 # repeated node: f^{(level)}(t)/level! = (-x)^level e^{-x t}/level!
-                row = np.zeros(m)
                 mask = active[i] & ~zero & ~np.isinf(x)  # chi derivatives vanish at x = 0; 0 is the limit at +-inf
-                row[mask] = ((-x[mask]) ** level) * np.exp(-nodes[i] * x[mask]) / fact
-                nxt[i] = row
+                rows[i][:] = 0.0
+                rows[i][mask] = ((-x[mask]) ** level) * np.exp(-b[i] * x[mask]) / fact
             else:
-                nxt[i] = (table[i + 1] - table[i]) / (nodes[i + level] - nodes[i])
-        table = nxt
+                np.subtract(rows[i + 1], rows[i], out=rows[i])
+                rows[i] /= b[i + level] - b[i]
     return table[0]
 
 
@@ -131,8 +130,8 @@ def eval_tp(weights: WeightMultiset, x):
     (confluent weights included).
 
     The divided difference is taken only at live points.  At a dead point (x < 0
-    with no negative weight, or x >= 0 with no positive one) every node's row is
-    e^{-inf} = 0 and the recursion returns +0, so the result there is that +0
+    with no negative weight, or x >= 0 with no positive one) every node is
+    inactive, its row +0, and the recursion returns +0, so the result there is that +0
     times the factor (-1)^(n-1) sign(x) prod(a), a zero whose sign is the one
     the full computation gives: the output is bit-identical either way.  Only a
     one-signed window (all-positive, all-negative, every harmonic or geometric
@@ -140,7 +139,10 @@ def eval_tp(weights: WeightMultiset, x):
     evaluates each half-line's terms only there, so a point on a half-line
     without terms gets +0 uncomputed too; x = 0 counts as the left half-line
     when no weight is positive.  At x = +-inf both routes give a zero, the
-    window's limit, and a NaN stays NaN.
+    window's limit, and a NaN stays NaN.  Cost per live point: n exponentials and
+    n(n-1)/2 subtract-and-divide steps on the divided difference; on the table,
+    a term's exponential only where it does not underflow (for the wide 40-term
+    set on [-1, 12.5], about 17% of the terms times points).
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if weights.log_abs_product > _LOG_PRODUCT_SWITCH:

@@ -3,18 +3,21 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from dd_oracle import dd_exp_chi
 from mp_oracle import windows
+from piece_oracle import piece
 
+import zaktp.ebspline
 from zaktp.convergence import WeightGenerator, truncate
 from zaktp.errors import EmptyInput, IllConditioned, ZeroWeight
 from zaktp.weights import (
     _LOG_PRODUCT_SWITCH,
-    _dd_exp_chi,
     eval_tp,
     exp_sum_rep,
     fourier_tp,
@@ -155,10 +158,11 @@ def test_exp_sum_rep_survives_an_overflowing_weight_product():
 
 
 def _eval_tp_all_points(weights, x):
-    """eval_tp's divided-difference route taken at every point, dead or not."""
+    """eval_tp's divided-difference route taken at every point, dead or not, on
+    the level-by-level recursion of ``dd_oracle``."""
     assert weights.log_abs_product <= _LOG_PRODUCT_SWITCH
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    dd = _dd_exp_chi(weights.cluster_nodes(), xs)
+    dd = dd_exp_chi(weights.cluster_nodes(), xs)
     prod_a = float(np.prod(np.asarray(weights.raw)))
     sign_x = np.sign(xs)
     sign_x[sign_x == 0] = 1.0
@@ -312,6 +316,79 @@ def test_eval_tp_wide_route_sums_term_by_term():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def _table_every_term(rep, xs):
+    """ExpSumRep.eval with every live term formed at every point of its half-line
+    (piece_oracle, no underflow skip)."""
+    coeffs = rep.table.coeffs.astype(float)
+    piece_of = np.where(np.isfinite(xs), xs >= 0 if coeffs[1].any() else xs > 0, -1)
+    out = np.zeros(xs.shape)
+    for p in (0, 1):
+        terms = [(eta, c) for eta, c in zip(rep.table.etas, coeffs[p]) if c.any()]
+        out[piece_of == p] = piece(terms, xs[piece_of == p])
+    return np.where(np.isnan(xs), xs, out)
+
+
+@pytest.mark.parametrize(
+    "values", [*WIDE_WINDOWS.values(), [-a for a in WIDE]], ids=[*WIDE_WINDOWS.keys(), "wide_negative"]
+)
+def test_table_skips_only_exponentials_that_underflow(values):
+    # a term is left out only where np.exp(eta t) is exactly +0: the same bytes
+    # as forming every term, signed zeros included, at 1e4 points of the support
+    w = make_weights(values)
+    rep = exp_sum_rep(w)
+    xs = np.concatenate([np.random.default_rng(7).uniform(-40.0 / w.a0, 40.0 / w.a0, 10_000), EDGE_POINTS])
+    with np.errstate(all="ignore"):
+        for pts in (xs, np.zeros(0), xs[:12].reshape(3, 4)):
+            assert rep.eval(pts).tobytes() == _table_every_term(rep, pts).tobytes()
+
+
+class _CountingExp:
+    """numpy for one module, counting the elements passed to np.exp."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.elements += np.size(x)
+        return np.exp(x, *args, **kwargs)
+
+
+def test_table_forms_few_exponentials_on_the_wide_set(monkeypatch):
+    # every term at every point would be 40 * 1e5 exponentials; on [-1, 12.5] a
+    # term e^{-b x} is nonzero only for x <= 746 / b, which leaves about 17%
+    counter = _CountingExp()
+    monkeypatch.setattr(zaktp.ebspline, "np", counter)
+    eval_tp(make_weights(WIDE), np.random.default_rng(5).uniform(-1.0, 12.5, 100_000))
+    assert 0 < counter.elements <= 0.25 * 40 * 100_000
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, 1.0, 2.0], [1.0, -2.0, 3.0], WIDE, WIDE + [2.4, 4.8], [-a for a in WIDE], [(-2.0) ** k for k in range(1, 41)]],
+    ids=["confluent", "mixed", "wide", "wide_confluent", "wide_negative", "powers_of_minus_2"],
+)
+def test_eval_tp_at_huge_points_warns_of_no_overflow(values):
+    # -a x past the double range is -inf, whose exponential is the limit 0: the
+    # bytes the full computation gives, with no RuntimeWarning on the way.  On the
+    # table route every point is +0; wide_confluent at 1e308 was NaN (Horner's
+    # c1 x = inf times e^{-b x} = 0) before the table skipped underflowing terms
+    w = make_weights(values)
+    xs = np.array([1e308, -1e308, 1e200, -1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eval_tp(w, xs)
+        scalars = np.array([eval_tp(w, x) for x in xs])
+    if w.log_abs_product > _LOG_PRODUCT_SWITCH:
+        want = np.zeros(4)
+    else:
+        with np.errstate(all="ignore"):
+            want = _eval_tp_all_points(w, xs)
+    assert got.tobytes() == want.tobytes() == scalars.tobytes()
 
 
 @pytest.mark.parametrize(
