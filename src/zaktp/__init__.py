@@ -38,11 +38,9 @@ from .convergence import (
 )
 from .ebspline import (
     PiecewiseExpPoly,
-    WeightVector,
     build_ebspline,
     eval_ebspline,
     fourier_ebspline,
-    make_weight_vector,
     reduce_ebspline,
 )
 from .errors import (
@@ -68,7 +66,6 @@ from .frames import (
 )
 from .report_io import write_report
 from .weights import (
-    ExpSumRep,
     WeightMultiset,
     eval_tp,
     exp_sum_rep,

@@ -22,7 +22,7 @@ from .convergence import (
 )
 from .errors import ZakTPError
 from .frames import discrete_frame_test, frame_bounds, periodize_sample
-from .report_io import dumps_report, write_report
+from .report_io import write_report
 from .weights import WeightMultiset, eval_tp, make_weights
 from .zak import compute_zak_grid
 
@@ -80,13 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="zaktp", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, gen_ok=True):
+    def add_common(sp):
         sp.add_argument("--weights", type=_parse_weights, help="comma-separated TP weights")
-        if gen_ok:
-            sp.add_argument("--gen", type=_parse_gen, help="generator spec, e.g. harmonic:c=1")
-            sp.add_argument("--n", type=int, default=8, help="truncation length for --gen")
+        sp.add_argument("--gen", type=_parse_gen, help="generator spec, e.g. harmonic:c=1")
+        sp.add_argument("--n", type=int, default=8, help="truncation length for --gen")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("eval", help="evaluate the TP window on a grid")
     add_common(sp)
@@ -100,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("zak", help="sample the Zak transform over a cell rectangle")
     add_common(sp)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--nx", type=int, default=64)
     sp.add_argument("--nomega", type=int, default=64)
     sp.add_argument("--tau", type=float, default=0.0)
@@ -134,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", type=float, default=None)
     sp.add_argument("--n-ref", type=int, default=64)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("psi", help="decay diagnostic of the reciprocal Laplace transform")
     add_common(sp)
@@ -176,7 +174,7 @@ def _run(args) -> int:
     if args.command == "zero":
         w = _weights_from(args)
         x = locate_zero_half(w, tol=args.tol)
-        sys.stdout.write(dumps_report({"x_zero": x, "omega": 0.5}))
+        write_report({"x_zero": x, "omega": 0.5}, "json", args.out)
         return 0
 
     if args.command == "certify":
@@ -213,7 +211,7 @@ def _run(args) -> int:
         p = args.p if args.p is not None else w.n
         taus = np.logspace(np.log10(args.tau_min), np.log10(args.tau_max), args.samples)
         slope = psi_decay_diagnostic(w, args.omega, taus, p)
-        sys.stdout.write(dumps_report({"fitted_exponent": slope, "p": p}))
+        write_report({"fitted_exponent": slope, "p": p}, "json", args.out)
         return 0
 
     return 2

@@ -196,7 +196,7 @@ def _strip_values(weights: WeightMultiset, xi: float) -> np.ndarray:
     """Zg on the strip grid, (9, 4, 64); a sweep pairs each prefix with one reference."""
     xs = np.arange(64) / 64
     taus = np.linspace(-xi, xi, 9) if xi > 0 else np.asarray([0.0])
-    out = exp_sum_rep(weights).table.lattice_sum(xs, np.add.outer(1j * taus, [0.0, 0.25, 0.5, 0.75]))[0]
+    out = exp_sum_rep(weights).lattice_sum(xs, np.add.outer(1j * taus, [0.0, 0.25, 0.5, 0.75]))[0]
     out.setflags(write=False)
     return out
 

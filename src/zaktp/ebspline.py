@@ -2,7 +2,7 @@
 
 A TP window of finite type and its exponential B-spline are both sums
 p(t) e^{eta t} over one exponent set: the window on each half-line (its
-partial fractions, ``weights.ExpSumRep``), the spline on each unit interval.
+partial fractions, ``weights.exp_sum_rep``), the spline on each unit interval.
 :class:`ExpPolyTable` holds such sums as arrays and evaluates, reduces and
 Zak-sums them, and sums a window's table over a lattice in closed form;
 both representations run on it.
@@ -26,7 +26,7 @@ from .errors import IllConditioned
 
 _P = np.polynomial.polynomial
 _PI = np.longdouble("3.14159265358979323846264338327950288")
-_COALESCE_TOL = 1e-9  # weights this close share a cluster: make_weight_vector, make_weights' default
+_COALESCE_TOL = 1e-9  # weights this close share a cluster: spline weights, make_weights' default
 _UNDERFLOW = -746.0  # np.exp is exactly +0 below this: e^-746 is under half the least subnormal, e^-744.4
 
 
@@ -46,20 +46,9 @@ def cluster_values(vals: Sequence[float], tol: float):
     return tuple((g[0] + math.fsum(v - g[0] for v in g) / len(g), len(g)) for g in groups), labels
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Spline weight vector: zeros are allowed, unlike TP weights."""
-
-    lambdas: tuple[float, ...]
-    clusters: tuple[tuple[float, int], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.lambdas)
-
-
-def make_weight_vector(values: Sequence[float]) -> WeightVector:
-    """Cluster as ``make_weights`` does by default; each entry becomes its cluster mean, so repeats compare equal."""
+def _spline_weights(values: Sequence[float]) -> tuple[list[float], tuple[tuple[float, int], ...]]:
+    """A spline weight vector (zeros allowed, unlike TP weights) checked and clustered as by
+    ``make_weights``: the entries, each its cluster's mean, and the ascending clusters."""
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("weight vector is empty")
@@ -67,7 +56,14 @@ def make_weight_vector(values: Sequence[float]) -> WeightVector:
         if not math.isfinite(v):
             raise ValueError(f"weight {v!r} is not finite")
     clusters, labels = cluster_values(vals, _COALESCE_TOL)
-    return WeightVector(lambdas=tuple(clusters[i][0] for i in labels), clusters=clusters)
+    return [clusters[i][0] for i in labels], clusters
+
+
+def _like_input(x, out: np.ndarray):
+    """``out`` for an array ``x``; for a scalar ``x``, its one value as a Python float or complex."""
+    if np.ndim(x):
+        return out
+    return (complex if out.dtype.kind == "c" else float)(out.flat[0])
 
 
 class ExpPolyTable:
@@ -311,17 +307,16 @@ def _convolve_factor(coeffs: np.ndarray, order: list, etas: list, s: int):
     return new, new_order
 
 
-def build_ebspline(lam: WeightVector | Sequence[float]) -> PiecewiseExpPoly:
+def build_ebspline(lam: Sequence[float]) -> PiecewiseExpPoly:
     """Construct the spline for the weight vector by exact convolution."""
-    if not isinstance(lam, WeightVector):
-        lam = make_weight_vector(lam)
-    etas = [b for b, _ in lam.clusters]
+    lambdas, clusters = _spline_weights(lam)
+    etas = [b for b, _ in clusters]
     slot = {eta: i for i, eta in enumerate(etas)}
-    first = slot[lam.lambdas[0]]
-    coeffs = np.zeros((1, len(etas), max(mu for _, mu in lam.clusters)))
+    first = slot[lambdas[0]]
+    coeffs = np.zeros((1, len(etas), max(mu for _, mu in clusters)))
     coeffs[0, first, 0] = 1.0
     order = [[first]]
-    for lj in lam.lambdas[1:]:
+    for lj in lambdas[1:]:
         coeffs, order = _convolve_factor(coeffs, order, etas, slot[lj])
     return PiecewiseExpPoly.from_table(ExpPolyTable(etas, coeffs))
 
@@ -330,23 +325,18 @@ def eval_ebspline(B: PiecewiseExpPoly, x):
     """Evaluate the spline at x (scalar or array); zero outside [0, m]."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     k = np.floor(xs)
-    out = B.table.eval(np.where((xs >= 0) & (xs < B.m), k, -1), xs - k)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return out[0] if out.dtype.kind == "c" else float(out[0])
-    return out
+    return _like_input(x, B.table.eval(np.where((xs >= 0) & (xs < B.m), k, -1), xs - k))
 
 
-def fourier_ebspline(lam: WeightVector | Sequence[float], omega):
+def fourier_ebspline(lam: Sequence[float], omega):
     """Fourier transform: the product of (e^{lambda_j - 2 pi i w} - 1)/(lambda_j - 2 pi i w).
 
     The removable singularity at lambda_j = 2 pi i w (only reachable for
     lambda_j = 0, w = 0 on the real line) is handled by a series branch.
     """
-    if not isinstance(lam, WeightVector):
-        lam = make_weight_vector(lam)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     out = np.ones(w.shape, dtype=complex)
-    for lj in lam.lambdas:
+    for lj in _spline_weights(lam)[0]:
         z = lj - 2j * np.pi * w
         small = np.abs(z) < 1e-6
         factor = np.empty_like(out)
@@ -355,9 +345,7 @@ def fourier_ebspline(lam: WeightVector | Sequence[float], omega):
         zt = z[small]
         factor[small] = 1.0 + zt / 2.0 + zt**2 / 6.0 + zt**3 / 24.0
         out *= factor
-    if np.isscalar(omega) or np.asarray(omega).ndim == 0:
-        return complex(out[0])
-    return out
+    return _like_input(omega, out)
 
 
 def reduce_ebspline(B: PiecewiseExpPoly, eta: float) -> PiecewiseExpPoly:

@@ -151,7 +151,7 @@ def periodize_sample(weights: WeightMultiset, K: int) -> DiscreteWindow:
     """Periodized integer samples v_j = Z_K g(j, 0), summed in closed form."""
     if K < 1:
         raise ValueError("K must be positive")
-    vals = exp_sum_rep(weights).table.lattice_sum(np.arange(K), 0.0, alpha=K)[0].real
+    vals = exp_sum_rep(weights).lattice_sum(np.arange(K), 0.0, alpha=K)[0].real
     return DiscreteWindow(K=K, values=tuple(float(v) for v in vals), weights=weights)
 
 

@@ -7,7 +7,7 @@ convolution of one-sided exponentials.  Evaluation goes through a confluent
 divided difference in the weights, or, where the weight product leaves the
 double range, through the partial fractions.  On a half-line without a weight
 of its sign the window is zero, and neither route computes there (see
-:func:`eval_tp`).  The partial fractions, :class:`ExpSumRep`, are a two-piece
+:func:`eval_tp`).  The partial fractions, :func:`exp_sum_rep`, are a two-piece
 exp-poly table (``ebspline.ExpPolyTable``), the same object the B-spline is
 built on; every lattice sum runs on it too.
 """
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ebspline import _COALESCE_TOL, ExpPolyTable, cluster_values
+from .ebspline import _COALESCE_TOL, ExpPolyTable, _like_input, cluster_values
 from .errors import EmptyInput, IllConditioned, ZeroWeight
 
 # Beyond this value of sum(log|a_nu|) the product of the weights (and the
@@ -114,7 +114,9 @@ def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
                 # repeated node: f^{(level)}(t)/level! = (-x)^level e^{-x t}/level!
                 mask = active[i] & ~zero & ~np.isinf(x)  # chi derivatives vanish at x = 0; 0 is the limit at +-inf
                 rows[i][:] = 0.0
-                rows[i][mask] = ((-x[mask]) ** level) * np.exp(-b[i] * x[mask]) / fact
+                with np.errstate(over="ignore", invalid="ignore"):  # x^level = inf meets e^{-b x} = 0: the limit 0
+                    v = ((-x[mask]) ** level) * np.exp(-b[i] * x[mask]) / fact
+                rows[i][mask] = np.where(np.isnan(v), 0.0, v)
             else:
                 np.subtract(rows[i + 1], rows[i], out=rows[i])
                 rows[i] /= b[i + level] - b[i]
@@ -126,7 +128,7 @@ def eval_tp(weights: WeightMultiset, x):
 
     Uses the divided-difference closed form; where sum(log|a|) passes
     ``_LOG_PRODUCT_SWITCH`` the weight product overflows, and the window's
-    partial-fraction table, ``exp_sum_rep(weights).eval``, is used instead
+    partial-fraction table, ``exp_sum_rep(weights)``, is used instead
     (confluent weights included).
 
     The divided difference is taken only at live points.  At a dead point (x < 0
@@ -146,7 +148,7 @@ def eval_tp(weights: WeightMultiset, x):
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if weights.log_abs_product > _LOG_PRODUCT_SWITCH:
-        vals = exp_sum_rep(weights).eval(xs)
+        vals = _eval_table(exp_sum_rep(weights), xs)
     else:
         nodes = weights.cluster_nodes()
         # dead points: see above; NaN stays live and takes the full route
@@ -164,9 +166,7 @@ def eval_tp(weights: WeightMultiset, x):
         vals = (-1.0) ** (weights.n - 1) * sign_x * prod_a * dd
     # clip roundoff-negative values; genuine negatives would indicate a bug
     vals[(vals < 0) & (vals > -1e-10)] = 0.0
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(vals[0])
-    return vals
+    return _like_input(x, vals)
 
 
 def fourier_tp(weights: WeightMultiset, omega):
@@ -175,48 +175,31 @@ def fourier_tp(weights: WeightMultiset, omega):
     out = np.ones(w.shape if w.ndim else (), dtype=complex)
     for a in weights.raw:
         out = out / (1.0 + 2j * np.pi * w / a)
-    if np.isscalar(omega) or np.asarray(omega).ndim == 0:
-        return complex(out)
-    return out
+    return _like_input(omega, out)
 
 
 # ---------------------------------------------------------------------------
 # Two-sided exponential-sum representation
 
 
-@dataclass(frozen=True)
-class ExpSumRep:
-    """g_n as a two-piece exp-poly table: piece 0 is x < 0, piece 1 is x >= 0.
-
-    The exponents are eta = -b for the clusters b in ascending order, summed in
-    that order.  A term lives on the half-line where it decays (b > 0 on the
-    right); its polynomial is in the global coordinate x, ascending.  ``table``
-    holds the residues in extended precision, for the lattice sums; ``eval``
-    runs on a float64 copy of it.
-    """
-
-    table: ExpPolyTable
-
-    def eval(self, x) -> np.ndarray | float:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        f64 = ExpPolyTable(self.table.etas, self.table.coeffs.astype(float))
-        # x = 0 is on the right piece unless no term lives there; +-inf gets the
-        # limit 0 uncomputed (c x e^{-b x} would be inf * 0 there), and NaN stays
-        piece = np.where(np.isfinite(xs), xs >= 0 if f64.coeffs[1].any() else xs > 0, -1)
-        out = np.where(np.isnan(xs), xs, f64.eval(piece, xs))
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return float(out[0])
-        return out
-
-    __call__ = eval
+def _eval_table(table: ExpPolyTable, xs: np.ndarray) -> np.ndarray:
+    """The window's partial-fraction table at the points xs, on a float64 copy of it."""
+    f64 = ExpPolyTable(table.etas, table.coeffs.astype(float))
+    # x = 0 is on the right piece unless no term lives there; +-inf gets the
+    # limit 0 uncomputed (c x e^{-b x} would be inf * 0 there), and NaN stays
+    piece = np.where(np.isfinite(xs), xs >= 0 if f64.coeffs[1].any() else xs > 0, -1)
+    return np.where(np.isnan(xs), xs, f64.eval(piece, xs))
 
 
-def exp_sum_rep(weights: WeightMultiset) -> ExpSumRep:
-    """Partial-fraction representation of g_n as polynomial x exponential terms.
+def exp_sum_rep(weights: WeightMultiset) -> ExpPolyTable:
+    """The partial fractions of g_n, as a two-piece exp-poly table: piece 0 is x < 0,
+    piece 1 is x >= 0, and the exponents are eta = -b for the clusters b, ascending.
 
-    The coefficients are the higher-order residues of the Fourier product at
-    s = -b_i, obtained from the log-derivative recursion in extended precision
-    (they cancel against each other as the weights crowd); the result is
+    A term lives on the half-line where it decays (b > 0 on the right); its
+    polynomial is in the global coordinate x, ascending.  The coefficients are the
+    higher-order residues of the Fourier product at s = -b_i, obtained from the
+    log-derivative recursion in extended precision (they cancel against each other
+    as the weights crowd; ``eval_tp`` evaluates a float64 copy); the result is
     verified against the Fourier product and :class:`IllConditioned` is raised
     unless the reconstruction residual is at most ``_CHECK_TOL`` relative to
     max(1, |Fourier product|).
@@ -247,7 +230,7 @@ def exp_sum_rep(weights: WeightMultiset) -> ExpSumRep:
         else:
             coeffs[0, i, :mu] = [-v for v in c]
 
-    rep = ExpSumRep(ExpPolyTable([-b for b, _ in weights.distinct], coeffs))
+    table = ExpPolyTable([-b for b, _ in weights.distinct], coeffs)
 
     # residual check against the Fourier product at a few frequencies
     tb, tj, tc = (np.array(v, t) for v, t in zip(zip(*terms), (_EXT, int, _EXT)))
@@ -260,4 +243,4 @@ def exp_sum_rep(weights: WeightMultiset) -> ExpSumRep:
                 f"partial-fraction residual {abs(recon - target):.3e} at omega={om}; "
                 "weights may be too close without coalescing, or their product overflows"
             )
-    return rep
+    return table

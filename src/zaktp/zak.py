@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ebspline import PiecewiseExpPoly, build_ebspline, eval_ebspline
+from .ebspline import PiecewiseExpPoly, _like_input, build_ebspline, eval_ebspline
 from .errors import PoleHit, StripViolation
 from .weights import WeightMultiset, exp_sum_rep, make_weights
 
@@ -36,7 +36,7 @@ def zak_tp_with_tail(weights: WeightMultiset, x: float, s) -> tuple[complex, flo
     """Direct Zak value and its rounding bound: the lattice sum is in closed form, with no tail."""
     sc = complex(s)
     _check_strip(weights, sc.imag)
-    z, bound = exp_sum_rep(weights).table.lattice_sum(float(x), sc)
+    z, bound = exp_sum_rep(weights).lattice_sum(float(x), sc)
     return complex(z), float(bound)
 
 
@@ -58,9 +58,7 @@ def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
     for k, col in enumerate(_spline_columns(B, x0)):
         out += col * np.exp(-2j * np.pi * k * sc)
     out *= np.exp(2j * np.pi * n_shift * sc)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return complex(out[0])
-    return out
+    return _like_input(x, out)
 
 
 @functools.lru_cache(maxsize=128)
@@ -136,7 +134,7 @@ def zak_dilation_check(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    lhs = complex(exp_sum_rep(weights).table.lattice_sum(x, omega, alpha)[0])
+    lhs = complex(exp_sum_rep(weights).lattice_sum(x, omega, alpha)[0])
     scaled = make_weights([alpha * a for a in weights.raw], coalesce_tol=0.0)
     rhs = zak_factorized(scaled, x / alpha, alpha * omega) / alpha
     return {"d": (lhs, complex(rhs))}
@@ -202,7 +200,7 @@ def compute_zak_grid(
         phases = np.exp(-2j * np.pi * np.outer(s, np.arange(B.m)))  # (n_omega, m)
         values, tail = zak_prefactor(weights, s)[:, None] * (phases @ _spline_columns(B, xs)), 0.0
     elif source == "direct_series":
-        values, bound = exp_sum_rep(weights).table.lattice_sum(xs, oms + 1j * tau)
+        values, bound = exp_sum_rep(weights).lattice_sum(xs, oms + 1j * tau)
         tail = float(bound.max(initial=0.0))
     else:
         raise ValueError(f"unknown source {source!r}")

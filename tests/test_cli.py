@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from test_golden import COMMANDS as GOLDEN_COMMANDS
+from test_golden import GOLDEN
 
 from zaktp.cli import parse_and_run
 
@@ -176,3 +178,23 @@ def test_framebounds_grid_cap_is_an_error(capsys, res, refinements):
     assert code == 1
     assert out == ""
     assert err.startswith("ValueError: ") and "exceeds 4194304 nodes" in err
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_out_writes_the_golden_bytes(tmp_path, capsys, name):
+    # every subcommand honours --out: nothing on stdout, the golden bytes in the file
+    path = tmp_path / "out.txt"
+    code, out, err = run(capsys, *GOLDEN_COMMANDS[name], "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command", ["eval", "zero", "certify", "framebounds", "discrete-frame", "converge", "psi"]
+)
+def test_format_is_a_usage_error_except_on_zak(capsys, command):
+    # only zak has a choice of format; the others would ignore the option
+    argv = next(argv for argv in GOLDEN_COMMANDS.values() if argv[0] == command)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --format json" in err

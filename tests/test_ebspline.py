@@ -12,14 +12,15 @@ from piece_oracle import piece, reduce_terms, slice_terms
 
 from zaktp.analysis import _slice_table
 from zaktp.ebspline import (
+    PiecewiseExpPoly,
+    _spline_weights,
     build_ebspline,
     eval_ebspline,
     fourier_ebspline,
-    make_weight_vector,
     reduce_ebspline,
 )
-from zaktp.weights import make_weights
-from zaktp.zak import zak_factorized, zak_tp
+from zaktp.weights import eval_tp, fourier_tp, make_weights
+from zaktp.zak import zak_ebspline, zak_factorized, zak_tp
 
 
 def test_box_spline():
@@ -133,10 +134,34 @@ def test_reduce_matches_finite_difference():
         assert eval_ebspline(red, x) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
-def test_make_weight_vector_clusters():
-    wv = make_weight_vector([1.0, 1.0 + 1e-12, -0.5])
-    assert wv.m == 3
-    assert len(wv.clusters) == 2
+def test_spline_weights_cluster():
+    lambdas, clusters = _spline_weights([1.0, 1.0 + 1e-12, -0.5])
+    assert len(lambdas) == 3
+    assert len(clusters) == 2
+
+
+@pytest.mark.parametrize("lams,message", [([], "weight vector is empty"), ([1.0, math.inf], "is not finite")])
+def test_spline_weights_refuse_empty_and_nonfinite(lams, message):
+    with pytest.raises(ValueError, match=message):
+        build_ebspline(lams)
+    with pytest.raises(ValueError, match=message):
+        fourier_ebspline(lams, 0.3)
+
+
+def test_scalar_in_python_scalar_out():
+    # a scalar or 0-d point gives a Python float or complex, an array point an array
+    w, lams = make_weights([1.0, -2.0]), [0.5, -1.0]
+    B, complex_B = build_ebspline(lams), PiecewiseExpPoly((((0.0, (1.0 + 1.0j,)),),))
+    cases = [
+        (eval_tp, w, float), (fourier_tp, w, complex), (eval_ebspline, B, float),
+        (eval_ebspline, complex_B, complex), (fourier_ebspline, lams, complex),
+        (lambda spline, x: zak_ebspline(spline, x, 0.3), B, complex),
+    ]
+    for f, obj, kind in cases:
+        for x in (0.4, np.float64(0.4), np.array(0.4)):
+            assert type(f(obj, x)) is kind
+            assert f(obj, x) == f(obj, [x])[0]
+        assert f(obj, [0.4, 0.7]).shape == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +201,10 @@ def test_table_equals_per_term_oracle(lams, eta, s):
 @given(lams=lambda_vectors)
 def test_every_piece_carries_every_exponent(lams):
     B = build_ebspline(lams)
-    wv = make_weight_vector(lams)
+    clusters = _spline_weights(lams)[1]
     for piece in B.pieces:
-        assert [eta for eta, _ in piece] == [b for b, _ in wv.clusters]
-        for (eta, coeffs), (_, mu) in zip(piece, wv.clusters):
+        assert [eta for eta, _ in piece] == [b for b, _ in clusters]
+        for (eta, coeffs), (_, mu) in zip(piece, clusters):
             assert len(coeffs) <= mu
 
 
@@ -197,9 +222,9 @@ def test_chained_cluster_keeps_every_entry():
     # each entry is within 0.9e-9 of the next, but the ends are 2.7e-9 apart:
     # one cluster of four, and no entry may be dropped
     vals = [1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9, 1.0 + 2.7e-9, -0.5]
-    wv = make_weight_vector(vals)
-    assert wv.m == 5
-    assert [mu for _, mu in wv.clusters] == [1, 4]
-    assert set(wv.lambdas) == {b for b, _ in wv.clusters}
+    lambdas, clusters = _spline_weights(vals)
+    assert len(lambdas) == 5
+    assert [mu for _, mu in clusters] == [1, 4]
+    assert set(lambdas) == {b for b, _ in clusters}
     w = make_weights(vals)
     assert zak_factorized(w, 0.3, 0.2) == pytest.approx(zak_tp(w, 0.3, 0.2), abs=1e-10)

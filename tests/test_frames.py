@@ -362,9 +362,24 @@ def _distinct_weights_and_N(draw):
 @given(_distinct_weights_and_N())
 def test_frame_bounds_match_mpmath(case):
     # every node of the kernel's grid, and the reported bounds, within
-    # 1e-12 of the grid maximum (measured: at most 1e-14 at these gaps)
+    # 1e-12 of the grid maximum (measured: at most 1e-14 at these gaps, but
+    # see the crowded window below, which a rare draw reaches)
+    _assert_frame_bounds_match_mpmath(*case)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the spline factor loses accuracy silently (coefficients "
+    "reach 2.3e5), and _zak_squares is 1.51e-12 of the maximum off",
+)
+def test_frame_bounds_match_mpmath_on_a_crowded_negative_window():
+    # a window the hypothesis strategy above drew once: one sign, the last gaps 0.22 and 0.20
+    _assert_frame_bounds_match_mpmath([-1.3078125, -2.190625, -2.606640625, -2.825390625, -3.028515625], 1)
+
+
+def _assert_frame_bounds_match_mpmath(ws, N):
     mp = pytest.importorskip("mpmath")
-    ws, N = case
     w = make_weights(ws)
     rep = frame_bounds(w, N, resolution=(4, 6), refinements=1)
     xs, oms = np.arange(8) / 8, np.arange(12) / 12

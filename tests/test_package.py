@@ -25,7 +25,6 @@ def _python(*args, env=None):
 PUBLIC_NAMES = """
 DiscreteWindow
 EmptyInput
-ExpSumRep
 FrameBoundsReport
 IllConditioned
 Indivisible
@@ -40,7 +39,6 @@ StripViolation
 ToleranceUnreachable
 WeightGenerator
 WeightMultiset
-WeightVector
 ZakGrid
 ZakTPError
 ZeroCertificate
@@ -64,7 +62,6 @@ frame_bounds
 frames
 fully_reduced_sign_changes
 locate_zero_half
-make_weight_vector
 make_weights
 periodize_sample
 psi_decay_diagnostic

@@ -18,6 +18,7 @@ from zaktp.convergence import WeightGenerator, truncate
 from zaktp.errors import EmptyInput, IllConditioned, ZeroWeight
 from zaktp.weights import (
     _LOG_PRODUCT_SWITCH,
+    _eval_table,
     eval_tp,
     exp_sum_rep,
     fourier_tp,
@@ -133,9 +134,8 @@ def test_exp_sum_rep_matches_eval():
         n = int(rng.integers(1, 6))
         a = rng.uniform(0.5, 4, size=n) * rng.choice([-1, 1], size=n)
         w = make_weights(a)
-        rep = exp_sum_rep(w)
         xs = rng.uniform(-5, 5, size=30)
-        assert np.allclose(rep.eval(xs), eval_tp(w, xs), rtol=1e-8, atol=1e-12)
+        assert np.allclose(_eval_table(exp_sum_rep(w), xs), eval_tp(w, xs), rtol=1e-8, atol=1e-12)
 
 
 def test_exp_sum_rep_survives_an_overflowing_weight_product():
@@ -149,7 +149,7 @@ def test_exp_sum_rep_survives_an_overflowing_weight_product():
     xs = np.concatenate([[0.0], np.geomspace(1e-6, 3.0, 40)])
     with mp.workdps(60):
         ref = [float(v) for v in windows(mp, w.raw, xs)]
-    assert np.max(np.abs(exp_sum_rep(w).eval(xs) - ref)) <= 1e-14
+    assert np.max(np.abs(_eval_table(exp_sum_rep(w), xs) - ref)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +318,14 @@ def test_eval_tp_wide_route_sums_term_by_term():
     assert peak < 8e6
 
 
-def _table_every_term(rep, xs):
-    """ExpSumRep.eval with every live term formed at every point of its half-line
+def _table_every_term(table, xs):
+    """_eval_table with every live term formed at every point of its half-line
     (piece_oracle, no underflow skip)."""
-    coeffs = rep.table.coeffs.astype(float)
+    coeffs = table.coeffs.astype(float)
     piece_of = np.where(np.isfinite(xs), xs >= 0 if coeffs[1].any() else xs > 0, -1)
     out = np.zeros(xs.shape)
     for p in (0, 1):
-        terms = [(eta, c) for eta, c in zip(rep.table.etas, coeffs[p]) if c.any()]
+        terms = [(eta, c) for eta, c in zip(table.etas, coeffs[p]) if c.any()]
         out[piece_of == p] = piece(terms, xs[piece_of == p])
     return np.where(np.isnan(xs), xs, out)
 
@@ -337,11 +337,11 @@ def test_table_skips_only_exponentials_that_underflow(values):
     # a term is left out only where np.exp(eta t) is exactly +0: the same bytes
     # as forming every term, signed zeros included, at 1e4 points of the support
     w = make_weights(values)
-    rep = exp_sum_rep(w)
+    table = exp_sum_rep(w)
     xs = np.concatenate([np.random.default_rng(7).uniform(-40.0 / w.a0, 40.0 / w.a0, 10_000), EDGE_POINTS])
     with np.errstate(all="ignore"):
         for pts in (xs, np.zeros(0), xs[:12].reshape(3, 4)):
-            assert rep.eval(pts).tobytes() == _table_every_term(rep, pts).tobytes()
+            assert _eval_table(table, pts).tobytes() == _table_every_term(table, pts).tobytes()
 
 
 class _CountingExp:
@@ -369,26 +369,37 @@ def test_table_forms_few_exponentials_on_the_wide_set(monkeypatch):
 
 @pytest.mark.parametrize(
     "values",
-    [[1.0, 1.0, 2.0], [1.0, -2.0, 3.0], WIDE, WIDE + [2.4, 4.8], [-a for a in WIDE], [(-2.0) ** k for k in range(1, 41)]],
-    ids=["confluent", "mixed", "wide", "wide_confluent", "wide_negative", "powers_of_minus_2"],
+    [
+        [1.0, 1.0, 2.0], [1.0, -2.0, 3.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0], [1.0, 1.0, -2.0, -2.0, -2.0],
+        WIDE, WIDE + [2.4, 4.8], [-a for a in WIDE], [(-2.0) ** k for k in range(1, 41)],
+    ],
+    ids=[
+        "confluent", "mixed", "triple", "quadruple", "mixed_triple",
+        "wide", "wide_confluent", "wide_negative", "powers_of_minus_2",
+    ],
 )
 def test_eval_tp_at_huge_points_warns_of_no_overflow(values):
     # -a x past the double range is -inf, whose exponential is the limit 0: the
     # bytes the full computation gives, with no RuntimeWarning on the way.  On the
     # table route every point is +0; wide_confluent at 1e308 was NaN (Horner's
-    # c1 x = inf times e^{-b x} = 0) before the table skipped underflowing terms
+    # c1 x = inf times e^{-b x} = 0) before the table skipped underflowing terms.
+    # A node of multiplicity 3 or more has rows (-x)^level e^{-b x}: where the
+    # power overflows, the old algorithm gives inf * 0 = NaN, the kernel the limit 0
     w = make_weights(values)
-    xs = np.array([1e308, -1e308, 1e200, -1e200])
+    xs = np.array([1e308, -1e308, 1e200, -1e200, 1e154, -1e154])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = eval_tp(w, xs)
         scalars = np.array([eval_tp(w, x) for x in xs])
     if w.log_abs_product > _LOG_PRODUCT_SWITCH:
-        want = np.zeros(4)
+        want = np.zeros(len(xs))
     else:
         with np.errstate(all="ignore"):
             want = _eval_tp_all_points(w, xs)
-    assert got.tobytes() == want.tobytes() == scalars.tobytes()
+    nan = np.isnan(want)
+    assert np.all(got[nan] == 0)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert got.tobytes() == scalars.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -96,7 +96,7 @@ def test_lattice_sum_matches_mpmath(case):
     mp = pytest.importorskip("mpmath")
     weights, x, s, alpha = case
     try:
-        got, bound = exp_sum_rep(make_weights(weights)).table.lattice_sum(x, s, alpha)
+        got, bound = exp_sum_rep(make_weights(weights)).lattice_sum(x, s, alpha)
     except IllConditioned:
         mags = np.unique(np.abs(weights))
         assert len(mags) > 1 and np.min(np.diff(mags)) < 1.0
