@@ -53,7 +53,6 @@ from .errors import (
     PoleHit,
     SigmaTooLarge,
     StripViolation,
-    ToleranceUnreachable,
     ZakTPError,
     ZeroWeight,
 )

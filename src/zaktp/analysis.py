@@ -2,11 +2,13 @@
 
 All zeros of the Zak transform of a TP window lie at omega = 1/2, so the
 zero search is one-dimensional: bracket the single sign change of the real
-2-periodic slice Z(., 1/2) and close in on it by Brent's method.  Both the
-search and the certifier work on the spline factor of Z g = P Z B: the
-prefactor P has no zero in the strip, and Z B is a finite sum over the
-spline's pieces.  The certifier covers a region with a grid scan of Z B plus
-a Lipschitz majorant; where that fails, the structure theorem
+2-periodic slice Z(., 1/2), narrow it by k-section and finish with a secant
+step.  Both the search and the certifier work on the spline factor of
+Z g = P Z B: the prefactor P has no zero in the strip, and Z B is a finite
+sum over the spline's pieces.  On [0, 1) the slice Re Z B(., 1/2) is one
+table of exponential-polynomial terms, extended by h(x + 1) = -h(x).  The
+certifier covers a region with a grid scan of Z B plus a Lipschitz
+majorant; where that fails, the structure theorem
 Z B(x, 1/2 + i tau) = e^{-2 pi tau x} Z (B e^{2 pi tau .})(x, 1/2) names the
 one candidate zero, which is then checked.
 """
@@ -20,13 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .ebspline import ExpPolyTable, PiecewiseExpPoly
-from .errors import (
-    IllConditioned,
-    MultipleZeros,
-    NoZero,
-    NotUnitMonotone,
-    ToleranceUnreachable,
-)
+from .errors import IllConditioned, MultipleZeros, NoZero, NotUnitMonotone
 from .weights import WeightMultiset
 from .zak import _check_strip, _spline_for, zak_ebspline, zak_prefactor
 
@@ -51,69 +47,9 @@ def _spline_factor(window):
     return _spline_for(window.raw) if isinstance(window, WeightMultiset) else window
 
 
-def _half_slice_fun(window):
-    """Real function x -> Re Z(x, 1/2) for a TP window or a spline."""
-    pref = _prefactor(window)(0.5)
-    B = _spline_factor(window)
-    return lambda x: np.real(pref * zak_ebspline(B, x, 0.5))
-
-
-def _slice_table(B: PiecewiseExpPoly, s: complex) -> ExpPolyTable:
-    """Z B(., s) on [0,1) as a one-piece table."""
-    return B.table.zak_sum([np.exp(-2j * np.pi * k * s) for k in range(B.m)])
-
-
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """Root of f in a sign-changing bracket [xa, xb] by Brent's method.
-
-    A step-for-step port of SciPy's ``brentq.c`` with its defaults
-    (rtol = 4 eps, 100 iterations), so roots are bit-identical to
-    ``scipy.optimize.brentq``.  Raises :class:`ToleranceUnreachable` when
-    the iterations run out.
-    """
-    rtol, maxiter = 4 * np.finfo(float).eps, 100
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # C gives an infinite or NaN step on underflow; both fail the test below
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise ToleranceUnreachable(f"Brent's method did not converge in {maxiter} iterations (last x = {xcur!r})")
+def _slice_table(table: ExpPolyTable, s: complex) -> ExpPolyTable:
+    """Z f(., s) on [0,1) as a one-piece table, f the piecewise sum with these pieces."""
+    return table.zak_sum([np.exp(-2j * np.pi * k * s) for k in range(len(table.coeffs))])
 
 
 def _cyclic_sign_changes(vals: np.ndarray) -> list[tuple[int, int]]:
@@ -124,20 +60,26 @@ def _cyclic_sign_changes(vals: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(nz[cut].tolist(), np.roll(nz, -1)[cut].tolist()))
 
 
-def locate_zero_half(window, tol: float = 1e-12) -> float:
-    """The unique zero of Z(., 1/2) in [0,1), by bracketing and Brent's method.
+def _sample_two_periodic(table: ExpPolyTable, per_period: int = 512) -> np.ndarray:
+    """Samples on [0,2) of the slice h with h(x+1) = -h(x), h = the one-piece table on [0,1)."""
+    t = np.arange(per_period) / per_period
+    vals = np.real(table.eval(0, t))
+    return np.concatenate([vals, -vals])
 
-    Raises :class:`NoZero` when the slice has no sign change (type-1
-    windows) and :class:`MultipleZeros` when more than one bracket per
-    period survives, which would contradict the single-zero property.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
-    f = _half_slice_fun(window)
-    N = 4096
-    xs = np.arange(N) * (2.0 / N)
-    vals = f(xs)
+def _two_periodic(h: ExpPolyTable, x: np.ndarray) -> np.ndarray:
+    """The slice at x >= 0: h on [0,1), extended by h(x+1) = -h(x)."""
+    k = np.floor(x)
+    return np.real(h.eval(0, x - k)) * (1.0 - 2.0 * (k % 2))
+
+
+def _table_zero(h: ExpPolyTable, tol: float) -> float:
+    """The zero in [0,1) of the slice extended by h(x+1) = -h(x), h a one-piece
+    table on [0,1): the search of :func:`locate_zero_half`."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    N = 2048
+    vals = _sample_two_periodic(h, N)
 
     if not vals.any():
         raise NoZero("slice vanishes identically on the sample grid")
@@ -151,19 +93,48 @@ def locate_zero_half(window, tol: float = 1e-12) -> float:
     zero_mask = vals == 0.0
     if np.any(zero_mask):
         runs = np.diff(np.flatnonzero(np.diff(np.concatenate(([0], zero_mask.view(np.int8), [0])))))[::2]
-        if runs.size and runs.max() * (2.0 / N) > max(100.0 * tol, 2.5 * (2.0 / N)):
+        if runs.size and runs.max() / N > max(100.0 * tol, 2.5 / N):
             raise MultipleZeros("zero plateau wider than 100 x tol")
 
     lo_i, hi_i = changes[0]
-    lo, hi = xs[lo_i], xs[hi_i]
+    lo, hi = lo_i / N, hi_i / N
     if hi < lo:
         hi += 2.0
-    root = _brentq(lambda t: float(f(np.asarray([t]))[0]), lo, hi, xtol=tol)
+    f_lo, f_hi = vals[lo_i], vals[hi_i]
+    while True:
+        xs = np.linspace(lo, hi, 65)
+        fs = _two_periodic(h, xs)
+        fs[[0, -1]] = f_lo, f_hi  # the bracket's signs, as first found
+        if not fs.all():
+            return float(xs[np.argmin(fs != 0.0)] % 1.0)
+        i = int(np.argmax(np.signbit(fs[1:]) != np.signbit(fs[:-1])))
+        width, lo, hi, f_lo, f_hi = hi - lo, xs[i], xs[i + 1], fs[i], fs[i + 1]
+        if hi - lo <= tol + 4 * np.finfo(float).eps * abs(lo) or not hi - lo < width:
+            break
+    ends = np.array([lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo)])
+    err = np.abs(_two_periodic(h, ends))
     # a jump discontinuity (type-1 window at integer x) also brackets a sign
     # change; only accept the root if the slice actually vanishes there
-    if abs(float(f(np.asarray([root]))[0])) > 1e-6 * float(np.max(np.abs(vals))):
+    if err.min() > 1e-6 * float(np.max(np.abs(vals))):
         raise NoZero("sign change is a jump discontinuity, not a zero")
-    return float(root % 1.0)
+    return float(ends[np.argmin(err)] % 1.0)
+
+
+def locate_zero_half(window, tol: float = 1e-12) -> float:
+    """The unique zero of Z(., 1/2) in [0,1), on the slice table of the spline factor.
+
+    Z g(., 1/2) = P(1/2) Z B(., 1/2), P(1/2) = prod a / (1 + e^{-a}) real and
+    nonzero, so the zero is that of h = Re Z B(., 1/2), the one-piece table
+    :func:`_slice_table` extended by h(x+1) = -h(x).  A scan of 4096 points of
+    [0, 2) brackets the sign change; k-section on the table, 64 subintervals
+    per pass, narrows it until it is at most tol + 4 eps |x| wide or stops
+    shrinking, and the result is whichever of its ends and its secant point
+    has the smallest |h|.  Raises ``ValueError`` unless 0 < tol < inf,
+    :class:`NoZero` when the slice has no sign change or jumps there (type-1
+    windows) and :class:`MultipleZeros` when more than one bracket per period
+    survives, which would contradict the single-zero property.
+    """
+    return _table_zero(_slice_table(_spline_factor(window).table, 0.5), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +233,9 @@ def _structure_zero(B: PiecewiseExpPoly, P, region: Region):
     """
     tau = region.tau
     grow = np.exp(2.0 * np.pi * tau * np.arange(B.m))[:, None, None]
-    B_tau = PiecewiseExpPoly.from_table(ExpPolyTable(B.table.etas + 2.0 * np.pi * tau, B.table.coeffs * grow))
+    table_tau = ExpPolyTable(B.table.etas + 2.0 * np.pi * tau, B.table.coeffs * grow)  # B_tau's table
     try:
-        x_tau = locate_zero_half(B_tau)
+        x_tau = _table_zero(_slice_table(table_tau, 0.5), 1e-12)
     except NoZero:
         return None
     x = x_tau + math.ceil(region.x[0] - x_tau)
@@ -420,13 +391,6 @@ class MonotonicityReport:
     eta: float
 
 
-def _sample_two_periodic(table: ExpPolyTable, per_period: int = 512) -> np.ndarray:
-    """Samples on [0,2) of the slice h with h(x+1) = -h(x), h = the one-piece table on [0,1)."""
-    t = np.arange(per_period) / per_period
-    vals = np.real(table.eval(0, t))
-    return np.concatenate([vals, -vals])
-
-
 def reduced_slice_monotonicity(weights: WeightMultiset, eta_index: int) -> MonotonicityReport:
     """Monotone-offset report for Z B(., 1/2) and its reduction D_eta.
 
@@ -438,7 +402,7 @@ def reduced_slice_monotonicity(weights: WeightMultiset, eta_index: int) -> Monot
     if not (0 <= eta_index < len(etas)):
         raise ValueError(f"eta_index {eta_index} outside 0..{len(etas) - 1}")
     eta = etas[eta_index]
-    h0 = _slice_table(B, 0.5)
+    h0 = _slice_table(B.table, 0.5)
     x0 = unit_monotone_offset(_sample_two_periodic(h0))
     y0 = unit_monotone_offset(_sample_two_periodic(h0.reduce(eta)))
     return MonotonicityReport(x0=x0, y0=y0, eta=eta)
@@ -452,7 +416,7 @@ def fully_reduced_sign_changes(weights: WeightMultiset, omega: float, N: int) ->
     the real part, 256 samples per unit.
     """
     B = _spline_for(weights.raw)
-    red = _slice_table(B, complex(omega))
+    red = _slice_table(B.table, complex(omega))
     clusters = sorted(((-b, mu) for b, mu in weights.distinct))
     for idx, (eta, mu) in enumerate(clusters):
         for _ in range(mu - 1 if idx == 0 else mu):

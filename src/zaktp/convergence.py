@@ -8,6 +8,7 @@ Zak transform.  The limit function itself is never evaluated.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,63 +85,22 @@ class WeightGenerator:
         raise ValueError(f"unknown rule {self.rule!r}")
 
 
-# Euler-Maclaurin coefficients (2k)!/B_2k of Cephes' zeta.c
-_ZETA_A = (
-    12.0,
-    -720.0,
-    30240.0,
-    -1209600.0,
-    47900160.0,
-    -1.8924375803183791606e9,
-    7.47242496e10,
-    -2.950130727918164224e12,
-    1.1646782814350067249e14,
-    -4.5979787224074726105e15,
-    1.8152105401943546773e17,
-    -7.1661652561756670113e18,
-)
-_MACHEP = 2.0**-53
+# B_2, B_4, ..., B_16
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
 def _trigamma(q: float) -> float:
-    """psi_1(q) = zeta(2, q) for q >= 1: the Hurwitz zeta of Cephes' zeta.c.
-
-    Same operations in the same order as SciPy's ``polygamma(1, q)``, so
-    the result is bit-identical to it: a direct sum of at least nine terms
-    until the argument exceeds 9, then at most 12 Euler-Maclaurin terms;
-    beyond q = 1e8 the two-term asymptotic expansion.
-    """
-    x = 2.0
-    if q > 1e8:
-        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
-    s = q**-x
-    a = q
-    i = 0
-    b = 0.0
-    while i < 9 or a <= 9.0:
-        i += 1
-        a += 1.0
-        b = a**-x
-        s += b
-        if abs(b / s) < _MACHEP:
-            return s
-    w = a
-    s += b * w / (x - 1.0)
-    s -= 0.5 * b
-    a = 1.0
-    k = 0.0
-    for coef in _ZETA_A:
-        a *= x + k
-        b /= w
-        t = a * b / coef
-        s = s + t
-        if abs(t / s) < _MACHEP:
-            return s
-        k += 1.0
-        a *= x + k
-        b /= w
-        k += 1.0
-    return s
+    """psi_1(q) = sum_{k >= 0} (q + k)^-2 for q >= 1: the recurrence psi_1(q) = psi_1(q + 1)
+    + 1/q^2 up to z >= 10, then 1/z + 1/(2 z^2) + sum_{k <= 8} B_2k / z^(2k+1) (DLMF 5.15.8)."""
+    shift = max(0, math.ceil(10.0 - q))
+    z = q + shift
+    w, series = 1.0 / (z * z), 0.0
+    for b in reversed(_BERNOULLI):
+        series = series * w + b
+    out = (1.0 + 0.5 / z + w * series) / z
+    for k in reversed(range(shift)):  # the smallest terms first
+        out += 1.0 / (q + k) ** 2
+    return out
 
 
 def truncate(gen: WeightGenerator, n: int) -> WeightMultiset:

@@ -25,10 +25,6 @@ class StripViolation(ZakTPError):
     """A complex frequency lies outside the strip of convergence |tau| < a0/(2*pi)."""
 
 
-class ToleranceUnreachable(ZakTPError):
-    """An iteration (Brent's root search) ran out of steps before reaching its tolerance."""
-
-
 class PoleHit(ZakTPError):
     """A prefactor denominator of the Zak factorization is numerically zero."""
 

@@ -77,8 +77,7 @@ def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
     An ndarray s takes the array path, one call per omega column: the frame
     kernel ``frames._zak_squares`` (once per shift j), the factorized route
     of ``compute_zak_grid`` and the certificate scan.  Scalars serve the
-    single frequencies of ``zak_factorized`` (inversion and dilation checks)
-    and the zero search's slice at omega = 1/2.
+    single frequencies of ``zak_factorized`` (inversion and dilation checks).
     """
     vec = isinstance(s, np.ndarray)  # a scalar stays off 0-d arrays, which cost ~6x per call
     sc = s.astype(complex) if vec else complex(s)

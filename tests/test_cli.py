@@ -27,6 +27,20 @@ def test_zero_type1_reports_error(capsys):
     assert "NoZero" in err
 
 
+def test_zero_coarse_tol_returns_the_root(capsys):
+    # a tolerance wider than the scan's bracket still ends on the zero, not on the jump check
+    code, out, _ = run(capsys, "zero", "--weights", "1,-2", "--tol", "1e-3")
+    assert code == 0
+    assert json.loads(out)["x_zero"] == pytest.approx(0.60455544117491655, abs=1e-3)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_zero_rejects_a_tol_that_is_not_finite(capsys, tol):
+    code, out, err = run(capsys, "zero", "--weights", "1,-2", "--tol", tol)
+    assert (code, out) == (1, "")
+    assert err == f"ValueError: tol must be positive and finite, got {tol}\n"
+
+
 def test_zak_refuses_a_huge_grid(capsys):
     # exit 1 with a message, before the 4e10-node grid is allocated
     code, out, err = run(capsys, "zak", "--weights=1,-1", "--nx", "200000", "--nomega", "200000")

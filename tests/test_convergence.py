@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from mp_oracle import lattice_sum
@@ -33,25 +34,27 @@ def test_square_sum_tail_harmonic_brute_force():
     assert gen.square_sum_tail(5) == pytest.approx(brute, rel=1e-4)
 
 
-# n = 0..20,000 as square_sum_tail passes them, plus the q > 1e8 asymptotic branch
+# n = 0..20,000 as square_sum_tail passes them, plus arguments far past the recurrence
 TRIGAMMA_ARGS = [n + 1.0 for n in range(20001)] + [1e8, 1e8 + 1.0, 3.7e9, 1e15]
 
 
-def test_trigamma_port_equals_scipy_polygamma():
-    polygamma = pytest.importorskip("scipy.special").polygamma
-    ref = polygamma(1, np.asarray(TRIGAMMA_ARGS))
-    assert [_trigamma(q) for q in TRIGAMMA_ARGS] == ref.tolist()
-    for c in (1.0, -0.7, 2.5):
-        for rule in (WeightGenerator.harmonic(c), WeightGenerator.alternating(c)):
-            assert rule.square_sum_tail(7) == float(polygamma(1, 8)) / c**2
-
-
 def test_trigamma_port_within_1e15_of_mpmath():
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
+    with mp.workdps(30):
         for q in TRIGAMMA_ARGS[:1000] + TRIGAMMA_ARGS[1000::19]:
-            ref = float(mpmath.psi(1, q))
+            ref = float(mp.psi(1, q))
             assert abs(_trigamma(q) - ref) <= 1e-15 * ref
+
+
+def test_square_sum_tail_within_1e15_of_mpmath():
+    # sum_{nu > n} (c nu)^-2 = psi_1(n + 1) / c^2 for both rules, on every argument
+    with mp.workdps(30):
+        cs = [(mp.mpf(c) ** 2, (WeightGenerator.harmonic(c), WeightGenerator.alternating(c))) for c in (1.0, -0.7, 2.5)]
+        for q in TRIGAMMA_ARGS:
+            psi1 = mp.psi(1, q)
+            for c2, rules in cs:
+                ref = psi1 / c2
+                for rule in rules:
+                    assert abs(rule.square_sum_tail(int(q) - 1) - ref) <= 1e-15 * ref
 
 
 def test_square_sum_tail_geometric_brute_force():
@@ -96,7 +99,6 @@ def test_zak_strip_distance_decreasing():
     # harmonic n = 20 is the largest reference that this strip accepts: from
     # n = 22 the rounding bound near x = 0 passes 1e-10 and the closed form
     # refuses.  Each distance bounds |Zg_n - Zg_20| at grid nodes, in mpmath
-    mp = pytest.importorskip("mpmath")
     gen = WeightGenerator.harmonic(1.0)
     ref = truncate(gen, 20)
     xi = 0.1 / (2 * np.pi)

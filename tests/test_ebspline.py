@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,20 +46,16 @@ def test_single_exponential_piece():
 
 
 def test_convolution_oracle_quadrature():
-    quad = pytest.importorskip("scipy.integrate").quad
     # B_{(l1,l2)}(x) = int B_{(l1)}(t) e^{l2 (x-t)} chi_[0,1)(x-t) dt
     l1, l2 = 0.6, -1.1
     B1 = build_ebspline([l1])
     B12 = build_ebspline([l1, l2])
     for x in (0.3, 0.9, 1.2, 1.8):
-        val, _ = quad(
-            lambda t: eval_ebspline(B1, t)
-            * (math.exp(l2 * (x - t)) if 0 <= x - t < 1 else 0.0),
-            max(0.0, x - 1),
-            min(1.0, x),
-            limit=200,
+        val = mp.quad(
+            lambda t: float(eval_ebspline(B1, float(t))) * (math.exp(l2 * (x - float(t))) if 0 <= x - t < 1 else 0.0),
+            [max(0.0, x - 1), min(1.0, x)],
         )
-        assert eval_ebspline(B12, x) == pytest.approx(val, abs=1e-12)
+        assert eval_ebspline(B12, x) == pytest.approx(float(val), abs=1e-12)
 
 
 def test_confluent_branch_matches_near_confluent():
@@ -94,13 +91,12 @@ def test_smoothness_order():
 
 
 def test_fourier_ebspline_against_quadrature():
-    quad = pytest.importorskip("scipy.integrate").quad
     lams = [0.4, -0.8]
     B = build_ebspline(lams)
     for om in (0.0, 0.3, 1.7):
-        re, _ = quad(lambda x: eval_ebspline(B, x) * math.cos(2 * np.pi * om * x), 0, 2, limit=200)
-        im, _ = quad(lambda x: -eval_ebspline(B, x) * math.sin(2 * np.pi * om * x), 0, 2, limit=200)
-        assert fourier_ebspline(lams, om) == pytest.approx(re + 1j * im, abs=1e-10)
+        # B has a kink at the knot 1
+        val = mp.quad(lambda x: float(eval_ebspline(B, float(x))) * mp.expj(-2 * mp.pi * om * x), [0, 1, 2])
+        assert fourier_ebspline(lams, om) == pytest.approx(complex(val), abs=1e-10)
 
 
 def test_fourier_ebspline_product_form():
@@ -192,7 +188,7 @@ def test_table_equals_per_term_oracle(lams, eta, s):
     red = reduce_ebspline(B, eta)
     assert np.array_equal(eval_ebspline(red, x), _oracle_eval(red, x))
     t = np.linspace(0.0, 1.0, 101)
-    h = _slice_table(B, s)
+    h = _slice_table(B.table, s)
     assert np.array_equal(h.eval(0, t), piece(slice_terms(B, s), t))
     assert np.array_equal(h.reduce(eta).eval(0, t), piece(reduce_terms(slice_terms(B, s), eta), t))
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,7 +286,6 @@ def test_frame_bounds_value_at_zero_hint_is_exact(ws):
     # the zero's cancellation: within 1e-28 B_est of mpmath at the same
     # float x; squaring an autocorrelation sum would miss by ~1e-16 B_est.
     # Where Brent's root is good to the last bits the value itself is tiny
-    mp = pytest.importorskip("mpmath")
     w = make_weights(ws)
     rep = frame_bounds(w, 1, resolution=(8, 8), refinements=1)
     assert rep.min_location == (locate_zero_half(w), 0.5)
@@ -379,7 +379,6 @@ def test_frame_bounds_match_mpmath_on_a_crowded_negative_window():
 
 
 def _assert_frame_bounds_match_mpmath(ws, N):
-    mp = pytest.importorskip("mpmath")
     w = make_weights(ws)
     rep = frame_bounds(w, N, resolution=(4, 6), refinements=1)
     xs, oms = np.arange(8) / 8, np.arange(12) / 12
@@ -433,7 +432,6 @@ def test_discrete_frame_large_K():
 def test_periodize_sample_tiny_weight_matches_closed_form():
     # a0 = 1e-6 at K = 1: v_0 = a / (1 - e^{-a}), a geometric series of 10^7
     # significant terms that no truncation could finish
-    mp = pytest.importorskip("mpmath")
     dw = periodize_sample(make_weights([1e-6]), 1)
     with mp.workdps(30):
         a = mp.mpf(1e-6)
@@ -495,7 +493,6 @@ def test_period_count_at_the_cap(target):
 @pytest.mark.parametrize("ws,K", [([0.4, -1.3, 2.0], 5), ([0.9, -2.1, 1.4], 360), ([1.3, 2.3, -4.0], 1), ([0.7], 3)])
 def test_periodize_sample_matches_mpmath(ws, K):
     # v_j = sum_k g(j + kK) = Z_K g(j, 0)
-    mp = pytest.importorskip("mpmath")
     dw = periodize_sample(make_weights(ws), K)
     with mp.workdps(30):
         ref = [float(mp.re(lattice_sum(mp, ws, j, 0, K))) for j in range(K)]

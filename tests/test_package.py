@@ -36,7 +36,6 @@ PoleHit
 Region
 SigmaTooLarge
 StripViolation
-ToleranceUnreachable
 WeightGenerator
 WeightMultiset
 ZakGrid

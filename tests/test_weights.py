@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,11 +63,10 @@ def test_eval_tp_two_sided_exponential():
 
 
 def test_eval_tp_integral_is_one():
-    quad = pytest.importorskip("scipy.integrate").quad
-    # normalization: the Fourier transform at 0 is 1
+    # normalization: the Fourier transform at 0 is 1; g has a kink at 0
     w = make_weights([1.0, -2.0, 3.0])
-    val, err = quad(lambda x: eval_tp(w, x), -30, 30, limit=200)
-    assert val == pytest.approx(1.0, abs=1e-9)
+    val = mp.quad(lambda x: float(eval_tp(w, float(x))), [-30, 0, 30])
+    assert float(val) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_eval_tp_nonnegative():
@@ -109,9 +109,8 @@ def test_eval_tp_large_n_harmonic_stable():
     assert np.all(vals[xs >= 2.5] >= 0.0)
     # at n = 16 the table is well conditioned and the mass integrates to 1
     w16 = make_weights(np.arange(1, 17, dtype=float))
-    quad = pytest.importorskip("scipy.integrate").quad
-    val, _ = quad(lambda x: eval_tp(w16, x), 0, 40, limit=300)
-    assert val == pytest.approx(1.0, abs=1e-9)
+    val = mp.quad(lambda x: float(eval_tp(w16, float(x))), [0, 40])
+    assert float(val) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_eval_tp_large_n_geometric_stable():
@@ -143,7 +142,6 @@ def test_exp_sum_rep_survives_an_overflowing_weight_product():
     # ratios a_k / (a_k - a_i) that stays in range; the table, evaluated in
     # float64 as eval_tp does here, is within 1e-14 of the mpmath partial
     # fractions (measured 3.0e-15)
-    mp = pytest.importorskip("mpmath")
     w = truncate(WeightGenerator.geometric(1.0, 2.0), 64)
     assert not math.isfinite(math.prod(w.raw))
     xs = np.concatenate([[0.0], np.geomspace(1e-6, 3.0, 40)])
@@ -174,7 +172,6 @@ def _eval_tp_all_points(weights, x):
 @functools.lru_cache(maxsize=None)
 def _mp_peak(values):
     """max |g| over 71 points in [-2, 5], from 80-digit mpmath."""
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(80):
         return float(max(abs(v) for v in windows(mp, values, np.linspace(-2.0, 5.0, 71))))
 
@@ -183,7 +180,6 @@ def _assert_table_route(w, xs):
     """eval_tp where sum log|a| > 500, on the partial-fraction table: within
     1e-13 peak of 80-digit mpmath at finite x, +0 uncomputed on a half-line
     without terms and at +-inf, and the NaN itself at NaN."""
-    mp = pytest.importorskip("mpmath")
     assert w.log_abs_product > _LOG_PRODUCT_SWITCH
     nodes = w.cluster_nodes()
     got = eval_tp(w, xs)
@@ -272,7 +268,6 @@ def test_eval_tp_wide_windows_against_mpmath(values):
     # the log-space partial fractions that the table replaced were off by
     # 5.3e-13, 9.7e-14, 2.2e-13, 1.3e-13 and 6.0e-13 of the peak here, and
     # refused the confluent set
-    mp = pytest.importorskip("mpmath")
     w = make_weights(values)
     assert w.log_abs_product > _LOG_PRODUCT_SWITCH
     xs = np.linspace(-2.0, 5.0, 71)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,6 @@ def test_type1_geometric_series_values():
 def test_tail_bound_is_honest():
     # the lattice sum is in closed form: no tail, and the reported bound is
     # its rounding, which holds against mpmath
-    mp = pytest.importorskip("mpmath")
     w = make_weights([1.0, -2.0])
     val, bound = zak_tp_with_tail(w, 0.3, 0.2)
     assert 0.0 < bound <= 1e-15
@@ -93,7 +93,6 @@ def test_lattice_sum_matches_mpmath(case):
     # their partial fractions; where the bound passes 1e-10 max(1, |Z|) they
     # raise IllConditioned and return no value.  A window whose magnitudes
     # are 1 apart never does (none of 11,500 random windows of this range).
-    mp = pytest.importorskip("mpmath")
     weights, x, s, alpha = case
     try:
         got, bound = exp_sum_rep(make_weights(weights)).lattice_sum(x, s, alpha)
@@ -115,7 +114,6 @@ def test_crowded_harmonic_prefixes_raise(n):
     # n = 32 and 40 fail on all five closed-form routes; n = 28 fails near
     # x = 0 and returns a value within its stated bound of mpmath at x = 1/2,
     # where e^{-a y} damps the large residues.
-    mp = pytest.importorskip("mpmath")
     w = truncate(WeightGenerator.harmonic(1.0), n)
     for route in (
         lambda: zak_tp(w, 0.3, 0.2),
@@ -251,7 +249,6 @@ def test_zak_grid_csv_schema():
 def test_zak_near_strip_edge_matches_mpmath():
     # q = e^{-(a0 - 2 pi tau)} = e^{-1e-4}: the geometric series the old
     # truncation could not finish is summed exactly
-    mp = pytest.importorskip("mpmath")
     w = make_weights([1.0, -1.0])
     s = complex(0.2, 0.9999 * w.a0 / (2 * np.pi))
     with mp.workdps(30):
