@@ -24,7 +24,7 @@ import numpy as np
 from .ebspline import ExpPolyTable, PiecewiseExpPoly
 from .errors import IllConditioned, MultipleZeros, NoZero, NotUnitMonotone
 from .weights import WeightMultiset
-from .zak import _check_strip, _spline_for, zak_ebspline, zak_prefactor
+from .zak import _check_strip, zak_ebspline, zak_prefactor
 
 _ZERO_TOL = 1e-8  # certify_zero_free: a zero, relative to max(1, max |Z g|)
 
@@ -40,11 +40,6 @@ def _prefactor(window):
     if isinstance(window, PiecewiseExpPoly):
         return np.ones_like
     raise TypeError(f"unsupported window type {type(window)!r}")
-
-
-def _spline_factor(window):
-    """B with Z window(x, s) = P(s) Z B(x, s); a spline is its own factor."""
-    return _spline_for(window.raw) if isinstance(window, WeightMultiset) else window
 
 
 def _slice_table(table: ExpPolyTable, s: complex) -> ExpPolyTable:
@@ -134,7 +129,8 @@ def locate_zero_half(window, tol: float = 1e-12) -> float:
     windows) and :class:`MultipleZeros` when more than one bracket per period
     survives, which would contradict the single-zero property.
     """
-    return _table_zero(_slice_table(_spline_factor(window).table, 0.5), tol)
+    B = window.spline if isinstance(window, WeightMultiset) else window  # a spline is its own factor
+    return _table_zero(_slice_table(B.table, 0.5), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +277,8 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
     :class:`IllConditioned` when |Z g| is not finite on the grid; an
     overflowing |P| raises before B is built.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    if not 0 < grid_step < math.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     for name, (lo, hi) in (("x", region.x), ("omega", region.omega)):
         if not lo <= hi:
             raise ValueError(f"region {name} range ({lo}, {hi}) is reversed")
@@ -296,7 +292,7 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
     with np.errstate(over="ignore", invalid="ignore"):
         pref = np.abs(P(og + 1j * tau))[:, None]
     _require_finite(pref)
-    B = _spline_factor(window)
+    B = window.spline if isinstance(window, WeightMultiset) else window
     ks, G0, G1, G2 = _series_tables(B, tau, xg)
     dk = (-2j * np.pi * ks)[:, None]
     phases = np.exp(-2j * np.pi * og[:, None] * ks[None, :])
@@ -397,12 +393,11 @@ def reduced_slice_monotonicity(weights: WeightMultiset, eta_index: int) -> Monot
     ``eta_index`` selects a distinct spline weight eta = -b of the window's
     cluster list.
     """
-    B = _spline_for(weights.raw)
     etas = sorted({-b for b, _ in weights.distinct})
     if not (0 <= eta_index < len(etas)):
         raise ValueError(f"eta_index {eta_index} outside 0..{len(etas) - 1}")
     eta = etas[eta_index]
-    h0 = _slice_table(B.table, 0.5)
+    h0 = _slice_table(weights.spline.table, 0.5)
     x0 = unit_monotone_offset(_sample_two_periodic(h0))
     y0 = unit_monotone_offset(_sample_two_periodic(h0.reduce(eta)))
     return MonotonicityReport(x0=x0, y0=y0, eta=eta)
@@ -415,8 +410,7 @@ def fully_reduced_sign_changes(weights: WeightMultiset, omega: float, N: int) ->
     slice, extends by quasi-periodicity, and counts strong sign changes of
     the real part, 256 samples per unit.
     """
-    B = _spline_for(weights.raw)
-    red = _slice_table(B.table, complex(omega))
+    red = _slice_table(weights.spline.table, complex(omega))
     clusters = sorted(((-b, mu) for b, mu in weights.distinct))
     for idx, (eta, mu) in enumerate(clusters):
         for _ in range(mu - 1 if idx == 0 else mu):

@@ -69,6 +69,16 @@ def _parse_range(text: str) -> tuple[float, float]:
     return vals[0], vals[1]
 
 
+def _parse_grid(text: str) -> tuple[float, float, int]:
+    try:
+        lo, hi, count = text.split(":")
+        if int(count) > 0:
+            return float(lo), float(hi), int(count)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad grid {text!r}, expected lo:hi:count with count >= 1")
+
+
 def _weights_from(args) -> WeightMultiset:
     """``--weights`` or ``--gen``; parse_and_run has checked that one is given."""
     if args.weights is not None:
@@ -89,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate the TP window on a grid")
     add_common(sp)
     sp.add_argument("--x", type=_parse_floats, help="comma-separated sample points")
-    sp.add_argument("--grid", help="lo:hi:count uniform grid")
+    sp.add_argument("--grid", type=_parse_grid, help="lo:hi:count uniform grid")
     sp.add_argument(
         "--apply-shift",
         action="store_true",
@@ -150,8 +160,7 @@ def _run(args) -> int:
         if args.x is not None:
             xs = np.asarray(args.x, dtype=float)
         elif args.grid is not None:
-            lo, hi, count = args.grid.split(":")
-            xs = np.linspace(float(lo), float(hi), int(count))
+            xs = np.linspace(*args.grid)
         else:
             xs = np.linspace(-10.0 / w.a0, 10.0 / w.a0, 201)
         if args.apply_shift:
@@ -209,7 +218,8 @@ def _run(args) -> int:
     if args.command == "psi":
         w = _weights_from(args)
         p = args.p if args.p is not None else w.n
-        taus = np.logspace(np.log10(args.tau_min), np.log10(args.tau_max), args.samples)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a tau bound <= 0 gives NaN samples: refused below
+            taus = np.logspace(np.log10(args.tau_min), np.log10(args.tau_max), args.samples)
         slope = psi_decay_diagnostic(w, args.omega, taus, p)
         write_report({"fitted_exponent": slope, "p": p}, "json", args.out)
         return 0

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SigmaTooLarge
-from .weights import WeightMultiset, eval_tp, exp_sum_rep, make_weights
+from .weights import WeightMultiset, eval_tp, make_weights
 from .zak import _check_strip
 
 
@@ -112,8 +112,8 @@ def truncate(gen: WeightGenerator, n: int) -> WeightMultiset:
 
 def _sup_grid(a0: float, sigma: float, grid: np.ndarray | None = None) -> np.ndarray:
     """Check sigma against a0 and return the grid, by default [-40/a0, 40/a0]."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not sigma >= 0:  # NaN fails too
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if sigma >= a0:
         raise SigmaTooLarge(f"sigma = {sigma} >= a0 = {a0}")
     if grid is None:
@@ -151,12 +151,12 @@ def zak_strip_distance(w_n: WeightMultiset, w_m: WeightMultiset, xi: float) -> f
     return float(np.max(np.abs(_strip_values(w_n, float(xi)) - _strip_values(w_m, float(xi)))))
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=2)  # of samples, not of a representation (the window holds its table)
 def _strip_values(weights: WeightMultiset, xi: float) -> np.ndarray:
     """Zg on the strip grid, (9, 4, 64); a sweep pairs each prefix with one reference."""
     xs = np.arange(64) / 64
     taus = np.linspace(-xi, xi, 9) if xi > 0 else np.asarray([0.0])
-    out = exp_sum_rep(weights).lattice_sum(xs, np.add.outer(1j * taus, [0.0, 0.25, 0.5, 0.75]))[0]
+    out = weights.table.lattice_sum(xs, np.add.outer(1j * taus, [0.0, 0.25, 0.5, 0.75]))[0]
     out.setflags(write=False)
     return out
 
@@ -183,8 +183,8 @@ def psi_decay_diagnostic(
     if p > weights.n:
         raise ValueError(f"p = {p} exceeds the number of weights n = {weights.n}")
     taus = np.asarray(tau_samples, dtype=float)
-    if np.any(taus == 0):
-        raise ValueError("tau samples must be nonzero")
+    if taus.size < 2 or not (math.isfinite(omega) and np.all(np.isfinite(taus)) and np.all(taus != 0)):
+        raise ValueError("need a finite omega and at least two tau samples, finite and nonzero")
     # log|1/Psi| accumulated in log space to avoid overflow for large tau
     log_inv = np.zeros(taus.shape)
     for a in weights.raw:

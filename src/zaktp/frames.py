@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Indivisible
-from .weights import WeightMultiset, exp_sum_rep
-from .zak import _MAX_GRID_NODES, _spline_columns, _spline_for, zak_prefactor
+from .weights import WeightMultiset
+from .zak import _MAX_GRID_NODES, _spline_columns, zak_prefactor
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def _zak_squares(weights: WeightMultiset, N: int, xs: np.ndarray, oms: np.ndarra
     their sums, so the zero's cancellation happens in them; a squared
     autocorrelation sum would turn it into noise of order eps * |P Z|^2.
     """
-    B = _spline_for(weights.raw)
+    B = weights.spline
     bv = _spline_columns(B, xs)
     ks = 2.0 * np.pi * np.arange(B.m)
     total = np.zeros((len(oms), len(xs)))
@@ -151,7 +151,7 @@ def periodize_sample(weights: WeightMultiset, K: int) -> DiscreteWindow:
     """Periodized integer samples v_j = Z_K g(j, 0), summed in closed form."""
     if K < 1:
         raise ValueError("K must be positive")
-    vals = exp_sum_rep(weights).lattice_sum(np.arange(K), 0.0, alpha=K)[0].real
+    vals = weights.table.lattice_sum(np.arange(K), 0.0, alpha=K)[0].real
     return DiscreteWindow(K=K, values=tuple(float(v) for v in vals), weights=weights)
 
 

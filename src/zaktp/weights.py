@@ -7,19 +7,21 @@ convolution of one-sided exponentials.  Evaluation goes through a confluent
 divided difference in the weights, or, where the weight product leaves the
 double range, through the partial fractions.  On a half-line without a weight
 of its sign the window is zero, and neither route computes there (see
-:func:`eval_tp`).  The partial fractions, :func:`exp_sum_rep`, are a two-piece
-exp-poly table (``ebspline.ExpPolyTable``), the same object the B-spline is
-built on; every lattice sum runs on it too.
+:func:`eval_tp`).  A window carries two representations, each built on first
+use: ``table``, the partial fractions of :func:`exp_sum_rep`, a two-piece
+exp-poly table (``ebspline.ExpPolyTable``) that every lattice sum runs on, and
+``spline``, the spline factor B of Z g = P Z B, built on the same table type.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .ebspline import _COALESCE_TOL, ExpPolyTable, _like_input, cluster_values
+from .ebspline import _COALESCE_TOL, ExpPolyTable, PiecewiseExpPoly, _like_input, build_ebspline, cluster_values
 from .errors import EmptyInput, IllConditioned, ZeroWeight
 
 # Beyond this value of sum(log|a_nu|) the product of the weights (and the
@@ -54,6 +56,16 @@ class WeightMultiset:
     @property
     def log_abs_product(self) -> float:
         return float(np.sum(np.log(np.abs(np.asarray(self.raw)))))
+
+    @cached_property
+    def table(self) -> ExpPolyTable:
+        """The partial fractions, :func:`exp_sum_rep`: every lattice sum runs on them."""
+        return exp_sum_rep(self)
+
+    @cached_property
+    def spline(self) -> PiecewiseExpPoly:
+        """The spline factor B of Z g = P Z B, the exponential B-spline with weights -a."""
+        return build_ebspline([-a for a in self.raw])
 
     def cluster_nodes(self) -> np.ndarray:
         """Cluster values expanded with multiplicity, sorted ascending."""
@@ -128,7 +140,7 @@ def eval_tp(weights: WeightMultiset, x):
 
     Uses the divided-difference closed form; where sum(log|a|) passes
     ``_LOG_PRODUCT_SWITCH`` the weight product overflows, and the window's
-    partial-fraction table, ``exp_sum_rep(weights)``, is used instead
+    partial-fraction table, ``weights.table``, is used instead
     (confluent weights included).
 
     The divided difference is taken only at live points.  At a dead point (x < 0
@@ -148,7 +160,7 @@ def eval_tp(weights: WeightMultiset, x):
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if weights.log_abs_product > _LOG_PRODUCT_SWITCH:
-        vals = _eval_table(exp_sum_rep(weights), xs)
+        vals = _eval_table(weights.table, xs)
     else:
         nodes = weights.cluster_nodes()
         # dead points: see above; NaN stays live and takes the full route

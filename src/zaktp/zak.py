@@ -1,10 +1,10 @@
 """Zak transforms of TP windows and splines, in closed form.
 
-Two independent evaluation routes are provided.  The direct route sums the
-window's partial fractions (``weights.exp_sum_rep``) over the lattice in closed
+Two independent routes, one per representation the window carries.  The direct
+route sums its partial fractions ``window.table`` over the lattice in closed
 form and states its rounding bound; where crowded weights make the bound pass
 1e-10 max(1, |Z|) it raises ``IllConditioned`` instead.  The factorized route
-goes through the associated exponential B-spline, a finite sum.  The frequency
+is a finite sum over its exponential B-spline factor ``window.spline``.  The
 argument may be complex, s = omega + i*tau, inside the strip |tau| < a0 / (2*pi).
 """
 from __future__ import annotations
@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ebspline import PiecewiseExpPoly, _like_input, build_ebspline, eval_ebspline
+from .ebspline import PiecewiseExpPoly, _like_input, eval_ebspline
 from .errors import PoleHit, StripViolation
-from .weights import WeightMultiset, exp_sum_rep, make_weights
+from .weights import WeightMultiset, make_weights
 
 _STRIP_MARGIN = 1e-6
 _MAX_GRID_NODES = 1 << 22
@@ -26,7 +26,7 @@ _MAX_GRID_NODES = 1 << 22
 
 def _check_strip(weights: WeightMultiset, tau: float):
     edge = weights.a0 / (2.0 * np.pi)
-    if abs(tau) >= (1.0 - _STRIP_MARGIN) * edge:
+    if not abs(tau) < (1.0 - _STRIP_MARGIN) * edge:  # NaN fails too
         raise StripViolation(
             f"|tau| = {abs(tau):.6g} is outside the open strip (edge {edge:.6g})"
         )
@@ -36,7 +36,7 @@ def zak_tp_with_tail(weights: WeightMultiset, x: float, s) -> tuple[complex, flo
     """Direct Zak value and its rounding bound: the lattice sum is in closed form, with no tail."""
     sc = complex(s)
     _check_strip(weights, sc.imag)
-    z, bound = exp_sum_rep(weights).lattice_sum(float(x), sc)
+    z, bound = weights.table.lattice_sum(float(x), sc)
     return complex(z), float(bound)
 
 
@@ -59,11 +59,6 @@ def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
         out += col * np.exp(-2j * np.pi * k * sc)
     out *= np.exp(2j * np.pi * n_shift * sc)
     return _like_input(x, out)
-
-
-@functools.lru_cache(maxsize=128)
-def _spline_for(raw: tuple[float, ...]) -> PiecewiseExpPoly:
-    return build_ebspline([-a for a in raw])
 
 
 def _spline_columns(B: PiecewiseExpPoly, xs: np.ndarray) -> np.ndarray:
@@ -94,8 +89,7 @@ def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
 
 def zak_factorized(weights: WeightMultiset, x, s) -> complex | np.ndarray:
     """Zak transform via the spline factorization (exact, preferred for scans)."""
-    B = _spline_for(weights.raw)
-    return zak_prefactor(weights, s) * zak_ebspline(B, x, s)
+    return zak_prefactor(weights, s) * zak_ebspline(weights.spline, x, s)
 
 
 _QUAD_POINTS = 256  # Gauss-Legendre nodes of zak_inversion_check
@@ -133,7 +127,7 @@ def zak_dilation_check(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    lhs = complex(exp_sum_rep(weights).lattice_sum(x, omega, alpha)[0])
+    lhs = complex(weights.table.lattice_sum(x, omega, alpha)[0])
     scaled = make_weights([alpha * a for a in weights.raw], coalesce_tol=0.0)
     rhs = zak_factorized(scaled, x / alpha, alpha * omega) / alpha
     return {"d": (lhs, complex(rhs))}
@@ -183,23 +177,25 @@ def compute_zak_grid(
 ) -> ZakGrid:
     """Scan the Zak transform over a rectangle of one lattice cell.
 
-    Both sources evaluate the whole grid at once; a grid of more than 2^22
-    nodes is refused with ``ValueError`` before it is allocated.
+    Both sources evaluate the whole grid at once; a grid without nodes, or
+    of more than 2^22, is refused with ``ValueError`` before it is allocated.
     """
     xs = np.asarray(x_samples, dtype=float)
     oms = np.asarray(omega_samples, dtype=float)
+    if xs.size == 0 or oms.size == 0:
+        raise ValueError("the grid needs at least one x and one omega sample")
     if len(xs) * len(oms) > _MAX_GRID_NODES:
         raise ValueError(f"a {len(xs)}x{len(oms)} grid exceeds {_MAX_GRID_NODES} nodes")
     if np.any(xs < 0) or np.any(xs >= 1) or np.any(oms < 0) or np.any(oms >= 1):
         raise ValueError("grid must lie within the lattice cell [0,1) x [0,1)")
     _check_strip(weights, tau)
     if source == "ebspline_factorized":
-        B = _spline_for(weights.raw)
+        B = weights.spline
         s = oms + 1j * tau
         phases = np.exp(-2j * np.pi * np.outer(s, np.arange(B.m)))  # (n_omega, m)
         values, tail = zak_prefactor(weights, s)[:, None] * (phases @ _spline_columns(B, xs)), 0.0
     elif source == "direct_series":
-        values, bound = exp_sum_rep(weights).lattice_sum(xs, oms + 1j * tau)
+        values, bound = weights.table.lattice_sum(xs, oms + 1j * tau)
         tail = float(bound.max(initial=0.0))
     else:
         raise ValueError(f"unknown source {source!r}")

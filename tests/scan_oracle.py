@@ -15,11 +15,15 @@ from zaktp.analysis import (
     _prefactor,
     _require_finite,
     _series_tables,
-    _spline_factor,
     _structure_zero,
 )
 from zaktp.weights import WeightMultiset
 from zaktp.zak import _check_strip
+
+
+def _spline_factor(window):
+    """B with Z window(x, s) = P(s) Z B(x, s); a spline is its own factor."""
+    return window.spline if isinstance(window, WeightMultiset) else window
 
 
 def scan_grids(window, region: Region, grid_step: float):

@@ -14,7 +14,7 @@ from piece_oracle import piece, reduce_terms, slice_terms
 from scan_oracle import full_grid_certificate, scan_grids
 
 import zaktp.analysis
-import zaktp.zak
+import zaktp.weights
 from zaktp.analysis import (
     MonotonicityReport,
     Region,
@@ -24,7 +24,6 @@ from zaktp.analysis import (
     _sample_two_periodic,
     _series_tables,
     _slice_table,
-    _spline_factor,
     certify_zero_free,
     fully_reduced_sign_changes,
     locate_zero_half,
@@ -35,8 +34,8 @@ from zaktp.analysis import (
 from zaktp.convergence import WeightGenerator, truncate
 from zaktp.ebspline import build_ebspline, reduce_ebspline
 from zaktp.errors import IllConditioned, NotUnitMonotone, NoZero, StripViolation, ZakTPError
-from zaktp.weights import make_weights
-from zaktp.zak import _spline_for, zak_ebspline, zak_tp
+from zaktp.weights import WeightMultiset, make_weights
+from zaktp.zak import zak_ebspline, zak_tp
 
 
 def test_even_window_zero_at_half():
@@ -78,7 +77,8 @@ def _sign_changes_loop(vals):
 
 def _half_slice_samples(window):
     """The zero search's samples of Re Z B(., 1/2) at 4096 points of [0, 2)."""
-    return _sample_two_periodic(_slice_table(_spline_factor(window).table, 0.5), 2048)
+    B = window.spline if isinstance(window, WeightMultiset) else window
+    return _sample_two_periodic(_slice_table(B.table, 0.5), 2048)
 
 
 def test_cyclic_sign_changes_match_loop():
@@ -110,7 +110,7 @@ def _distance_and_slack(a, x):
 
         root = mp.findroot(h, (mp.mpf(x) - mp.mpf(1e-9), mp.mpf(x) + mp.mpf(1e-9)), solver="anderson")
         near = float(root) + np.linspace(-1e-13, 1e-13, 17)
-        float_h = np.real(zak_ebspline(_spline_for(tuple(a)), near, 0.5))
+        float_h = np.real(zak_ebspline(make_weights(a).spline, near, 0.5))
         rho = max(abs(float(v - h(t))) for v, t in zip(float_h, near))
         dist = abs(mp.mpf(x) - root)
         return float(min(dist, 1 - dist)), 1e-14 + 4 * rho / abs(float(mp.diff(h, root)))
@@ -180,7 +180,7 @@ REFINE_WEIGHTS = [1.3, -2.1, 3.0]
 def test_certify_refinement_finds_zero(case):
     w = make_weights(REFINE_WEIGHTS)
     tau = 0.25 * w.a0 / (2 * np.pi) if case == "tau" else 0.0
-    window = _spline_for(w.raw) if case == "spline" else w
+    window = w.spline if case == "spline" else w
     # Z g(x, 1/2 + i tau) = e^{-2 pi tau x} Z h(x, 1/2) with h = g e^{2 pi tau .},
     # and h is (up to a constant) the TP window with weights a - 2 pi tau
     h = make_weights([a - 2 * np.pi * tau for a in REFINE_WEIGHTS])
@@ -194,14 +194,13 @@ def test_certify_refinement_finds_zero(case):
 def test_certify_builds_representation_once(monkeypatch):
     # the refinement works on the spline's own table: no spline is rebuilt
     calls = []
-    real = zaktp.zak.build_ebspline
+    real = zaktp.weights.build_ebspline
 
     def counting(lam):
         calls.append(lam)
         return real(lam)
 
-    monkeypatch.setattr(zaktp.zak, "build_ebspline", counting)
-    _spline_for.cache_clear()
+    monkeypatch.setattr(zaktp.weights, "build_ebspline", counting)
     w = make_weights(REFINE_WEIGHTS)
     box = _shifted_box(locate_zero_half(w))
     for _ in range(2):
@@ -220,14 +219,13 @@ def test_certify_raises_when_modulus_is_not_finite():
 def test_certify_overflow_raises_before_building_the_spline(monkeypatch, n):
     # |P| overflows, so |Z g| = |P| |Z B| cannot be finite: no spline is built
     calls = []
-    real = zaktp.zak.build_ebspline
+    real = zaktp.weights.build_ebspline
 
     def counting(lam):
         calls.append(lam)
         return real(lam)
 
-    monkeypatch.setattr(zaktp.zak, "build_ebspline", counting)
-    _spline_for.cache_clear()
+    monkeypatch.setattr(zaktp.weights, "build_ebspline", counting)
     w = truncate(WeightGenerator.geometric(1.0, 2.0), n)
     with pytest.raises(IllConditioned, match="not finite"):
         certify_zero_free(w, Region(x=(0.0, 1.0), omega=(0.0, 0.48)), grid_step=1 / 64)
@@ -262,7 +260,7 @@ def _zero_boxes(draw):
         signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
         w = make_weights([s * m for s, m in zip(signs, mags)])
         lams = [-a for a in w.raw]
-        window = w if kind == "weights" else _spline_for(w.raw)
+        window = w if kind == "weights" else w.spline
         tau = draw(st.floats(-0.6, 0.6)) * w.a0 / (2 * np.pi)
     # the zero of Z B(., 1/2 + i tau), from the spline with weights lambda + 2 pi tau
     x_tau = locate_zero_half(build_ebspline([lam + 2 * np.pi * tau for lam in lams]))
@@ -310,7 +308,7 @@ def test_certify_probe_has_no_false_verdict_against_mpmath():
             x_star = float(mp.findroot(f, (lo, hi), solver="anderson"))
             zeros = [(x_star + k, 0.5 + j) for k in range(-3, 4) for j in range(-2, 3)]
             for ri in range(5):
-                window = _spline_for(w.raw) if ri % 2 else w
+                window = w.spline if ri % 2 else w
                 step = 1.0 / float(rng.choice([32, 64, 128, 256]))
                 if ri < 3:  # a box around one of the zeros
                     hx, ho = rng.uniform(step, 0.2, 2)
@@ -350,7 +348,7 @@ def _scan_cases(draw):
         st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
     )
     w = make_weights([s * m for s, m in zip(signs, mags)])
-    window = _spline_for(w.raw) if draw(st.booleans()) else w
+    window = w.spline if draw(st.booleans()) else w
     tau = draw(st.sampled_from([0.0, draw(st.floats(-0.6, 0.6)) * w.a0 / (2 * np.pi)]))
     step = 1.0 / draw(st.sampled_from([32, 64, 128, 256, 512]))
     try:
@@ -430,6 +428,12 @@ def test_certify_rejects_reversed_range(region):
         certify_zero_free(make_weights([1.0, -1.0]), region, grid_step=1 / 64)
 
 
+@pytest.mark.parametrize("step", [0.0, -1 / 64, float("nan"), float("inf")])
+def test_certify_rejects_a_step_that_is_not_positive_and_finite(step):
+    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+        certify_zero_free(make_weights([1.0, -1.0]), Region(x=(0.0, 1.0), omega=(0.0, 0.48)), grid_step=step)
+
+
 @pytest.mark.parametrize("case", ["weights", "spline", "confluent", "tau"])
 def test_series_tables_equal_per_shift_loop(case):
     # reference: one evaluation per lattice shift of B and of its derivative
@@ -438,7 +442,7 @@ def test_series_tables_equal_per_shift_loop(case):
     tau = 0.25 * w.a0 / (2 * np.pi) if case == "tau" else 0.0
     # a weights window reaches the tables through its spline factor
     splines = {"spline": [0.0, 0.0, 1.5, -0.7], "confluent": [-2.0, -2.0, -2.0, 1.0, 1.0]}
-    B = build_ebspline(splines[case]) if case in splines else _spline_factor(w)
+    B = build_ebspline(splines[case]) if case in splines else w.spline
     xg = np.linspace(-1.7, 2.6, 37)  # more than a period on either side of the cell
     ks, G0, G1, G2 = _series_tables(B, tau, xg)
     samp = [B, reduce_ebspline(B, 0.0), reduce_ebspline(reduce_ebspline(B, 0.0), 0.0)]
@@ -551,7 +555,7 @@ def test_reduced_slice_monotonicity_equals_piecewise_route():
     for _ in range(50):
         n = int(rng.integers(2, 7))
         w = make_weights(rng.uniform(0.5, 6.0, size=n) * rng.choice([-1, 1], size=n))
-        h0 = slice_terms(_spline_for(w.raw), 0.5)
+        h0 = slice_terms(w.spline, 0.5)
         eta = -w.distinct[-1][0]
         ref = []
         for h in (h0, reduce_terms(h0, eta)):

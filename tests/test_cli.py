@@ -41,6 +41,28 @@ def test_zero_rejects_a_tol_that_is_not_finite(capsys, tol):
     assert err == f"ValueError: tol must be positive and finite, got {tol}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("zak", "--weights=1,-1", "--nx", "0"), "ValueError: the grid needs at least one x and one omega sample"),
+        (("zak", "--weights=1,-1", "--nomega", "-3"), "ValueError: the grid needs at least one x and one omega sample"),
+        (("zak", "--weights=1,-1", "--tau", "nan", "--nx", "2", "--nomega", "2"), "StripViolation: |tau| = nan"),
+        (("certify", "--weights=1,-1", "--tau", "nan"), "StripViolation: |tau| = nan"),
+        (("certify", "--weights=1,-1", "--step", "nan"), "ValueError: grid_step must be positive and finite, got nan"),
+        (("converge", "--gen", "harmonic", "--ns", "4", "--n-ref", "8", "--sigma", "nan"), "ValueError: sigma must be nonnegative, got nan"),
+        (("psi", "--weights=1,-1", "--tau-min", "0"), "ValueError: need a finite omega and at least two tau samples"),
+        (("psi", "--weights=1,-1", "--tau-min", "-1"), "ValueError: need a finite omega and at least two tau samples"),
+        (("psi", "--weights=1,-1", "--omega", "nan"), "ValueError: need a finite omega and at least two tau samples"),
+        (("psi", "--weights=1,-1", "--samples", "1"), "ValueError: need a finite omega and at least two tau samples"),
+    ],
+)
+def test_nan_and_degenerate_values_exit_with_error_class(capsys, argv, error):
+    # one error line and no output: no NaN report, bare CSV header, LAPACK message or traceback
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(error) and err.count("\n") == 1
+
+
 def test_zak_refuses_a_huge_grid(capsys):
     # exit 1 with a message, before the 4e10-node grid is allocated
     code, out, err = run(capsys, "zak", "--weights=1,-1", "--nx", "200000", "--nomega", "200000")
@@ -69,6 +91,13 @@ def test_eval_without_weights_is_a_usage_error(capsys):
     code, out, err = run(capsys, "eval")
     assert (code, out) == (2, "")
     assert err.startswith("usage: zaktp") and "eval needs --weights or --gen" in err
+
+
+@pytest.mark.parametrize("grid", ["1:2", "0:1:x", "0:1:0", "0:1:-2", "a:1:3", "0:1:2:3"])
+def test_eval_bad_grid_is_a_usage_error(capsys, grid):
+    code, out, err = run(capsys, "eval", "--weights=1,-1", f"--grid={grid}")
+    assert (code, out) == (2, "")
+    assert f"argument --grid: bad grid {grid!r}" in err
 
 
 def test_eval_csv(capsys):

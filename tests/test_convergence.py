@@ -146,6 +146,24 @@ def test_psi_decay_exponents():
         assert slope <= -p + 0.1
 
 
+@pytest.mark.parametrize(
+    "omega, taus",
+    [
+        (0.0, [0.0, 10.0, 100.0]),
+        (0.0, [math.nan, 10.0, 100.0]),
+        (0.0, [math.inf, 10.0]),
+        (math.nan, [10.0, 100.0]),
+        (math.inf, [10.0, 100.0]),
+        (0.0, [10.0]),
+        (0.0, []),
+    ],
+)
+def test_psi_decay_refuses_samples_it_cannot_fit(omega, taus):
+    # a NaN sample would reach the least-squares fit, which fails in LAPACK or returns NaN
+    with pytest.raises(ValueError, match="finite omega and at least two tau samples"):
+        psi_decay_diagnostic(make_weights([1.0, -1.0]), omega, taus, 2)
+
+
 def test_psi_monotone_decay():
     w = make_weights([1.0, 2.0, 3.0])
     taus = np.logspace(1, 3, 20)
@@ -194,3 +212,9 @@ def test_convergence_sweep_checks_sigma_like_the_distance():
         convergence_sweep(gen, [2, 4], sigma=1.0, n_ref=8)
     with pytest.raises(ValueError, match="nonnegative"):
         convergence_sweep(gen, [2, 4], sigma=-0.1, n_ref=8)
+    # NaN is not a sigma: the same guard refuses it, for the sweep and the distance
+    with pytest.raises(ValueError, match="sigma must be nonnegative, got nan"):
+        convergence_sweep(gen, [2, 4], sigma=math.nan, n_ref=8)
+    w = truncate(gen, 4)
+    with pytest.raises(ValueError, match="sigma must be nonnegative, got nan"):
+        weighted_sup_distance(w, w, math.nan)

@@ -21,12 +21,12 @@ from zaktp.frames import (
     periodize_sample,
 )
 from zaktp.weights import eval_tp, make_weights
-from zaktp.zak import _spline_for, zak_prefactor
+from zaktp.zak import zak_prefactor
 
 
 def _reference_zak_squares(weights, N, n_x, n_w, extra=None):
     """Per-point Sum_{j<N} |Zg(x, omega + j/N)|^2 over the grid plus extra points."""
-    B = _spline_for(weights.raw)
+    B = weights.spline
     xs = np.arange(n_x) / n_x
     oms = np.arange(n_w) / n_w
     pts = [(x, om) for om in oms for x in xs]

@@ -1,5 +1,6 @@
 """Tests for TP weight multisets and window evaluation."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -125,6 +126,22 @@ def test_fourier_tp_closed_form():
     om = 0.37
     expected = 1.0 / ((1 + 2j * np.pi * om / 1.0) * (1 + 2j * np.pi * om / -3.0))
     assert fourier_tp(w, om) == pytest.approx(expected)
+
+
+def test_window_carries_its_representations():
+    # table and spline are built once, on first use, and take no part in equality or hashing
+    w = make_weights([1.0, -2.0, 2.0])
+    assert "table" not in vars(w) and "spline" not in vars(w)
+    assert w.table is w.table and w.spline is w.spline
+    assert np.array_equal(w.table.coeffs, exp_sum_rep(w).coeffs)
+    assert w.spline == zaktp.ebspline.build_ebspline([-1.0, 2.0, -2.0])
+    for name in ("table", "spline"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(w, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(w, name)
+    fresh = make_weights([1.0, -2.0, 2.0])
+    assert w == fresh and hash(w) == hash(fresh)
 
 
 def test_exp_sum_rep_matches_eval():

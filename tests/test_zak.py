@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mp_oracle import lattice_sum
 
+import zaktp.weights
 from zaktp.convergence import WeightGenerator, truncate, zak_strip_distance
 from zaktp.ebspline import build_ebspline
 from zaktp.errors import IllConditioned, PoleHit, StripViolation
@@ -171,6 +172,26 @@ def test_strip_violation():
     w = make_weights([1.0, -1.0])
     with pytest.raises(StripViolation):
         zak_tp(w, 0.3, complex(0.2, w.a0))  # tau far outside a0/(2 pi)
+    # NaN is not inside the strip either (not IllConditioned from the lattice sum)
+    with pytest.raises(StripViolation, match=r"\|tau\| = nan is outside the open strip"):
+        zak_tp(w, 0.3, complex(0.5, math.nan))
+
+
+def test_one_window_builds_its_partial_fractions_once(monkeypatch):
+    # the window carries its table: 20 scalar Zak values and a dilation check share one build
+    calls = []
+    real = zaktp.weights.exp_sum_rep
+
+    def counting(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(zaktp.weights, "exp_sum_rep", counting)
+    w = make_weights([1.0, -2.0, 0.7])
+    for x in np.linspace(0.0, 0.95, 20):
+        zak_tp(w, x, 0.25)
+    zak_dilation_check(w, alpha=1.7, x=0.3, omega=0.25)
+    assert calls == [w]
 
 
 def test_inversion_formula():
@@ -234,6 +255,14 @@ def test_zak_grid_refuses_more_than_2_to_the_22_nodes(source):
     w = make_weights([1.0, -1.0])
     with pytest.raises(ValueError, match="exceeds 4194304 nodes"):
         compute_zak_grid(w, np.zeros(2049), np.zeros(2048), source=source)
+
+
+@pytest.mark.parametrize("source", ["ebspline_factorized", "direct_series"])
+def test_zak_grid_refuses_a_grid_without_nodes(source):
+    w = make_weights([1.0, -1.0])
+    for xs, oms in (([], [0.5]), ([0.5], [])):
+        with pytest.raises(ValueError, match="at least one x and one omega sample"):
+            compute_zak_grid(w, xs, oms, source=source)
 
 
 def test_zak_grid_csv_schema():
