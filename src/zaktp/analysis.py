@@ -275,7 +275,8 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
     :func:`_structure_zero`).  A zero is a modulus below ``_ZERO_TOL`` times
     the larger of 1 and the grid maximum of |Z g|.  Raises
     :class:`IllConditioned` when |Z g| is not finite on the grid; an
-    overflowing |P| raises before B is built.
+    overflowing |P| raises before B is built.  A spline window has no strip,
+    so its tau need only be finite (``ValueError`` otherwise).
     """
     if not 0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
@@ -285,6 +286,8 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
     tau = region.tau
     if isinstance(window, WeightMultiset):
         _check_strip(window, tau)
+    elif isinstance(window, PiecewiseExpPoly) and not math.isfinite(tau):  # no strip: any finite tau
+        raise ValueError(f"a spline window needs a finite tau, got {tau}")
     xg = _grid(region.x[0], region.x[1], grid_step)
     og = _grid(region.omega[0], region.omega[1], grid_step) if region.omega[1] > region.omega[0] else np.asarray([region.omega[0]])
     # |P| first: where it overflows, so does |Z g| = |P| |Z B|, and B need not be built

@@ -183,8 +183,10 @@ def psi_decay_diagnostic(
     if p > weights.n:
         raise ValueError(f"p = {p} exceeds the number of weights n = {weights.n}")
     taus = np.asarray(tau_samples, dtype=float)
-    if taus.size < 2 or not (math.isfinite(omega) and np.all(np.isfinite(taus)) and np.all(taus != 0)):
-        raise ValueError("need a finite omega and at least two tau samples, finite and nonzero")
+    # one distinct |tau| leaves the slope undetermined: polyfit would warn and return noise
+    distinct = np.unique(np.abs(taus)).size
+    if distinct < 2 or not (math.isfinite(omega) and np.all(np.isfinite(taus)) and np.all(taus != 0)):
+        raise ValueError("need a finite omega and at least two tau samples, finite, nonzero and of distinct |tau|")
     # log|1/Psi| accumulated in log space to avoid overflow for large tau
     log_inv = np.zeros(taus.shape)
     for a in weights.raw:

@@ -78,21 +78,28 @@ class ExpPolyTable:
     def __init__(self, etas, coeffs):
         self.etas = np.asarray(etas, dtype=float)
         self.coeffs = np.asarray(coeffs)
-        live = [np.any(c != 0, axis=1) for c in self.coeffs]
-        self._live = [(self.etas[m], c[m]) for m, c in zip(live, self.coeffs)]
+        self._live_mask = np.any(self.coeffs != 0, axis=-1)  # (P, T)
+        self._live = [(self.etas[m], c[m]) for m, c in zip(self._live_mask, self.coeffs)]
         # on |t| <= 1, e^{eta t} underflows only if |eta| > 746: a spline's table (t in [0, 1)) never skips
         self._may_underflow = bool(np.any(np.abs(self.etas) > -_UNDERFLOW))
 
-    def _piece(self, p: int, t: np.ndarray) -> np.ndarray:
-        """Piece p at the 1-D points t, term by term in slot order: padded Horner on
-        the term's row times its exponential, added in.  No (T, n) array is formed.
+    def _keep(self, eta: float, t: np.ndarray, span: float):
+        """Where a term of exponent eta is added at the points t, span = max |t| (0
+        on a table whose terms cannot underflow on |t| <= 1).
 
-        On a wide table a term whose |eta| max|t| reaches 746 is added only where
+        On a wide table a term whose |eta| span reaches 746 is added only where
         eta t >= -746 (NaN included).  Elsewhere np.exp(eta t) is exactly +0 and the
         product is +-0, and adding +-0 changes no bit: the sum starts at +0 and
         never becomes -0 (x + -x is +0), so +0 + -0 = +0 and v + (+-0) = v.  The
         only difference is at a Horner value that overflows, where inf * 0 was NaN.
         """
+        with np.errstate(over="ignore"):  # an eta t past the double range is -inf: skipped
+            return slice(None) if abs(eta) * span < -_UNDERFLOW else np.flatnonzero(~(eta * t < _UNDERFLOW))
+
+    def _piece(self, p: int, t: np.ndarray) -> np.ndarray:
+        """Piece p at the 1-D points t, term by term in slot order: padded Horner on
+        the term's row times its exponential, added in where ``_keep`` says.  No
+        (T, n) array is formed."""
         out = np.zeros(t.shape, self.coeffs.dtype)
         if not self._may_underflow:
             for eta, row in zip(*self._live[p]):
@@ -100,9 +107,23 @@ class ExpPolyTable:
             return out
         span = np.max(np.abs(t), initial=0.0)
         for eta, row in zip(*self._live[p]):
-            with np.errstate(over="ignore"):  # an eta t past the double range is -inf: skipped
-                keep = slice(None) if abs(eta) * span < -_UNDERFLOW else np.flatnonzero(~(eta * t < _UNDERFLOW))
+            keep = self._keep(eta, t, span)
             out[keep] += _horner(row, t[keep]) * np.exp(eta * t[keep])
+        return out
+
+    def pieces_at(self, t: np.ndarray) -> np.ndarray:
+        """Every piece at the same 1-D points t, shape (P, len(t)); row p is
+        ``_piece(p, t)`` bit for bit.  Each e^{eta t} is formed once and shared by
+        the pieces (T np.exp calls, not P T); each piece still adds Horner times
+        it in slot order, where ``_keep`` says."""
+        out = np.zeros((len(self.coeffs), len(t)), self.coeffs.dtype)
+        span = np.max(np.abs(t), initial=0.0) if self._may_underflow else 0.0
+        for i, eta in enumerate(self.etas):
+            keep = self._keep(eta, t, span)
+            tk = t[keep]
+            e = np.exp(eta * tk)
+            for p in np.flatnonzero(self._live_mask[:, i]):
+                out[p, keep] += _horner(self.coeffs[p, i], tk) * e
         return out
 
     def eval(self, piece, t) -> np.ndarray:

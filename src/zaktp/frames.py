@@ -3,13 +3,15 @@
 Frame bounds for the lattice alpha = 1, beta = 1/N are grid estimates of
 ess inf / ess sup of Sum_{j<N} |Zg(x, omega + j/N)|^2 over the unit cell,
 read from one separable grid: each refinement step is a strided view of the
-finest grid.  That grid comes from one batched kernel per shift j: one
-prefactor call on the omega column and two real GEMMs against the table
-B(x + k) of the spline factor, on the rows omega <= 1/2 only, since for a
-real window the rows omega > 1/2 mirror them.  Finest grids above 2^22
-nodes are refused before allocation.  The discrete route periodizes and
-samples the window to C^K, a closed-form lattice sum of its partial
-fractions with step K; the critically sampled frame operator is
+finest grid.  That grid comes from one kernel on the rows omega <= 1/2 only,
+since for a real window the rows omega > 1/2 mirror them.  It forms the
+per-shift tables once (the phases of each shift j, and |P|^2 from one
+prefactor call on the omega column), then walks the grid in blocks of rows
+through one reused scratch buffer: per block and shift, two real GEMMs
+against the columns B(x + k) of the spline factor, squared in place.  Finest
+grids above 2^22 nodes are refused before allocation.  The discrete route
+periodizes and samples the window to C^K, a closed-form lattice sum of its
+partial fractions with step K; the critically sampled frame operator is
 diagonalized by the discrete Zak transform, so its spectrum is
 M |DFT_{K/M}(v[qM + r])|^2 (Zibulski-Zeevi).
 """
@@ -22,6 +24,8 @@ import numpy as np
 from .errors import Indivisible
 from .weights import WeightMultiset
 from .zak import _MAX_GRID_NODES, _spline_columns, zak_prefactor
+
+_BLOCK_NODES = 1 << 14  # nodes per row block of the frame kernel: one 128 KB scratch buffer
 
 
 @dataclass(frozen=True)
@@ -62,29 +66,39 @@ class DiscreteWindow:
 
 
 def _zak_squares(weights: WeightMultiset, N: int, xs: np.ndarray, oms: np.ndarray) -> np.ndarray:
-    """(len(oms), len(xs)) grid of Sum_{j<N} |Zg(x, omega + j/N)|^2.
+    """(len(oms), len(xs)) grid of Sum_{j<N} |Zg(x, omega + j/N)|^2, by blocks of rows.
 
-    Per shift j: one prefactor call on the whole omega column and two real
-    GEMMs, Re = cos(2 pi omega k) @ B(x + k) and Im = sin(2 pi omega k) @ B(x + k),
-    each squared in place and scaled by |P|^2.  Re and Im are squared after
-    their sums, so the zero's cancellation happens in them; a squared
-    autocorrelation sum would turn it into noise of order eps * |P Z|^2.
+    The per-shift tables come first: cos and sin of 2 pi k (omega + j/N), and
+    |P(omega + j/N)|^2 from one prefactor call on the omega column.  The output
+    is allocated once, next to one scratch buffer of ``_BLOCK_NODES`` nodes (one
+    row, if a row is longer).  For each block of omega rows, each shift j, and
+    cos then sin, one GEMM against the columns B(x + k) writes Re or Im into the
+    buffer, which is squared in place, scaled by |P|^2 and added into the block.
+    Re and Im are squared after their sums, so the zero's cancellation happens in
+    them; a squared autocorrelation sum would turn it into noise of order
+    eps * |P Z|^2.
     """
     B = weights.spline
     bv = _spline_columns(B, xs)
     ks = 2.0 * np.pi * np.arange(B.m)
-    total = np.zeros((len(oms), len(xs)))
-    part = np.empty_like(total)
+    tables = []
     for j in range(N):
         om_j = oms + j / N
         arg = np.outer(om_j, ks)
         pref = zak_prefactor(weights, om_j)
-        p2 = (pref.real**2 + pref.imag**2)[:, None]
-        for trig in (np.cos, np.sin):
-            np.matmul(trig(arg), bv, out=part)
-            part *= part
-            part *= p2
-            total += part
+        tables.append((np.cos(arg), np.sin(arg), (pref.real**2 + pref.imag**2)[:, None]))
+    total = np.zeros((len(oms), len(xs)))
+    rows = max(1, _BLOCK_NODES // len(xs))
+    buf = np.empty(rows * len(xs))
+    for r in range(0, len(oms), rows):
+        block = total[r : r + rows]
+        part = buf[: block.size].reshape(block.shape)
+        for cos, sin, p2 in tables:
+            for trig in (cos, sin):
+                np.matmul(trig[r : r + rows], bv, out=part)
+                part *= part
+                part *= p2[r : r + rows]
+                block += part
     return total
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ebspline import PiecewiseExpPoly, _like_input, eval_ebspline
+from .ebspline import PiecewiseExpPoly, _like_input
 from .errors import PoleHit, StripViolation
 from .weights import WeightMultiset, make_weights
 
@@ -62,17 +62,22 @@ def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
 
 
 def _spline_columns(B: PiecewiseExpPoly, xs: np.ndarray) -> np.ndarray:
-    """B(x + k) for k < m on a new first axis, from one spline evaluation."""
-    return eval_ebspline(B, np.add.outer(np.arange(B.m, dtype=float), xs))
+    """B(x + k) for k < m on a new first axis, for 1-D xs in [0, 1): piece k at t = x.
+
+    Every piece shares the local coordinate, so each exponential e^{eta x} is
+    formed once (``ExpPolyTable.pieces_at``), and x + k - k never rounds.
+    """
+    return B.table.pieces_at(xs)
 
 
 def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
     """The factor prod a_nu / (1 - e^{-(a_nu + 2 pi i s)}) of the factorization, vectorized over s.
 
     An ndarray s takes the array path, one call per omega column: the frame
-    kernel ``frames._zak_squares`` (once per shift j), the factorized route
-    of ``compute_zak_grid`` and the certificate scan.  Scalars serve the
-    single frequencies of ``zak_factorized`` (inversion and dilation checks).
+    kernel ``frames._zak_squares`` (once per shift j, for its |P|^2 table),
+    the factorized route of ``compute_zak_grid`` and the certificate scan.
+    Scalars serve the single frequencies of ``zak_factorized`` (inversion and
+    dilation checks).
     """
     vec = isinstance(s, np.ndarray)  # a scalar stays off 0-d arrays, which cost ~6x per call
     sc = s.astype(complex) if vec else complex(s)

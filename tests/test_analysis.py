@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+import warnings
 from unittest import mock
 
 import mpmath as mp
@@ -432,6 +433,20 @@ def test_certify_rejects_reversed_range(region):
 def test_certify_rejects_a_step_that_is_not_positive_and_finite(step):
     with pytest.raises(ValueError, match="grid_step must be positive and finite"):
         certify_zero_free(make_weights([1.0, -1.0]), Region(x=(0.0, 1.0), omega=(0.0, 0.48)), grid_step=step)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+def test_certify_refuses_a_spline_window_with_a_tau_that_is_not_finite(tau):
+    # a spline has no strip (and no weight product), so only finiteness is asked of tau
+    region = Region(x=(0.1, 0.3), omega=(0.1, 0.3), tau=tau)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="a spline window needs a finite tau"):
+        warnings.simplefilter("error")  # refused before any sample is formed
+        certify_zero_free(build_ebspline([1.0, -2.0]), region, 1 / 64)
+
+
+def test_certify_accepts_a_spline_window_with_any_finite_tau():
+    cert = certify_zero_free(build_ebspline([1.0, -2.0]), Region(x=(0.1, 0.3), omega=(0.1, 0.3), tau=3.0), 1 / 64)
+    assert cert.verdict == "zero_free_certified"
 
 
 @pytest.mark.parametrize("case", ["weights", "spline", "confluent", "tau"])

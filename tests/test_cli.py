@@ -54,6 +54,7 @@ def test_zero_rejects_a_tol_that_is_not_finite(capsys, tol):
         (("psi", "--weights=1,-1", "--tau-min", "-1"), "ValueError: need a finite omega and at least two tau samples"),
         (("psi", "--weights=1,-1", "--omega", "nan"), "ValueError: need a finite omega and at least two tau samples"),
         (("psi", "--weights=1,-1", "--samples", "1"), "ValueError: need a finite omega and at least two tau samples"),
+        (("psi", "--weights=1,-1", "--tau-min", "10", "--tau-max", "10"), "ValueError: need a finite omega and at least two tau samples"),
     ],
 )
 def test_nan_and_degenerate_values_exit_with_error_class(capsys, argv, error):

@@ -156,10 +156,13 @@ def test_psi_decay_exponents():
         (math.inf, [10.0, 100.0]),
         (0.0, [10.0]),
         (0.0, []),
+        (0.0, [10.0, 10.0, 10.0]),
+        (0.0, [10.0, -10.0]),
     ],
 )
 def test_psi_decay_refuses_samples_it_cannot_fit(omega, taus):
-    # a NaN sample would reach the least-squares fit, which fails in LAPACK or returns NaN
+    # a NaN sample would reach the least-squares fit, which fails in LAPACK or returns NaN;
+    # one distinct |tau| leaves the slope undetermined (polyfit warns and returns noise)
     with pytest.raises(ValueError, match="finite omega and at least two tau samples"):
         psi_decay_diagnostic(make_weights([1.0, -1.0]), omega, taus, 2)
 

@@ -1,6 +1,7 @@
 """Tests for Gabor frame bounds and discrete periodized frames."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -285,7 +286,7 @@ def test_frame_bounds_value_at_zero_hint_is_exact(ws):
     # Re and Im are squared after their sums, so |Zg|^2 at the hint keeps
     # the zero's cancellation: within 1e-28 B_est of mpmath at the same
     # float x; squaring an autocorrelation sum would miss by ~1e-16 B_est.
-    # Where Brent's root is good to the last bits the value itself is tiny
+    # Where the table search's root is good to the last bits the value itself is tiny
     w = make_weights(ws)
     rep = frame_bounds(w, 1, resolution=(8, 8), refinements=1)
     assert rep.min_location == (locate_zero_half(w), 0.5)
@@ -346,6 +347,50 @@ def test_frame_bounds_equals_exactly_symmetric_full_grid(ws, N, resolution, refi
     assert got.to_json_dict() == ref.to_json_dict()
     direct = frames._zak_squares(w, N, xs, oms)
     assert np.max(np.abs(fine - direct)) <= 1e-14 * np.max(direct)
+
+
+def _unblocked_zak_squares(weights, N, xs, oms):
+    """The kernel before row blocks: per shift j, whole-grid GEMMs on the columns eval_ebspline(B, x + k)."""
+    B = weights.spline
+    bv = eval_ebspline(B, np.add.outer(np.arange(B.m, dtype=float), xs))
+    ks = 2.0 * np.pi * np.arange(B.m)
+    total = np.zeros((len(oms), len(xs)))
+    for j in range(N):
+        om_j = oms + j / N
+        arg = np.outer(om_j, ks)
+        pref = zak_prefactor(weights, om_j)
+        p2 = (pref.real**2 + pref.imag**2)[:, None]
+        for trig in (np.cos, np.sin):
+            total += (trig(arg) @ bv) ** 2 * p2
+    return total
+
+
+@pytest.mark.parametrize("ws", [[0.9, -2.1, 1.4], [2.0, -3.0, 0.7, -1.1], [1.0]])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("n_x,n_w", [(512, 257), (300, 200), (20000, 3), (1 << 14, 2)])
+def test_zak_squares_blocks_equal_unblocked_reference(ws, N, n_x, n_w):
+    # 32-row blocks and a last block of one row; 54-row blocks and a partial
+    # last one; rows longer than a block, and rows exactly one block long
+    assert n_w > max(1, frames._BLOCK_NODES // n_x)
+    w = make_weights(ws)
+    xs, oms = np.arange(n_x) / n_x, np.arange(n_w) / (2 * n_w - 2)
+    got = frames._zak_squares(w, N, xs, oms)
+    ref = _unblocked_zak_squares(w, N, xs, oms)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
+
+
+def test_zak_squares_peak_memory_is_the_output_and_one_block():
+    # one reused block buffer: whole-grid GEMM outputs would double the peak (2.1x)
+    w = make_weights([0.9, -2.1, 1.4])
+    w.spline  # built and cached before tracing
+    xs, oms = np.arange(512) / 512, np.arange(257) / 512
+    tracemalloc.start()
+    try:
+        out = frames._zak_squares(w, 2, xs, oms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes
 
 
 @st.composite

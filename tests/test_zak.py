@@ -11,7 +11,9 @@ from mp_oracle import lattice_sum
 
 import zaktp.weights
 from zaktp.convergence import WeightGenerator, truncate, zak_strip_distance
-from zaktp.ebspline import build_ebspline
+from numpy.polynomial.legendre import leggauss
+
+from zaktp.ebspline import ExpPolyTable, PiecewiseExpPoly, _horner, build_ebspline, eval_ebspline
 from zaktp.errors import IllConditioned, PoleHit, StripViolation
 from zaktp.frames import periodize_sample
 from zaktp.weights import exp_sum_rep, fourier_tp, make_weights
@@ -24,6 +26,7 @@ from zaktp.zak import (
     zak_prefactor,
     zak_tp,
     zak_tp_with_tail,
+    _spline_columns,
 )
 
 
@@ -284,3 +287,40 @@ def test_zak_near_strip_edge_matches_mpmath():
         ref = complex(lattice_sum(mp, w.raw, 0.1, s))
     got = zak_tp(w, 0.1, s)
     assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def _column_splines():
+    real = build_ebspline([0.9, -2.1, 1.4, 0.0, -2.1])
+    phases = np.array([1 + 2j, -0.5j, 3 - 1j, 0.25, -1.0])[:, None, None]
+    cplx = PiecewiseExpPoly.from_table(ExpPolyTable(real.table.etas, real.table.coeffs * phases))
+    # |eta| = 1000 > 746: the first term is skipped where -1000 t < -746, which
+    # covers t > 0.797, where its Horner value 1e308 (1 + t) overflows
+    wide = PiecewiseExpPoly((((-1000.0, (1e308, 1e308)), (1.0, (3.0, -1.0))), ((-1000.0, (0.5,)), (2.0, (1.0, -1.0)))))
+    return {"real": real, "complex": cplx, "wide": wide, "one": build_ebspline([6.0])}
+
+
+@pytest.mark.parametrize("name", ["real", "complex", "wide", "one"])
+def test_spline_columns_equal_the_spline_on_a_dyadic_grid(name):
+    # x + k - k = x on a dyadic grid, so each piece sees the same t: bit for bit
+    B = _column_splines()[name]
+    xs = np.arange(1024) / 1024
+    with np.errstate(over="raise", invalid="raise"):  # no overflowing Horner value meets e^{eta t} = 0
+        got = _spline_columns(B, xs)
+    ref = np.stack([eval_ebspline(B, xs + k) for k in range(B.m)])
+    assert got.dtype == ref.dtype and np.all(np.isfinite(got))
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name", ["real", "complex", "one"])
+def test_spline_columns_within_ulps_at_gauss_legendre_nodes(name):
+    # the reference evaluates at t = (x + k) - k, up to (k + 1) half-ulps off x,
+    # which moves each term by |eta| times that: a few ulps of the terms' moduli
+    B = _column_splines()[name]
+    xs = 0.5 * (leggauss(64)[0] + 1.0)
+    got = _spline_columns(B, xs)
+    ref = np.stack([eval_ebspline(B, xs + k) for k in range(B.m)])
+    moduli = np.zeros(got.shape)
+    for k in range(B.m):
+        for eta, row in zip(B.table.etas, B.table.coeffs[k]):
+            moduli[k] += _horner(np.abs(row), xs) * np.exp(eta * xs) * (1 + abs(eta) * (k + 1))
+    assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * moduli)
