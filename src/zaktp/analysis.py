@@ -24,7 +24,7 @@ import numpy as np
 from .ebspline import ExpPolyTable, PiecewiseExpPoly
 from .errors import IllConditioned, MultipleZeros, NoZero, NotUnitMonotone
 from .weights import WeightMultiset
-from .zak import _check_strip, zak_ebspline, zak_prefactor
+from .zak import _MAX_GRID_NODES, _check_strip, zak_ebspline, zak_prefactor
 
 _ZERO_TOL = 1e-8  # certify_zero_free: a zero, relative to max(1, max |Z g|)
 
@@ -58,14 +58,14 @@ def _cyclic_sign_changes(vals: np.ndarray) -> list[tuple[int, int]]:
 def _sample_two_periodic(table: ExpPolyTable, per_period: int = 512) -> np.ndarray:
     """Samples on [0,2) of the slice h with h(x+1) = -h(x), h = the one-piece table on [0,1)."""
     t = np.arange(per_period) / per_period
-    vals = np.real(table.eval(0, t))
+    vals = np.real(table._piece(0, t))
     return np.concatenate([vals, -vals])
 
 
 def _two_periodic(h: ExpPolyTable, x: np.ndarray) -> np.ndarray:
     """The slice at x >= 0: h on [0,1), extended by h(x+1) = -h(x)."""
     k = np.floor(x)
-    return np.real(h.eval(0, x - k)) * (1.0 - 2.0 * (k % 2))
+    return np.real(h._piece(0, x - k)) * (1.0 - 2.0 * (k % 2))
 
 
 def _table_zero(h: ExpPolyTable, tol: float) -> float:
@@ -124,13 +124,16 @@ def locate_zero_half(window, tol: float = 1e-12) -> float:
     [0, 2) brackets the sign change; k-section on the table, 64 subintervals
     per pass, narrows it until it is at most tol + 4 eps |x| wide or stops
     shrinking, and the result is whichever of its ends and its secant point
-    has the smallest |h|.  Raises ``ValueError`` unless 0 < tol < inf,
+    has the smallest |h|, kept on the spline factor per tol: the certifier at
+    tau = 0 reads it back.  Raises ``ValueError`` unless 0 < tol < inf,
     :class:`NoZero` when the slice has no sign change or jumps there (type-1
     windows) and :class:`MultipleZeros` when more than one bracket per period
     survives, which would contradict the single-zero property.
     """
     B = window.spline if isinstance(window, WeightMultiset) else window  # a spline is its own factor
-    return _table_zero(_slice_table(B.table, 0.5), tol)
+    if tol not in B.half_zeros:  # a search that raises keeps nothing
+        B.half_zeros[tol] = _table_zero(_slice_table(B.table, 0.5), tol)
+    return B.half_zeros[tol]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,8 @@ class ZeroCertificate:
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    if not (hi - lo) / step < _MAX_GRID_NODES:  # refused before it is built
+        raise ValueError(f"a step of {step} on ({lo}, {hi}) exceeds {_MAX_GRID_NODES} nodes")
     g = np.arange(lo, hi + step * 0.5, step)
     if g[-1] < hi - step * 0.5:
         g = np.append(g, hi)
@@ -184,30 +189,41 @@ def _series_tables(B: PiecewiseExpPoly, tau: float, xg: np.ndarray):
     Returns (ks, G0, G1, G2) with G?[kidx, j] = B^{(?)}(x_j + k) e^{2 pi k tau},
     so that Z B(x_j, omega + i tau) = sum_k e^{-2 pi i k omega} G0[k, j].  The
     sum is finite: ``ks`` holds every shift that puts a grid point in [0, m].
+    One pass per piece masks its points once, and B, B', B'' (stacked per
+    piece) share each e^{eta t}: the bits of three ``eval`` passes.
     """
     ks = np.arange(math.floor(-xg[-1]), math.ceil(B.m - xg[0]) + 1)
+    if len(ks) * len(xg) > _MAX_GRID_NODES:
+        raise ValueError(f"a {len(ks)}x{len(xg)} series table exceeds {_MAX_GRID_NODES} nodes")
     d1 = B.table.reduce(0.0)  # the classical derivatives between the knots
-    weightk = np.exp(2.0 * np.pi * ks * tau)
+    # row r m + p of the stack is piece p of B^{(r)}
+    stack = ExpPolyTable(B.table.etas, np.concatenate([B.table.coeffs, d1.coeffs, d1.reduce(0.0).coeffs]))
     shifted = xg[None, :] + ks[:, None]
-    # the piece index and local coordinate of eval_ebspline, shared by the three tables
+    # the piece index and local coordinate of eval_ebspline
     k = np.floor(shifted)
-    piece, t = np.where((shifted >= 0) & (shifted < B.m), k, -1), shifted - k
-    G0, G1, G2 = (np.real(T.eval(piece, t)) * weightk[:, None] for T in (B.table, d1, d1.reduce(0.0)))
+    t = shifted - k
+    G = np.zeros((3, *shifted.shape), stack.coeffs.dtype)
+    for p in range(B.m):
+        sel = k == p
+        if sel.any():
+            G[:, sel] = stack.pieces_at(t[sel], slice(p, None, B.m))
+    G0, G1, G2 = np.real(G) * np.exp(2.0 * np.pi * ks * tau)[:, None]
     return ks, G0, G1, G2
 
 
-def _require_finite(arr: np.ndarray) -> None:
+def _require_finite(arr) -> None:
     if not np.all(np.isfinite(arr)):
         raise IllConditioned("|Z| is not finite on the grid: the weight product leaves the double range")
 
 
 def _neigh_max(arr: np.ndarray) -> np.ndarray:
     """Maximum over each 3x3 neighbourhood, the border replicated outward."""
-    p = np.pad(arr, 1, mode="edge")
-    rows = np.maximum(p[:-2], p[1:-1])
-    np.maximum(rows, p[2:], out=rows)
-    out = np.maximum(rows[:, :-2], rows[:, 1:-1])
-    return np.maximum(out, rows[:, 2:], out=out)
+    out = arr
+    for _ in range(2):  # along axis 1 (axis 0 of the transpose), then along axis 0
+        src, out = out.T, out.T.copy()
+        np.maximum(out[1:], src[:-1], out=out[1:])
+        np.maximum(out[:-1], src[1:], out=out[:-1])
+    return out
 
 
 def _majorants(ks, G0, G1, G2):
@@ -228,10 +244,12 @@ def _structure_zero(B: PiecewiseExpPoly, P, region: Region):
     only zeros are (x_tau + k, 1/2 + j), x_tau the zero of Z B_tau(., 1/2) in [0, 1).
     """
     tau = region.tau
-    grow = np.exp(2.0 * np.pi * tau * np.arange(B.m))[:, None, None]
-    table_tau = ExpPolyTable(B.table.etas + 2.0 * np.pi * tau, B.table.coeffs * grow)  # B_tau's table
     try:
-        x_tau = _table_zero(_slice_table(table_tau, 0.5), 1e-12)
+        if tau == 0:  # B_tau = B: the search locate_zero_half made and kept on the spline
+            x_tau = locate_zero_half(B)
+        else:  # B_tau's table
+            grow = np.exp(2.0 * np.pi * tau * np.arange(B.m))[:, None, None]
+            x_tau = _table_zero(_slice_table(ExpPolyTable(B.table.etas + 2.0 * np.pi * tau, B.table.coeffs * grow), 0.5), 1e-12)
     except NoZero:
         return None
     x = x_tau + math.ceil(region.x[0] - x_tau)
@@ -274,9 +292,12 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
     searched for the one zero the structure theorem allows (see
     :func:`_structure_zero`).  A zero is a modulus below ``_ZERO_TOL`` times
     the larger of 1 and the grid maximum of |Z g|.  Raises
-    :class:`IllConditioned` when |Z g| is not finite on the grid; an
-    overflowing |P| raises before B is built.  A spline window has no strip,
-    so its tau need only be finite (``ValueError`` otherwise).
+    :class:`IllConditioned` when the grid's min or max of |Z g| is not
+    finite; an overflowing |P| raises before B is built.  A spline window has
+    no strip, so its tau need only be finite (``ValueError`` otherwise), and a
+    scan over ``_MAX_GRID_NODES`` nodes or series samples is refused with
+    ``ValueError`` before it is allocated.  At tau = 0 the candidate zero is
+    the one :func:`locate_zero_half` keeps on B.
     """
     if not 0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
@@ -290,6 +311,8 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
         raise ValueError(f"a spline window needs a finite tau, got {tau}")
     xg = _grid(region.x[0], region.x[1], grid_step)
     og = _grid(region.omega[0], region.omega[1], grid_step) if region.omega[1] > region.omega[0] else np.asarray([region.omega[0]])
+    if len(og) * len(xg) > _MAX_GRID_NODES:  # _series_tables checks its own size
+        raise ValueError(f"a {len(og)}x{len(xg)} grid exceeds {_MAX_GRID_NODES} nodes")
     # |P| first: where it overflows, so does |Z g| = |P| |Z B|, and B need not be built
     P = _prefactor(window)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -302,9 +325,9 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
     zv = np.abs(phases @ G0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product raises below
         zg = pref * zv
-    _require_finite(zg)
     i, j = np.unravel_index(int(np.argmin(zg)), zg.shape)
-    min_mod = float(zg[i, j])
+    min_mod, max_mod = float(zg[i, j]), float(zg.max())
+    _require_finite((min_mod, max_mod))  # a NaN is the grid's min and max, +inf its max
     loc = (float(xg[j]), float(og[i]))
 
     # local bound: 3x3 neighbourhood max of the grid gradient (captures knot
@@ -320,7 +343,7 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
         certified = bool(np.all(zv > local * radius + 0.6 * _neigh_max(np.sqrt(hess)) * radius**2))
     lip = float(local[i - r0, j] * pref[i, 0])
     # a spline can reach 1e10 and round far above any absolute tolerance
-    tol = _ZERO_TOL * max(1.0, float(zg.max()))
+    tol = _ZERO_TOL * max(1.0, max_mod)
 
     if certified and min_mod >= tol:
         verdict, loc = "zero_free_certified", None
@@ -418,7 +441,7 @@ def fully_reduced_sign_changes(weights: WeightMultiset, omega: float, N: int) ->
     for idx, (eta, mu) in enumerate(clusters):
         for _ in range(mu - 1 if idx == 0 else mu):
             red = red.reduce(eta)
-    base = red.eval(0, np.arange(256) / 256)
+    base = red._piece(0, np.arange(256) / 256)
     samples = np.concatenate(
         [np.real(np.exp(2j * np.pi * k * omega) * base) for k in range(N)]
     )

@@ -79,7 +79,6 @@ class ExpPolyTable:
         self.etas = np.asarray(etas, dtype=float)
         self.coeffs = np.asarray(coeffs)
         self._live_mask = np.any(self.coeffs != 0, axis=-1)  # (P, T)
-        self._live = [(self.etas[m], c[m]) for m, c in zip(self._live_mask, self.coeffs)]
         # on |t| <= 1, e^{eta t} underflows only if |eta| > 746: a spline's table (t in [0, 1)) never skips
         self._may_underflow = bool(np.any(np.abs(self.etas) > -_UNDERFLOW))
 
@@ -101,29 +100,39 @@ class ExpPolyTable:
         the term's row times its exponential, added in where ``_keep`` says.  No
         (T, n) array is formed."""
         out = np.zeros(t.shape, self.coeffs.dtype)
+        terms = zip(self.etas[self._live_mask[p]], self.coeffs[p, self._live_mask[p]])
         if not self._may_underflow:
-            for eta, row in zip(*self._live[p]):
+            for eta, row in terms:
                 out += _horner(row, t) * np.exp(eta * t)
             return out
         span = np.max(np.abs(t), initial=0.0)
-        for eta, row in zip(*self._live[p]):
+        for eta, row in terms:
             keep = self._keep(eta, t, span)
             out[keep] += _horner(row, t[keep]) * np.exp(eta * t[keep])
         return out
 
-    def pieces_at(self, t: np.ndarray) -> np.ndarray:
-        """Every piece at the same 1-D points t, shape (P, len(t)); row p is
-        ``_piece(p, t)`` bit for bit.  Each e^{eta t} is formed once and shared by
-        the pieces (T np.exp calls, not P T); each piece still adds Horner times
-        it in slot order, where ``_keep`` says."""
-        out = np.zeros((len(self.coeffs), len(t)), self.coeffs.dtype)
+    def pieces_at(self, t: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """The pieces ``rows`` (every piece by default) at the same 1-D points t,
+        shape (len(rows), len(t)); row r is ``_piece(r, t)`` bit for bit.  Each
+        e^{eta t} a live term needs is formed once and shared by the pieces (at
+        most T np.exp calls, not P T); each piece still adds Horner times it in
+        slot order, where ``_keep`` says (without a skip, all rows at once)."""
+        coeffs, live = self.coeffs[rows], self._live_mask[rows]
+        out = np.zeros((len(coeffs), len(t)), coeffs.dtype)
         span = np.max(np.abs(t), initial=0.0) if self._may_underflow else 0.0
         for i, eta in enumerate(self.etas):
+            ps = live[:, i]
+            if not ps.any():
+                continue
+            if not self._may_underflow:
+                sel = slice(None) if ps.all() else ps
+                out[sel] += _horner(coeffs[sel, i], t) * np.exp(eta * t)
+                continue
             keep = self._keep(eta, t, span)
             tk = t[keep]
             e = np.exp(eta * tk)
-            for p in np.flatnonzero(self._live_mask[:, i]):
-                out[p, keep] += _horner(self.coeffs[p, i], tk) * e
+            for p in np.flatnonzero(ps):
+                out[p, keep] += _horner(coeffs[p, i], tk) * e
         return out
 
     def eval(self, piece, t) -> np.ndarray:
@@ -181,7 +190,7 @@ class ExpPolyTable:
         T, D = self.coeffs.shape[1:]
         parts = []  # per block of terms: factors in s and in x of Z, kappa and kappa_exp
         for p, h, y, pre in ((1, alpha, 0.0, 0.0), (0, -alpha, -alpha, alpha * w)):
-            etas, c = self._live[p]
+            etas, c = self.etas[self._live_mask[p]], self.coeffs[p, self._live_mask[p]]
             if not len(etas):
                 continue
             etas, y = etas.astype(real), y0 + y
@@ -244,11 +253,13 @@ class PiecewiseExpPoly:
     ``pieces[k]`` is a tuple of (eta, ascending coefficients) terms valid for
     x in [k, k+1) with local coordinate t = x - k; support is exactly [0, m].
     Coefficients may be real or complex.  ``table`` is derived from the
-    pieces, with the exponents ascending.
+    pieces, with the exponents ascending.  ``half_zeros`` keeps, per tol, the
+    zero of Z(., 1/2) that ``analysis.locate_zero_half`` found to it.
     """
 
     pieces: tuple[tuple[tuple[float, tuple], ...], ...]
     table: ExpPolyTable = field(init=False, repr=False, compare=False)
+    half_zeros: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         etas = sorted({eta for piece in self.pieces for eta, _ in piece})

@@ -105,7 +105,9 @@ def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     positive); an inactive entry is +0.  An active -node x is <= 0 (past the
     double range it is -inf, whose exponential is the limit 0), so clipping at 0
     before np.exp changes no active value and keeps np.exp off its slow paths
-    for -inf and overflow.  The recursion runs in place in the (n, m) buffer:
+    for -inf and overflow.  No entry is NaN (x = NaN counts as 0, and nodes are
+    nonzero), so multiplying by the mask zeroes the inactive ones without a
+    masked copy's branches.  The recursion runs in place in the (n, m) buffer:
     row i of a level overwrites row i of the one before, which row i - 1 has
     already read, so every entry gets the same operations in the same order as
     level-by-level tables would give it, and the same bits.
@@ -117,7 +119,7 @@ def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         table = -np.outer(nodes, np.where(zero, 0.0, x))
     np.exp(np.minimum(table, 0.0, out=table), out=table)
-    np.copyto(table, 0.0, where=~active)
+    table *= active
     rows, b = list(table), nodes.tolist()
     for level in range(1, n):
         fact = math.factorial(level)

@@ -1,5 +1,6 @@
 """Tests for zero location, certification, and monotonicity machinery."""
 
+import dataclasses
 import functools
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import series_oracle
 from mp_oracle import lattice_sum
 from piece_oracle import piece, reduce_terms, slice_terms
 from scan_oracle import full_grid_certificate, scan_grids
@@ -466,6 +468,150 @@ def test_series_tables_equal_per_shift_loop(case):
         ref = {k: np.real(np.asarray(f(xg + k))) * np.exp(2.0 * np.pi * k * tau) for k in wide}
         assert np.array_equal(G, np.stack([ref[k] for k in ks]))
         assert not any(ref[k].any() for k in wide if k not in ks)
+
+
+@st.composite
+def _series_cases(draw):
+    """A window of 1-6 weights (one-signed, mixed or confluent) or a spline of any
+    weights (zeros allowed), tau 0 or inside the strip (any for a spline), and an
+    x grid of 1..300 nodes on a range that may cross integers and need not be dyadic."""
+    n = draw(st.integers(1, 6))
+    vals = draw(st.lists(st.floats(0.3, 8.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    vals = [s * v for s, v in zip(signs, vals)]
+    if draw(st.booleans()):  # confluent: the first value repeated
+        vals += [vals[0]] * draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        w = make_weights(vals)
+        B, edge = w.spline, w.a0 / (2 * np.pi)
+    else:
+        B, edge = build_ebspline(vals + [0.0] * draw(st.integers(0, 1))), 2.0
+    tau = draw(st.sampled_from([0.0, -0.0, draw(st.floats(-0.9, 0.9)) * edge]))
+    lo = draw(st.floats(-3.0, 3.0))
+    step = draw(st.sampled_from([1 / 512, 1 / 256, 1 / 64, 1 / 100, 0.037, 1 / 3]))
+    xg = zaktp.analysis._grid(lo, lo + draw(st.floats(0.0, 2.5)), step)
+    return B, tau, xg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_series_cases())
+def test_series_tables_equal_three_eval_passes(case):
+    # the one-pass tables are the three per-table eval passes of series_oracle, byte for byte
+    got, want = _series_tables(*case), series_oracle.series_tables(*case)
+    for g, ref in zip(got, want):
+        assert g.dtype == ref.dtype and g.shape == ref.shape
+        assert g.tobytes() == ref.tobytes()
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    real = zaktp.analysis._table_zero
+
+    def counting(h, tol):
+        calls.append(tol)
+        return real(h, tol)
+
+    monkeypatch.setattr(zaktp.analysis, "_table_zero", counting)
+    return calls
+
+
+def test_zero_census_searches_each_half_slice_once(monkeypatch):
+    # locate_zero_half, then the census' zero-free pieces and its box at tau = 0: one search
+    w, tau = make_weights([3.3, -4.6, 5.2, -6.1]), 0.2 * 3.3 / (2 * np.pi)
+    # the zero at 1/2 + i tau, as in test_certify_refinement_finds_zero, found before counting
+    x_tau = locate_zero_half(make_weights([a - 2 * np.pi * tau for a in w.raw]))
+    calls = _count_searches(monkeypatch)
+    x_star = locate_zero_half(w)
+    assert certify_zero_free(w, Region(x=(x_star + 0.05, x_star + 0.95), omega=(0.0, 0.45)), 1 / 512).verdict == "zero_free_certified"
+    box = certify_zero_free(w, _shifted_box(x_star), 1 / 256)
+    assert box.verdict == "zero_found" and box.zero_location[0] == x_star
+    assert calls == [1e-12]
+    # a tau != 0 box searches B_tau's slice; a new tol searches afresh, once
+    assert certify_zero_free(w, _shifted_box(x_tau, tau), 1 / 256).verdict == "zero_found"
+    assert len(calls) == 2 and calls[1] == 1e-12
+    assert locate_zero_half(w, 1e-6) == locate_zero_half(w, 1e-6)
+    assert calls[2:] == [1e-6]
+    assert locate_zero_half(w) == x_star and len(calls) == 3
+
+
+def test_kept_zero_leaves_spline_equality_and_hash(monkeypatch):
+    B, twin = build_ebspline([-1.3, 2.1, -3.0]), build_ebspline([-1.3, 2.1, -3.0])
+    x = locate_zero_half(B)
+    assert B.half_zeros == {1e-12: x} and twin.half_zeros == {}
+    assert B == twin and hash(B) == hash(twin) and repr(B) == repr(twin)
+    # a spline made by replace() keeps nothing of the original's searches
+    calls = _count_searches(monkeypatch)
+    copy = dataclasses.replace(B, pieces=B.pieces)
+    assert copy.half_zeros == {} and locate_zero_half(copy) == x and len(calls) == 1
+    other = dataclasses.replace(B, pieces=build_ebspline([-1.3, 2.1, -3.5]).pieces)
+    assert locate_zero_half(other) != x and len(calls) == 2
+
+
+def _peak_of(call):
+    """The call's exception and tracemalloc's peak of the bytes it allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            call()
+        return str(err.value), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "region,step,message",
+    [
+        # 2049 x 2049 = 4,198,401 omega-x nodes: just over the cap
+        (Region(x=(0.0, 2.0), omega=(0.0, 2.0)), 1 / 1024, "a 2049x2049 grid exceeds 4194304 nodes"),
+        # 2050 shifts x 2048 points = 4,198,400 series samples: just over the cap
+        (Region(x=(0.0, 2047.0), omega=(0.3, 0.3)), 1.0, "a 2050x2048 series table exceeds 4194304 nodes"),
+        # 4,194,305 points on one axis: refused before the axis is built
+        (Region(x=(0.0, 4096.0), omega=(0.0, 0.45)), 1 / 1024, "a step of 0.0009765625 on (0.0, 4096.0) exceeds 4194304 nodes"),
+        (Region(x=(0.0, 1e12), omega=(0.0, 0.45)), 1e-3, "exceeds 4194304 nodes"),
+    ],
+)
+def test_certify_refuses_a_scan_over_the_node_cap_unallocated(region, step, message):
+    w = make_weights([1.0, -1.0])
+    msg, peak = _peak_of(lambda: certify_zero_free(w, region, step))
+    assert msg.endswith(message)
+    assert peak < 1e6  # a grid or series table at the cap takes 34 MB or more
+
+
+def test_certify_node_cap_is_inclusive(monkeypatch):
+    # a 33x65 scan with 4 shifts: the cap admits exactly its node and sample counts
+    w, region, line = make_weights([1.0, -1.0]), Region(x=(0.0, 1.0), omega=(0.0, 0.5)), Region(x=(0.0, 1.0), omega=(0.3, 0.3))
+    for cap, ok in ((33 * 65, True), (33 * 65 - 1, False)):
+        monkeypatch.setattr(zaktp.analysis, "_MAX_GRID_NODES", cap)
+        if ok:
+            certify_zero_free(w, region, 1 / 64)
+        else:
+            with pytest.raises(ValueError, match="a 33x65 grid exceeds 2144 nodes"):
+                certify_zero_free(w, region, 1 / 64)
+    for cap, ok in ((4 * 65, True), (4 * 65 - 1, False)):
+        monkeypatch.setattr(zaktp.analysis, "_MAX_GRID_NODES", cap)
+        if ok:
+            certify_zero_free(w, line, 1 / 64)
+        else:
+            with pytest.raises(ValueError, match="a 4x65 series table exceeds 259 nodes"):
+                certify_zero_free(w, line, 1 / 64)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_certify_raises_when_the_spline_sum_is_not_finite(monkeypatch, bad):
+    # |P| is finite here: the grid's own min and max must catch a NaN or an infinite |Z B|
+    real = zaktp.analysis._series_tables
+
+    def spoiled(B, tau, xg):
+        ks, G0, G1, G2 = real(B, tau, xg)
+        G0 = G0.copy()
+        G0[0, len(xg) // 2] = bad
+        return ks, G0, G1, G2
+
+    monkeypatch.setattr(zaktp.analysis, "_series_tables", spoiled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # NumPy may warn of the NaN on the way
+        with pytest.raises(IllConditioned, match="not finite"):
+            certify_zero_free(make_weights([1.0, -2.0]), Region(x=(0.1, 0.9), omega=(0.0, 0.4)), 1 / 64)
 
 
 def _neigh_max_loop(arr):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import tracemalloc
 
 import pytest
 from test_golden import COMMANDS as GOLDEN_COMMANDS
@@ -69,6 +70,27 @@ def test_zak_refuses_a_huge_grid(capsys):
     code, out, err = run(capsys, "zak", "--weights=1,-1", "--nx", "200000", "--nomega", "200000")
     assert (code, out) == (1, "")
     assert err == "ValueError: a 200000x200000 grid exceeds 4194304 nodes\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--x-range", "0,2", "--omega-range", "0,2", "--step", "0.0009765625"], "a 2049x2049 grid exceeds 4194304 nodes"),
+        (["--x-range", "0,2047", "--omega-range", "0.3,0.3", "--step", "1"], "a 2050x2048 series table exceeds 4194304 nodes"),
+        (["--x-range", "0,4096", "--omega-range", "0,0.45", "--step", "0.0009765625"],
+         "a step of 0.0009765625 on (0.0, 4096.0) exceeds 4194304 nodes"),
+    ],
+)
+def test_certify_refuses_a_scan_over_the_node_cap(capsys, argv, message):
+    # exit 1 with one line, and nothing grid-sized allocated: the last one once asked for 128 GiB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "certify", "--weights=1,-1", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (1, "", f"ValueError: {message}\n")
+    assert peak < 1e6
 
 
 def test_discrete_frame_has_no_tol_option(capsys):
