@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -159,19 +159,7 @@ class ZeroCertificate:
     zero_location: tuple[float, float] | None = None
 
     def to_json_dict(self):
-        return {
-            "schema": "zerocert/1",
-            "region": {
-                "x": list(self.region.x),
-                "omega": list(self.region.omega),
-                "tau": self.region.tau,
-            },
-            "grid_step": self.grid_step,
-            "min_modulus": self.min_modulus,
-            "lipschitz_bound": self.lipschitz_bound,
-            "verdict": self.verdict,
-            "zero_location": list(self.zero_location) if self.zero_location else None,
-        }
+        return {"schema": "zerocert/1", **asdict(self)}  # tuples are written as lists
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:

@@ -154,77 +154,38 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run(args) -> int:
+def _run(args):
+    """The subcommand's report and its format, csv or json."""
+    if args.command == "converge":
+        rows = convergence_sweep(args.gen, [int(n) for n in args.ns], args.sigma, int(args.n_ref))
+        return [("n", "sigma", "distance", "tail_proxy")] + [tuple(r) for r in rows], "csv"
+    w = _weights_from(args)
     if args.command == "eval":
-        w = _weights_from(args)
         if args.x is not None:
             xs = np.asarray(args.x, dtype=float)
         elif args.grid is not None:
             xs = np.linspace(*args.grid)
         else:
             xs = np.linspace(-10.0 / w.a0, 10.0 / w.a0, 201)
-        if args.apply_shift:
-            xs_eval = xs + sum(1.0 / a for a in w.raw)
-        else:
-            xs_eval = xs
-        vals = eval_tp(w, xs_eval)
-        rows = [("x", "g")] + [(float(x), float(v)) for x, v in zip(xs, vals)]
-        write_report(rows, "csv", args.out)
-        return 0
-
+        vals = eval_tp(w, xs + sum(1.0 / a for a in w.raw) if args.apply_shift else xs)
+        return [("x", "g")] + [(float(x), float(v)) for x, v in zip(xs, vals)], "csv"
     if args.command == "zak":
-        w = _weights_from(args)
-        xs = np.arange(args.nx) / args.nx
-        oms = np.arange(args.nomega) / args.nomega
-        grid = compute_zak_grid(w, xs, oms, tau=args.tau, source=args.source)
-        write_report(grid, args.format, args.out)
-        return 0
-
+        xs, oms = np.arange(args.nx) / args.nx, np.arange(args.nomega) / args.nomega
+        return compute_zak_grid(w, xs, oms, tau=args.tau, source=args.source), args.format
     if args.command == "zero":
-        w = _weights_from(args)
-        x = locate_zero_half(w, tol=args.tol)
-        write_report({"x_zero": x, "omega": 0.5}, "json", args.out)
-        return 0
-
+        return {"x_zero": locate_zero_half(w, tol=args.tol), "omega": 0.5}, "json"
     if args.command == "certify":
-        w = _weights_from(args)
         region = Region(x=args.x_range, omega=args.omega_range, tau=args.tau)
-        cert = certify_zero_free(w, region, grid_step=args.step)
-        write_report(cert, "json", args.out)
-        return 0
-
+        return certify_zero_free(w, region, grid_step=args.step), "json"
     if args.command == "framebounds":
-        w = _weights_from(args)
-        rep = frame_bounds(w, args.N, resolution=args.res, refinements=args.refinements)
-        write_report(rep, "json", args.out)
-        return 0
-
+        return frame_bounds(w, args.N, resolution=args.res, refinements=args.refinements), "json"
     if args.command == "discrete-frame":
-        w = _weights_from(args)
         window = periodize_sample(w, args.K)
-        if args.window_only:
-            write_report(window, "csv", args.out)
-        else:
-            report = discrete_frame_test(window, args.M)
-            write_report(report, "json", args.out)
-        return 0
-
-    if args.command == "converge":
-        rows = convergence_sweep(args.gen, [int(n) for n in args.ns], args.sigma, int(args.n_ref))
-        out_rows = [("n", "sigma", "distance", "tail_proxy")] + [tuple(r) for r in rows]
-        write_report(out_rows, "csv", args.out)
-        return 0
-
-    if args.command == "psi":
-        w = _weights_from(args)
-        p = args.p if args.p is not None else w.n
-        with np.errstate(divide="ignore", invalid="ignore"):  # a tau bound <= 0 gives NaN samples: refused below
-            taus = np.logspace(np.log10(args.tau_min), np.log10(args.tau_max), args.samples)
-        slope = psi_decay_diagnostic(w, args.omega, taus, p)
-        write_report({"fitted_exponent": slope, "p": p}, "json", args.out)
-        return 0
-
-    return 2
+        return (window, "csv") if args.window_only else (discrete_frame_test(window, args.M), "json")
+    p = args.p if args.p is not None else w.n  # psi
+    with np.errstate(divide="ignore", invalid="ignore"):  # a tau bound <= 0 gives NaN samples: refused below
+        taus = np.logspace(np.log10(args.tau_min), np.log10(args.tau_max), args.samples)
+    return {"fitted_exponent": psi_decay_diagnostic(w, args.omega, taus, p), "p": p}, "json"
 
 
 def parse_and_run(argv=None) -> int:
@@ -236,7 +197,8 @@ def parse_and_run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _run(args)
+        write_report(*_run(args), args.out)
+        return 0
     except ZakTPError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1

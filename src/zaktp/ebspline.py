@@ -9,10 +9,12 @@ both representations run on it.
 
 A spline with weight vector (lambda_1, ..., lambda_m) is the m-fold
 convolution of the functions e^{lambda_j t} chi_[0,1).  Each convolution step
-is carried out in closed form on the table, so no quadrature error enters any
-downstream identity.  Pieces live on local coordinates t = x - k in [0,1),
-and every piece carries every distinct lambda, with degree below its
-multiplicity.
+is carried out in closed form on the whole (piece, term, degree) table at once,
+so no quadrature error enters any downstream identity; the constants a step
+leaves in its own slot are summed in the recorded order their terms arose, and
+e^eta is math.exp, so every coefficient keeps the bits of the earlier per-term
+loop (``build_ebspline``).  Pieces live on local coordinates t = x - k in [0,1),
+and every piece carries every distinct lambda, with degree below its multiplicity.
 """
 from __future__ import annotations
 
@@ -264,22 +266,25 @@ class PiecewiseExpPoly:
     def __post_init__(self):
         etas = sorted({eta for piece in self.pieces for eta, _ in piece})
         slot = {eta: i for i, eta in enumerate(etas)}
-        arrays = [np.asarray(c) for piece in self.pieces for _, c in piece]
-        shape = (len(self.pieces), len(etas), max((len(a) for a in arrays), default=1))
-        coeffs = np.zeros(shape, np.result_type(float, *arrays))
-        for k, piece in enumerate(self.pieces):
-            for eta, c in piece:
-                coeffs[k, slot[eta], : len(c)] += c
+        terms = [(k, slot[eta], c) for k, piece in enumerate(self.pieces) for eta, c in piece]
+        ks, slots, cs = zip(*terms) if terms else ((), (), ())
+        lens = np.array([len(c) for c in cs], dtype=int)
+        values = np.array([v for c in cs for v in c])
+        coeffs = np.zeros((len(self.pieces), len(etas), max(lens.tolist(), default=1)), np.result_type(float, values))
+        index = np.repeat(ks, lens), np.repeat(slots, lens), np.arange(len(values)) - np.repeat(np.cumsum(lens) - lens, lens)
+        np.add.at(coeffs, index, values)  # unbuffered: each coefficient sums its terms in order, from +0
         object.__setattr__(self, "table", ExpPolyTable(etas, coeffs))
 
     @classmethod
     def from_table(cls, table: ExpPolyTable) -> "PiecewiseExpPoly":
         """The piecewise sum with the table's pieces, trailing zeros trimmed."""
-        pieces = []
-        for piece in table.coeffs:
-            trimmed = [tuple(np.trim_zeros(c, "b")) or (c.dtype.type(0),) for c in piece]
-            pieces.append(tuple(zip(map(float, table.etas), trimmed)))
-        return cls(tuple(pieces))
+        c = table.coeffs
+        lengths = ((c != 0) * np.arange(1, c.shape[-1] + 1)).max(axis=-1, initial=0).tolist()
+        etas, zero = table.etas.tolist(), (c.dtype.type(0).item(),)
+        return cls(tuple(
+            tuple((eta, tuple(row[:n]) or zero) for eta, row, n in zip(etas, rows, ns))
+            for rows, ns in zip(c.tolist(), lengths)
+        ))
 
     @property
     def m(self) -> int:
@@ -289,67 +294,80 @@ class PiecewiseExpPoly:
         return eval_ebspline(self, x)
 
 
-def _antideriv_exp(p: np.ndarray, c: float) -> np.ndarray:
-    """q with d/dv [q(v) e^{c v}] = p(v) e^{c v}, for c != 0."""
-    q = np.zeros(len(p))
-    term = p
-    for k in range(len(p)):
-        q[: len(term)] += (-1.0) ** k * term / c ** (k + 1)
-        term = _P.polyder(term)
-    return q
+def _convolve_step(coeffs: np.ndarray, rank: np.ndarray, etas: np.ndarray, ex: np.ndarray, s: int):
+    """Convolve the pieces ``coeffs`` (P, T, D) with e^{lam t} chi_[0,1), lam = etas[s], ex = e^etas.
 
-
-def _convolve_factor(coeffs: np.ndarray, order: list, etas: list, s: int):
-    """Convolve the pieces ``coeffs`` (P, T, D) with e^{lam t} chi_[0,1), lam = etas[s].
-
-    ``order[j]`` lists the slots of piece j in the order their terms arose; terms
-    are visited, and added into each slot, in that order, so every coefficient is
-    one fixed floating-point sum.  Exponents come from one clustered weight
-    vector, so they are compared exactly.
+    A term p e^{eta t} has the factor G, d/dv [G e^{(eta - lam) v}] = p e^{(eta - lam) v}:
+    G = sum_k (-1)^k p^(k) / (eta - lam)^(k+1), or G = int p for eta = lam (its degree
+    stays below the multiplicity).  Piece j gets G e^{eta t} (the A-part), piece j + 1
+    gets -e^lam G e^{eta t} (the B-part), and slot s gets the constants -G(0) and
+    e^eta G(1): in new piece j, those of old piece j - 1 by its ``rank``, then those of
+    old piece j by its own.  ``rank`` (P, T) orders each piece's slots by arrival, inf
+    where a slot has not arisen (its coefficients and constants are exact zeros).
     """
-    lam = etas[s]
     P, T, D = coeffs.shape
+    lam = etas[s]
+    pw = np.empty((T, D))
+    pw[:, 0] = etas - lam
+    try:
+        for k in range(2, D + 1):
+            pw[:, k - 1] = [c**k for c in pw[:, 0].tolist()]
+    except OverflowError:
+        pw[:] = 0.0
+    pw[s] = 1.0
+    if not pw.all():  # float ** overflowed, or a power underflowed to 0: G would not be finite
+        raise IllConditioned(f"spline weight {float(lam)!r}: a power of its gap to another weight leaves the double range")
+    G, term = np.zeros((P, T, D)), coeffs
+    for k in range(D):
+        G[..., : D - k] += (-1.0) ** k * term / pw[:, k, None]
+        term = term[..., 1:] * np.arange(1.0, D - k)
+    G[:, s, 1:] = coeffs[:, s, :-1] / np.arange(1.0, D)
+    G[:, s, 0] = 0.0
     new = np.zeros((P + 1, T, D))
-    new_order: list[list[int]] = [[] for _ in range(P + 1)]
-
-    def add(j: int, i: int, v):
-        new[j, i, : len(v)] += v
-        if i not in new_order[j]:
-            new_order[j].append(i)
-
-    e_lam = math.exp(lam)
-    for j in range(P):
-        for i in order[j]:
-            p, eta = coeffs[j, i], etas[i]
-            if i != s:
-                q = _antideriv_exp(p, eta - lam)
-                # A-part on piece j:  e^{lam t} (G(t) - G(0)), G = q e^{c v}
-                add(j, i, q)
-                add(j, s, [-_P.polyval(0.0, q)])
-                # B-part on piece j+1:  e^{lam (t+1)} (G(1) - G(t))
-                add(j + 1, s, [math.exp(eta) * _P.polyval(1.0, q)])
-                add(j + 1, i, -e_lam * q)
-            else:
-                # Q(0) = 0, and the degree stays below the multiplicity: Q fits in D slots
-                Q = _P.polyint(p)[:D]
-                add(j, s, Q)
-                QB = -Q
-                QB[0] += _P.polyval(1.0, Q)
-                add(j + 1, s, e_lam * QB)
-    return new, new_order
+    new[:-1] = G
+    new[1:] -= ex[s] * G
+    # per new piece: B-part constants in columns [0, T), A-part ones in (T, 2T]; T and -1 mask unarisen slots
+    at, rows = np.where(rank < np.inf, rank, T).astype(int), np.arange(P)[:, None]
+    consts = np.zeros((P + 1, 2 * T + 2))
+    consts[rows + 1, at] = ex * _horner(G, 1.0)[..., 0]
+    consts[rows, T + 1 + at] = -_horner(G, 0.0)[..., 0]
+    consts[:, T] = consts[:, -1] = 0.0
+    new[:, s, 0] = np.cumsum(consts, axis=1)[:, -1] + 0.0  # + 0.0: a sum from 0 is never -0
+    # arrivals in new piece j: a term of rank r in old piece j - 1 adds to slot s, then to
+    # its own, at 2r, 2r + 1; one in old piece j to its own, then to s, at 2T + 2r, 2T + 2r + 1
+    pad = np.full((P + 2, T), np.inf)
+    pad[1:-1] = rank
+    prev, cur = pad[:-1], pad[1:]
+    arrival = np.minimum(2 * prev + 1, 2 * T + 2 * cur)
+    arrival[:, s] = np.minimum(2 * prev.min(axis=1), 2 * T + 2 * cur.min(axis=1) + 1)
+    return new, np.where(arrival < np.inf, np.argsort(np.argsort(arrival, axis=1), axis=1), np.inf)
 
 
 def build_ebspline(lam: Sequence[float]) -> PiecewiseExpPoly:
-    """Construct the spline for the weight vector by exact convolution."""
+    """Construct the spline for the weight vector by exact convolution, one array
+    step (``_convolve_step``) per weight after the first.
+
+    Each coefficient is the same floating-point sum as in the per-term loop the step
+    replaced: slot s's constants are added in the recorded order their terms arose,
+    with one sequential cumsum, and each e^eta and (eta - lam)^k is a Python scalar
+    (math.exp, float **), as NumPy's SIMD exp and power round some last bits
+    differently.  :class:`IllConditioned`, naming a weight, where an e^eta, a power
+    or a coefficient leaves the double range.
+    """
     lambdas, clusters = _spline_weights(lam)
-    etas = [b for b, _ in clusters]
-    slot = {eta: i for i, eta in enumerate(etas)}
-    first = slot[lambdas[0]]
-    coeffs = np.zeros((1, len(etas), max(mu for _, mu in clusters)))
-    coeffs[0, first, 0] = 1.0
-    order = [[first]]
-    for lj in lambdas[1:]:
-        coeffs, order = _convolve_factor(coeffs, order, etas, slot[lj])
+    etas = np.array([b for b, _ in clusters])
+    try:
+        ex = np.array([math.exp(eta) for eta in etas.tolist()])
+    except OverflowError:
+        raise IllConditioned(f"spline weight {float(etas[-1])!r}: e^{float(etas[-1])!r} leaves the double range") from None
+    slot = {eta: i for i, eta in enumerate(etas.tolist())}
+    coeffs, rank = np.zeros((1, len(etas), max(mu for _, mu in clusters))), np.full((1, len(etas)), np.inf)
+    coeffs[0, slot[lambdas[0]], 0], rank[0, slot[lambdas[0]]] = 1.0, 0.0
+    with np.errstate(all="ignore"):  # a non-finite coefficient is refused below
+        for lj in lambdas[1:]:
+            coeffs, rank = _convolve_step(coeffs, rank, etas, ex, slot[lj])
+    if not np.isfinite(coeffs).all():
+        raise IllConditioned(f"spline weight {float(etas[np.argmax(np.abs(etas))])!r}: the coefficients leave the double range")
     return PiecewiseExpPoly.from_table(ExpPolyTable(etas, coeffs))
 
 

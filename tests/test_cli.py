@@ -65,6 +65,13 @@ def test_nan_and_degenerate_values_exit_with_error_class(capsys, argv, error):
     assert err.startswith(error) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["zero", "zak", "framebounds"])
+def test_exponent_past_the_double_range_exits_with_one_line(capsys, command):
+    # e^800 in the spline build was an untyped OverflowError and a traceback
+    code, out, err = run(capsys, command, "--weights=-800,1")
+    assert (code, out, err) == (1, "", "IllConditioned: spline weight 800.0: e^800.0 leaves the double range\n")
+
+
 def test_zak_refuses_a_huge_grid(capsys):
     # exit 1 with a message, before the 4e10-node grid is allocated
     code, out, err = run(capsys, "zak", "--weights=1,-1", "--nx", "200000", "--nomega", "200000")

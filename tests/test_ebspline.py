@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -9,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from build_oracle import build_coeffs, pieces_from_table, table_from_pieces
 from piece_oracle import piece, reduce_terms, slice_terms
 
-from zaktp.analysis import _slice_table
+from zaktp.analysis import _slice_table, locate_zero_half
 from zaktp.ebspline import (
+    ExpPolyTable,
     PiecewiseExpPoly,
     _spline_weights,
     build_ebspline,
@@ -20,6 +24,7 @@ from zaktp.ebspline import (
     fourier_ebspline,
     reduce_ebspline,
 )
+from zaktp.errors import IllConditioned
 from zaktp.weights import eval_tp, fourier_tp, make_weights
 from zaktp.zak import zak_ebspline, zak_factorized, zak_tp
 
@@ -224,3 +229,154 @@ def test_chained_cluster_keeps_every_entry():
     assert set(lambdas) == {b for b, _ in clusters}
     w = make_weights(vals)
     assert zak_factorized(w, 0.3, 0.2) == pytest.approx(zak_tp(w, 0.3, 0.2), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The array build against the per-term loop it replaced (tests/build_oracle.py)
+
+
+def _same_bits(a, b):
+    return (
+        a.dtype == b.dtype
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
+    )
+
+
+def _assert_build_equals_loop(lams):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            etas, ref = build_coeffs(lams)
+        except OverflowError:
+            ref = None
+    if ref is None or not np.isfinite(ref).all():
+        with pytest.raises(IllConditioned, match="spline weight"):
+            build_ebspline(lams)
+        return
+    B = build_ebspline(lams)
+    assert _same_bits(B.table.coeffs, ref)
+    assert B.table.etas.tolist() == etas
+    assert B.pieces == pieces_from_table(etas, ref)
+
+
+_BASES = st.floats(-700.0, 700.0, allow_nan=False)
+
+
+@st.composite
+def spline_weights(draw):
+    """Weight vectors with repeats (multiplicity up to 4), clusters 1e-10 wide,
+    exponents 1e-8 apart, zeros and mixed signs, |lambda| up to 700."""
+    scale = draw(st.sampled_from([1.0, 3.0, 8.0, 700.0]))
+    bases = draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=5))
+    bases = [scale * b for b in bases] + draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=1))
+    if draw(st.booleans()):
+        bases.append(bases[0] + 1e-10)  # joins bases[0]'s cluster
+    if draw(st.booleans()):
+        bases.append(bases[0] * (1 + 1e-8) + 1e-8)  # its own exponent, 1e-8 away
+    picks = draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=10))
+    counts: dict[int, int] = {}
+    lams = []
+    for i in picks:
+        counts[i] = counts.get(i, 0) + 1
+        if counts[i] <= 4:
+            lams.append(bases[i])
+    return lams
+
+
+@settings(max_examples=300, deadline=None)
+@given(lams=spline_weights())
+def test_array_build_equals_per_term_loop_bit_for_bit(lams):
+    _assert_build_equals_loop(lams)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lams=st.lists(_BASES, min_size=1, max_size=8))
+def test_array_build_equals_per_term_loop_on_wide_weights(lams):
+    _assert_build_equals_loop(lams)
+
+
+@pytest.mark.parametrize("lams", [
+    [-(k + 1.0) for k in range(32)],  # harmonic, the spline factor of a_k = k
+    [(-1.0) ** k * (k + 1) for k in range(32)],  # alternating
+])
+def test_array_build_equals_per_term_loop_at_n32(lams):
+    _assert_build_equals_loop(lams)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lams=spline_weights(), eta=st.floats(-2.0, 2.0), s=st.complex_numbers(max_magnitude=1.0))
+def test_tuple_round_trip_keeps_the_table_bits(lams, eta, s):
+    # real tables from the build and its reduction, complex ones from a Zak slice
+    try:
+        B = build_ebspline(lams)
+    except IllConditioned:
+        return
+    assert _same_bits(PiecewiseExpPoly(B.pieces).table.coeffs, B.table.coeffs)
+    assert _same_bits(PiecewiseExpPoly.from_table(B.table).table.coeffs, B.table.coeffs)
+    for table in (B.table, B.table.reduce(eta), _slice_table(B.table, s)):
+        ref_pieces = pieces_from_table(table.etas, table.coeffs)
+        ref = table_from_pieces(ref_pieces)[1]
+        pieces = PiecewiseExpPoly.from_table(table).pieces
+        assert pieces == ref_pieces
+        assert _same_bits(PiecewiseExpPoly(pieces).table.coeffs, ref)
+        assert _same_bits(PiecewiseExpPoly(ref_pieces).table.coeffs, ref)
+
+
+def test_tuple_round_trip_on_signed_zeros_nan_and_mixed_terms():
+    rng = np.random.default_rng(3)
+    pool = np.array([0.0, -0.0, 1.0, -2.5, np.nan, np.inf, 1e-310])
+    for k in range(200):
+        coeffs = rng.choice(pool, size=(3, 4, 3))
+        if k % 2:
+            coeffs = coeffs.astype(complex)
+            coeffs.imag = rng.choice(pool, size=coeffs.shape)
+        etas = [-1.5, 0.0, 0.25, 2.0]
+        pieces = PiecewiseExpPoly.from_table(ExpPolyTable(etas, coeffs)).pieces
+        assert [[len(c) for _, c in p] for p in pieces] == [[len(c) for _, c in p] for p in pieces_from_table(etas, coeffs)]
+        assert _same_bits(PiecewiseExpPoly(pieces).table.coeffs, table_from_pieces(pieces_from_table(etas, coeffs))[1])
+    mixed = (((0.5, (1, 2.0)), (-1.0, (0.25,))), ((0.5, (3,)), (0.5, (1.0, -0.0))))  # ints and a repeated exponent
+    assert _same_bits(PiecewiseExpPoly(mixed).table.coeffs, table_from_pieces(mixed)[1])
+
+
+def test_harmonic_n64_builds_in_milliseconds():
+    # the per-term loop took 2.4-3.0 s here; the array step takes about 20 ms
+    lams = [-(k + 1.0) for k in range(64)]
+    build_ebspline(lams)
+    best = min(_timed(build_ebspline, lams) for _ in range(3))
+    assert best < 0.5
+
+
+def _timed(f, *args):
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
+
+
+# ---------------------------------------------------------------------------
+# Exponents and coefficients past the double range
+
+
+def test_exponential_past_the_double_range_is_refused():
+    # math.exp(800) raised an untyped OverflowError inside the build
+    with pytest.raises(IllConditioned, match=r"spline weight 800\.0: e\^800\.0 leaves the double range"):
+        build_ebspline([800.0, -1.0])
+    with pytest.raises(IllConditioned, match="800.0"):
+        locate_zero_half(make_weights([-800.0, 1.0]))
+
+
+def test_overflowing_coefficients_are_refused():
+    # the coefficients overflowed silently: zak_factorized gave nan + nan j, and
+    # locate_zero_half raised NoZero, read as a counterexample to the theorem
+    w = make_weights([-600.0, -600.0, -600.0])
+    assert np.isfinite(zak_tp(w, 0.3, 0.2))
+    for call in (lambda: zak_factorized(w, 0.3, 0.2), lambda: locate_zero_half(w), lambda: w.spline):
+        with pytest.raises(IllConditioned, match=r"spline weight 600\.0: the coefficients leave the double range"):
+            call()
+
+
+def test_overflowing_power_of_a_gap_is_refused():
+    # (1e200 - 0)^2 overflowed Python's float ** in the per-term loop
+    with pytest.raises(IllConditioned, match=r"spline weight -1e\+200: a power of its gap to another weight leaves"):
+        build_ebspline([-1e200, -1e200, 0.0])
