@@ -266,15 +266,16 @@ _BASES = st.floats(-700.0, 700.0, allow_nan=False)
 
 @st.composite
 def spline_weights(draw):
-    """Weight vectors with repeats (multiplicity up to 4), clusters 1e-10 wide,
-    exponents 1e-8 apart, zeros and mixed signs, |lambda| up to 700."""
+    """Weight vectors with each value at most 4 times (a 1e-10 neighbour joins its
+    cluster, up to 8), exponents 1e-8 apart in relative terms, zeros and mixed
+    signs, |lambda| up to 700."""
     scale = draw(st.sampled_from([1.0, 3.0, 8.0, 700.0]))
     bases = draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=5))
     bases = [scale * b for b in bases] + draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=1))
     if draw(st.booleans()):
         bases.append(bases[0] + 1e-10)  # joins bases[0]'s cluster
     if draw(st.booleans()):
-        bases.append(bases[0] * (1 + 1e-8) + 1e-8)  # its own exponent, 1e-8 away
+        bases.append(bases[0] * (1 + 1e-8) + 1e-8)  # its own exponent, about 1e-8 away in relative terms
     picks = draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=10))
     counts: dict[int, int] = {}
     lams = []
