@@ -80,7 +80,6 @@ from .zak import (
     zak_inversion_check,
     zak_prefactor,
     zak_tp,
-    zak_tp_with_tail,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

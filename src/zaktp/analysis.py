@@ -58,14 +58,14 @@ def _cyclic_sign_changes(vals: np.ndarray) -> list[tuple[int, int]]:
 def _sample_two_periodic(table: ExpPolyTable, per_period: int = 512) -> np.ndarray:
     """Samples on [0,2) of the slice h with h(x+1) = -h(x), h = the one-piece table on [0,1)."""
     t = np.arange(per_period) / per_period
-    vals = np.real(table._piece(0, t))
+    vals = np.real(table.pieces_at(t)[0])
     return np.concatenate([vals, -vals])
 
 
 def _two_periodic(h: ExpPolyTable, x: np.ndarray) -> np.ndarray:
     """The slice at x >= 0: h on [0,1), extended by h(x+1) = -h(x)."""
     k = np.floor(x)
-    return np.real(h._piece(0, x - k)) * (1.0 - 2.0 * (k % 2))
+    return np.real(h.pieces_at(x - k)[0]) * (1.0 - 2.0 * (k % 2))
 
 
 def _table_zero(h: ExpPolyTable, tol: float) -> float:
@@ -166,7 +166,7 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     if not (hi - lo) / step < _MAX_GRID_NODES:  # refused before it is built
         raise ValueError(f"a step of {step} on ({lo}, {hi}) exceeds {_MAX_GRID_NODES} nodes")
     g = np.arange(lo, hi + step * 0.5, step)
-    if g[-1] < hi - step * 0.5:
+    if not g.size or g[-1] < hi - step * 0.5:  # empty where lo + step / 2 rounds to lo
         g = np.append(g, hi)
     return np.clip(g, lo, hi)
 
@@ -290,15 +290,15 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
     if not 0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     for name, (lo, hi) in (("x", region.x), ("omega", region.omega)):
-        if not lo <= hi:
-            raise ValueError(f"region {name} range ({lo}, {hi}) is reversed")
+        if not -math.inf < lo <= hi < math.inf:  # NaN fails too
+            raise ValueError(f"region {name} range ({lo}, {hi}) is reversed or not finite")
     tau = region.tau
     if isinstance(window, WeightMultiset):
         _check_strip(window, tau)
     elif isinstance(window, PiecewiseExpPoly) and not math.isfinite(tau):  # no strip: any finite tau
         raise ValueError(f"a spline window needs a finite tau, got {tau}")
     xg = _grid(region.x[0], region.x[1], grid_step)
-    og = _grid(region.omega[0], region.omega[1], grid_step) if region.omega[1] > region.omega[0] else np.asarray([region.omega[0]])
+    og = _grid(region.omega[0], region.omega[1], grid_step)
     if len(og) * len(xg) > _MAX_GRID_NODES:  # _series_tables checks its own size
         raise ValueError(f"a {len(og)}x{len(xg)} grid exceeds {_MAX_GRID_NODES} nodes")
     # |P| first: where it overflows, so does |Z g| = |P| |Z B|, and B need not be built
@@ -429,7 +429,7 @@ def fully_reduced_sign_changes(weights: WeightMultiset, omega: float, N: int) ->
     for idx, (eta, mu) in enumerate(clusters):
         for _ in range(mu - 1 if idx == 0 else mu):
             red = red.reduce(eta)
-    base = red._piece(0, np.arange(256) / 256)
+    base = red.pieces_at(np.arange(256) / 256)[0]
     samples = np.concatenate(
         [np.real(np.exp(2j * np.pi * k * omega) * base) for k in range(N)]
     )

@@ -28,32 +28,29 @@ class WeightGenerator:
     r: float = 2.0
     values: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        if self.rule != "explicit" and self.c == 0:
+            raise ValueError("c must be nonzero")
+        if self.rule == "geometric" and self.r <= 1.0:
+            raise ValueError("geometric rule needs r > 1")
+        if any(v == 0 for v in self.values):
+            raise ValueError("weights must be nonzero")
+
     @classmethod
     def harmonic(cls, c: float = 1.0) -> "WeightGenerator":
-        if c == 0:
-            raise ValueError("c must be nonzero")
         return cls(rule="harmonic", c=float(c))
 
     @classmethod
     def alternating(cls, c: float = 1.0) -> "WeightGenerator":
-        if c == 0:
-            raise ValueError("c must be nonzero")
         return cls(rule="alternating", c=float(c))
 
     @classmethod
     def geometric(cls, c: float = 1.0, r: float = 2.0) -> "WeightGenerator":
-        if c == 0:
-            raise ValueError("c must be nonzero")
-        if r <= 1.0:
-            raise ValueError("geometric rule needs r > 1")
         return cls(rule="geometric", c=float(c), r=float(r))
 
     @classmethod
     def explicit(cls, values: Sequence[float]) -> "WeightGenerator":
-        vals = tuple(float(v) for v in values)
-        if any(v == 0 for v in vals):
-            raise ValueError("weights must be nonzero")
-        return cls(rule="explicit", values=vals)
+        return cls(rule="explicit", values=tuple(float(v) for v in values))
 
     def weight(self, nu: int) -> float:
         """The nu-th weight, 1-based."""

@@ -97,44 +97,30 @@ class ExpPolyTable:
         with np.errstate(over="ignore"):  # an eta t past the double range is -inf: skipped
             return slice(None) if abs(eta) * span < -_UNDERFLOW else np.flatnonzero(~(eta * t < _UNDERFLOW))
 
-    def _piece(self, p: int, t: np.ndarray) -> np.ndarray:
-        """Piece p at the 1-D points t, term by term in slot order: padded Horner on
-        the term's row times its exponential, added in where ``_keep`` says.  No
-        (T, n) array is formed."""
-        out = np.zeros(t.shape, self.coeffs.dtype)
-        terms = zip(self.etas[self._live_mask[p]], self.coeffs[p, self._live_mask[p]])
-        if not self._may_underflow:
-            for eta, row in terms:
-                out += _horner(row, t) * np.exp(eta * t)
-            return out
-        span = np.max(np.abs(t), initial=0.0)
-        for eta, row in terms:
-            keep = self._keep(eta, t, span)
-            out[keep] += _horner(row, t[keep]) * np.exp(eta * t[keep])
-        return out
-
     def pieces_at(self, t: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """The pieces ``rows`` (every piece by default) at the same 1-D points t,
-        shape (len(rows), len(t)); row r is ``_piece(r, t)`` bit for bit.  Each
-        e^{eta t} a live term needs is formed once and shared by the pieces (at
-        most T np.exp calls, not P T); each piece still adds Horner times it in
-        slot order, where ``_keep`` says (without a skip, all rows at once)."""
+        shape (len(rows), len(t)): the table's one evaluator.  Each e^{eta t} a
+        live term needs is formed once and shared by the pieces (at most T np.exp
+        calls, not P T); each piece adds padded Horner times it in slot order,
+        where ``_keep`` says (without a skip, all rows at once).  No (T, n) array
+        is formed."""
         coeffs, live = self.coeffs[rows], self._live_mask[rows]
         out = np.zeros((len(coeffs), len(t)), coeffs.dtype)
         span = np.max(np.abs(t), initial=0.0) if self._may_underflow else 0.0
-        for i, eta in enumerate(self.etas):
-            ps = live[:, i]
-            if not ps.any():
+        terms = zip(self.etas.tolist(), coeffs.transpose(1, 0, 2), live.T, live.sum(axis=0).tolist())
+        for eta, c, ps, n_live in terms:  # per term: its exponent, its (P, D) rows, which are live
+            if not n_live:
                 continue
-            if not self._may_underflow:
-                sel = slice(None) if ps.all() else ps
-                out[sel] += _horner(coeffs[sel, i], t) * np.exp(eta * t)
-                continue
-            keep = self._keep(eta, t, span)
-            tk = t[keep]
-            e = np.exp(eta * tk)
-            for p in np.flatnonzero(ps):
-                out[p, keep] += _horner(coeffs[p, i], tk) * e
+            if self._may_underflow:
+                keep = self._keep(eta, t, span)
+                tk = t[keep]
+                e = np.exp(eta * tk)
+                for p in np.flatnonzero(ps):
+                    out[p][keep] += _horner(c[p], tk) * e
+            elif n_live == len(c):
+                out += _horner(c, t) * np.exp(eta * t)
+            else:
+                out[ps] += _horner(c[ps], t) * np.exp(eta * t)
         return out
 
     def eval(self, piece, t) -> np.ndarray:
@@ -146,7 +132,7 @@ class ExpPolyTable:
         for p in range(len(self.coeffs)):
             sel = piece == p
             if np.any(sel):
-                out[sel] = self._piece(p, t[sel])
+                out[sel] = self.pieces_at(t[sel], slice(p, p + 1))[0]
         return out
 
     def reduce(self, eta0: float) -> "ExpPolyTable":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import Indivisible
 from .weights import WeightMultiset
-from .zak import _MAX_GRID_NODES, _spline_columns, zak_prefactor
+from .zak import _MAX_GRID_NODES, zak_prefactor
 
 _BLOCK_NODES = 1 << 14  # nodes per row block of the frame kernel: one 128 KB scratch buffer
 
@@ -79,7 +79,7 @@ def _zak_squares(weights: WeightMultiset, N: int, xs: np.ndarray, oms: np.ndarra
     eps * |P Z|^2.
     """
     B = weights.spline
-    bv = _spline_columns(B, xs)
+    bv = B.table.pieces_at(xs)
     ks = 2.0 * np.pi * np.arange(B.m)
     tables = []
     for j in range(N):

@@ -32,17 +32,12 @@ def _check_strip(weights: WeightMultiset, tau: float):
         )
 
 
-def zak_tp_with_tail(weights: WeightMultiset, x: float, s) -> tuple[complex, float]:
-    """Direct Zak value and its rounding bound: the lattice sum is in closed form, with no tail."""
+def zak_tp(weights: WeightMultiset, x: float, s) -> complex:
+    """Zak transform of the TP window by the direct lattice sum (the oracle route),
+    in closed form; ``weights.table.lattice_sum`` also gives its rounding bound."""
     sc = complex(s)
     _check_strip(weights, sc.imag)
-    z, bound = weights.table.lattice_sum(float(x), sc)
-    return complex(z), float(bound)
-
-
-def zak_tp(weights: WeightMultiset, x: float, s) -> complex:
-    """Zak transform of the TP window by the direct lattice sum (the oracle route)."""
-    return zak_tp_with_tail(weights, x, s)[0]
+    return complex(weights.table.lattice_sum(float(x), sc)[0])
 
 
 def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
@@ -55,19 +50,11 @@ def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
     n_shift = np.floor(xs)
     x0 = xs - n_shift
     out = np.zeros(xs.shape, dtype=complex)
-    for k, col in enumerate(_spline_columns(B, x0)):
+    # piece k at t = x0 is B(x0 + k): x0 lies in [0, 1), so x0 + k - k never rounds
+    for k, col in enumerate(B.table.pieces_at(x0)):
         out += col * np.exp(-2j * np.pi * k * sc)
     out *= np.exp(2j * np.pi * n_shift * sc)
     return _like_input(x, out)
-
-
-def _spline_columns(B: PiecewiseExpPoly, xs: np.ndarray) -> np.ndarray:
-    """B(x + k) for k < m on a new first axis, for 1-D xs in [0, 1): piece k at t = x.
-
-    Every piece shares the local coordinate, so each exponential e^{eta x} is
-    formed once (``ExpPolyTable.pieces_at``), and x + k - k never rounds.
-    """
-    return B.table.pieces_at(xs)
 
 
 def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
@@ -94,7 +81,8 @@ def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
 
 def zak_factorized(weights: WeightMultiset, x, s) -> complex | np.ndarray:
     """Zak transform via the spline factorization (exact, preferred for scans)."""
-    return zak_prefactor(weights, s) * zak_ebspline(weights.spline, x, s)
+    B = weights.spline  # first: a spline that leaves the double range refuses before P can overflow
+    return zak_prefactor(weights, s) * zak_ebspline(B, x, s)
 
 
 _QUAD_POINTS = 256  # Gauss-Legendre nodes of zak_inversion_check
@@ -198,7 +186,7 @@ def compute_zak_grid(
         B = weights.spline
         s = oms + 1j * tau
         phases = np.exp(-2j * np.pi * np.outer(s, np.arange(B.m)))  # (n_omega, m)
-        values, tail = zak_prefactor(weights, s)[:, None] * (phases @ _spline_columns(B, xs)), 0.0
+        values, tail = zak_prefactor(weights, s)[:, None] * (phases @ B.table.pieces_at(xs)), 0.0
     elif source == "direct_series":
         values, bound = weights.table.lattice_sum(xs, oms + 1j * tau)
         tail = float(bound.max(initial=0.0))

@@ -1,8 +1,11 @@
 """Per-term oracles for the spline's term table, shared by the tests: each
 piece or slice as a list of (eta, ascending coefficients) terms, evaluated and
-reduced one term at a time from the spline's pieces, not through ExpPolyTable."""
+reduced one term at a time from the spline's pieces, not through ExpPolyTable;
+and ``table_piece``, one piece of a table evaluated on its own."""
 
 import numpy as np
+
+from zaktp.ebspline import _horner
 
 
 def piece(terms, t):
@@ -39,4 +42,22 @@ def reduce_terms(terms, eta0):
         red = (eta - eta0) * c
         red[:-1] += c[1:] * np.arange(1, len(c))
         out.append((eta, red))
+    return out
+
+
+def table_piece(table, p, t):
+    """Piece p of an ExpPolyTable at the 1-D points t, term by term in slot order:
+    padded Horner on the term's row times its exponential, added in where the
+    table's ``_keep`` says.  The per-piece evaluator the table had beside
+    ``pieces_at``."""
+    out = np.zeros(t.shape, table.coeffs.dtype)
+    terms = zip(table.etas[table._live_mask[p]], table.coeffs[p, table._live_mask[p]])
+    if not table._may_underflow:
+        for eta, row in terms:
+            out += _horner(row, t) * np.exp(eta * t)
+        return out
+    span = np.max(np.abs(t), initial=0.0)
+    for eta, row in terms:
+        keep = table._keep(eta, t, span)
+        out[keep] += _horner(row, t[keep]) * np.exp(eta * t[keep])
     return out

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -22,6 +23,7 @@ from zaktp.analysis import (
     MonotonicityReport,
     Region,
     _cyclic_sign_changes,
+    _grid,
     _majorants,
     _neigh_max,
     _sample_two_periodic,
@@ -425,10 +427,22 @@ def test_certify_piece_peak_memory():
     assert peak < 4e6
 
 
-@pytest.mark.parametrize("region", [Region(x=(0.8, 0.2), omega=(0.0, 0.4)), Region(x=(0.0, 1.0), omega=(0.5, 0.2))])
+@pytest.mark.parametrize("region", [
+    Region(x=(0.8, 0.2), omega=(0.0, 0.4)), Region(x=(0.0, 1.0), omega=(0.5, 0.2)),
+    # a range that is not finite, the zero-width omega = inf one included
+    Region(x=(0.0, math.inf), omega=(0.0, 0.4)), Region(x=(0.0, 1.0), omega=(math.inf, math.inf)),
+    Region(x=(0.0, 1.0), omega=(math.nan, math.nan)),
+])
 def test_certify_rejects_reversed_range(region):
     with pytest.raises(ValueError, match="reversed"):
         certify_zero_free(make_weights([1.0, -1.0]), region, grid_step=1 / 64)
+
+
+@pytest.mark.parametrize("lo", [0.3, 0.0, -0.0, 1e300])
+def test_zero_width_grid_is_its_one_point(lo):
+    # a zero-width omega range scans the one row omega = lo; at 1e300, lo + step / 2 rounds to lo
+    g = _grid(lo, lo, 1 / 512)
+    assert g.tolist() == [lo] and np.signbit(g[0]) == np.signbit(lo)
 
 
 @pytest.mark.parametrize("step", [0.0, -1 / 64, float("nan"), float("inf")])

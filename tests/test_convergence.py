@@ -28,6 +28,26 @@ def test_truncate_rules():
     assert truncate(WeightGenerator.explicit([1.5, -2.5]), 2).raw == (1.5, -2.5)
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: WeightGenerator.harmonic(0.0), "c must be nonzero"),
+        (lambda: WeightGenerator.alternating(-0.0), "c must be nonzero"),
+        (lambda: WeightGenerator.geometric(0.0, 0.5), "c must be nonzero"),
+        (lambda: WeightGenerator.geometric(1.0, 1.0), "geometric rule needs r > 1"),
+        (lambda: WeightGenerator.explicit([1.5, 0.0]), "weights must be nonzero"),
+        # the fields are checked however the generator is made
+        (lambda: WeightGenerator(rule="harmonic", c=0.0), "c must be nonzero"),
+        (lambda: WeightGenerator(rule="alternating", c=0), "c must be nonzero"),
+        (lambda: WeightGenerator(rule="geometric", r=0.5), "geometric rule needs r > 1"),
+        (lambda: WeightGenerator(rule="explicit", values=(2.0, -0.0)), "weights must be nonzero"),
+    ],
+)
+def test_weight_generator_refuses_bad_fields(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_square_sum_tail_harmonic_brute_force():
     gen = WeightGenerator.harmonic(2.0)
     brute = sum(1.0 / (2.0 * v) ** 2 for v in range(6, 200001))

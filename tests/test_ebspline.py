@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from build_oracle import build_coeffs, pieces_from_table, table_from_pieces
-from piece_oracle import piece, reduce_terms, slice_terms
+from piece_oracle import piece, reduce_terms, slice_terms, table_piece
 
 from zaktp.analysis import _slice_table, locate_zero_half
 from zaktp.ebspline import (
@@ -339,6 +339,47 @@ def test_tuple_round_trip_on_signed_zeros_nan_and_mixed_terms():
         assert _same_bits(PiecewiseExpPoly(pieces).table.coeffs, table_from_pieces(pieces_from_table(etas, coeffs))[1])
     mixed = (((0.5, (1, 2.0)), (-1.0, (0.25,))), ((0.5, (3,)), (0.5, (1.0, -0.0))))  # ints and a repeated exponent
     assert _same_bits(PiecewiseExpPoly(mixed).table.coeffs, table_from_pieces(mixed)[1])
+
+
+WIDE_WINDOW = [1.2 * 2.0**k for k in range(1, 41)]  # sum log|a| = 576: its table route
+
+
+def _evaluator_tables():
+    real = build_ebspline([0.9, -2.1, 1.4, 0.0, -2.1, 3.3]).table
+    return {
+        "spline": real,
+        "confluent_spline": build_ebspline([-2.0, -2.0, -2.0, 1.0, 1.0]).table,
+        "slice_half": _slice_table(real, 0.5),
+        "slice_complex": _slice_table(real, 0.3 + 0.02j),
+        "some_pieces": PiecewiseExpPoly((((0.5, (1.0, 2.0)),), ((-1.0, (3.0,)), (0.5, (0.25, -1.5))))).table,  # e^-t on one piece
+        "wide_window": make_weights(WIDE_WINDOW).table,
+        # e^{-1000 t} is +0 for t > 0.746, where the Horner value 1e308 (1 + t) overflows:
+        # only the skip keeps inf * 0 = NaN out
+        "skip_overflow": PiecewiseExpPoly((((-1000.0, (1e308, 1e308)), (1.0, (3.0, -1.0))), ((-1000.0, (0.5,)),))).table,
+    }
+
+
+@pytest.mark.parametrize("name", ["spline", "confluent_spline", "slice_half", "slice_complex", "some_pieces", "wide_window", "skip_overflow"])
+def test_pieces_at_and_eval_equal_the_per_piece_evaluator_bit_for_bit(name):
+    # the two wide tables skip their underflowing terms (the window's on [-1, 12.5]);
+    # +-inf and NaN are among the points of every table
+    table = _evaluator_tables()[name]
+    lo, hi = (-1.0, 12.5) if name == "wide_window" else (0.0, 1.0)
+    t = np.concatenate([np.random.default_rng(23).uniform(lo, hi, 4000), [lo, 0.0, -0.0, math.inf, -math.inf, math.nan]])
+    P = len(table.coeffs)
+    with np.errstate(all="ignore"):
+        refs = [table_piece(table, p, t) for p in range(P)]
+        every = table.pieces_at(t)
+        assert table._may_underflow == name.startswith(("wide", "skip"))
+        for p, ref in enumerate(refs):
+            assert _same_bits(table.pieces_at(t, slice(p, p + 1))[0], ref)
+            assert _same_bits(every[p], ref)
+            assert _same_bits(table.eval(p, t), ref)
+        which = np.random.default_rng(29).integers(-1, P + 1, t.shape)  # -1 and P: no piece, 0
+        mixed = table.eval(which, t)
+    for p, ref in enumerate(refs):
+        assert _same_bits(mixed[which == p], ref[which == p])
+    assert not mixed[(which < 0) | (which >= P)].any()
 
 
 def test_harmonic_n64_builds_in_milliseconds():

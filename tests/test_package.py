@@ -81,7 +81,6 @@ zak_inversion_check
 zak_prefactor
 zak_strip_distance
 zak_tp
-zak_tp_with_tail
 """.split()
 
 

@@ -1,6 +1,7 @@
 """Tests for the Zak transform routes and their cross-validation."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -25,8 +26,6 @@ from zaktp.zak import (
     zak_inversion_check,
     zak_prefactor,
     zak_tp,
-    zak_tp_with_tail,
-    _spline_columns,
 )
 
 
@@ -40,7 +39,9 @@ def test_tail_bound_is_honest():
     # the lattice sum is in closed form: no tail, and the reported bound is
     # its rounding, which holds against mpmath
     w = make_weights([1.0, -2.0])
-    val, bound = zak_tp_with_tail(w, 0.3, 0.2)
+    z, bound = w.table.lattice_sum(0.3, 0.2)
+    val, bound = complex(z), float(bound)
+    assert val == zak_tp(w, 0.3, 0.2)
     assert 0.0 < bound <= 1e-15
     with mp.workdps(30):
         assert abs(mp.mpc(val) - lattice_sum(mp, w.raw, 0.3, 0.2)) <= bound
@@ -169,6 +170,17 @@ def test_prefactor_pole_message_names_weight_and_first_pole():
         zak_prefactor(make_weights([2 * np.pi]), np.arange(2000) / 1000 + 1j)
     msg = str(exc.value)
     assert msg == f"prefactor denominator vanishes for weight {2 * np.pi} at s = {1j}"
+
+
+@pytest.mark.parametrize("route", [lambda w: zak_factorized(w, 0.3, 0.2), lambda w: zak_inversion_check(w, 0.3)],
+                         ids=["zak_factorized", "zak_inversion_check"])
+def test_factorized_route_refuses_before_the_prefactor_overflows(route):
+    # e^{-(a + 2 pi i s)} overflows for a = -800: the spline (weight 800, e^800) is
+    # refused first, so no RuntimeWarning comes before the IllConditioned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IllConditioned, match="spline weight 800.0"):
+            route(make_weights([-800.0, 1.0]))
 
 
 def test_strip_violation():
@@ -305,7 +317,7 @@ def test_spline_columns_equal_the_spline_on_a_dyadic_grid(name):
     B = _column_splines()[name]
     xs = np.arange(1024) / 1024
     with np.errstate(over="raise", invalid="raise"):  # no overflowing Horner value meets e^{eta t} = 0
-        got = _spline_columns(B, xs)
+        got = B.table.pieces_at(xs)
     ref = np.stack([eval_ebspline(B, xs + k) for k in range(B.m)])
     assert got.dtype == ref.dtype and np.all(np.isfinite(got))
     assert np.array_equal(got, ref)
@@ -317,7 +329,7 @@ def test_spline_columns_within_ulps_at_gauss_legendre_nodes(name):
     # which moves each term by |eta| times that: a few ulps of the terms' moduli
     B = _column_splines()[name]
     xs = 0.5 * (leggauss(64)[0] + 1.0)
-    got = _spline_columns(B, xs)
+    got = B.table.pieces_at(xs)
     ref = np.stack([eval_ebspline(B, xs + k) for k in range(B.m)])
     moduli = np.zeros(got.shape)
     for k in range(B.m):
