@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SigmaTooLarge
-from .weights import WeightMultiset, eval_tp, make_weights
+from .weights import WeightMultiset, _eval_windows, make_weights
 from .zak import _check_strip
 
 
@@ -116,7 +116,10 @@ def _sup_grid(a0: float, sigma: float, grid: np.ndarray | None = None) -> np.nda
     if grid is None:
         R = 40.0 / a0
         grid = np.linspace(-R, R, 4001)
-    return np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError("the grid must hold at least one point, and only finite ones")
+    return grid
 
 
 def _sup_distance(vals_n: np.ndarray, vals_m: np.ndarray, grid: np.ndarray, sigma: float) -> float:
@@ -133,10 +136,13 @@ def weighted_sup_distance(
     """max over the grid of |g_n(x) - g_m(x)| e^{sigma |x|}.
 
     The default grid covers [-R, R] with R = 40 / a0, where the windows are
-    below 4e-18 of their peak.
+    below 4e-18 of their peak; a given grid must be nonempty and finite.  The
+    pair is evaluated together, sharing one divided-difference recursion where
+    one window's cluster nodes are a run of the other's, with the bits of two
+    :func:`~zaktp.weights.eval_tp` calls.
     """
     grid = _sup_grid(min(w_n.a0, w_m.a0), sigma, grid)
-    return _sup_distance(eval_tp(w_n, grid), eval_tp(w_m, grid), grid, sigma)
+    return _sup_distance(*_eval_windows([w_n, w_m], grid), grid, sigma)
 
 
 def zak_strip_distance(w_n: WeightMultiset, w_m: WeightMultiset, xi: float) -> float:
@@ -202,19 +208,23 @@ def convergence_sweep(
     """Rows (n, sigma, distance to the n_ref prefix, tail proxy) for a sweep.
 
     Each distance is :func:`weighted_sup_distance` on its default grid, which
-    depends only on min(a0) of the pair; the n_ref prefix is evaluated once
-    per distinct grid, not once per n, so the rows are unchanged.
+    depends only on min(a0) of the pair.  The n_ref prefix and every prefix on
+    a grid are evaluated together, once per distinct grid: where their cluster
+    nodes are runs of the widest one's (harmonic, alternating and geometric
+    prefixes), one divided-difference recursion serves them all, and the rows
+    are unchanged, bit for bit.
     """
     ref = truncate(gen, n_ref)
-    ref_vals = {}  # min(a0) -> the n_ref prefix on that default grid
-    rows = []
+    grids = {}  # min(a0) -> (default grid, sigma, {n: prefix on it})
     for n in ns:
         w = truncate(gen, n)
         a0 = min(w.a0, ref.a0)
-        sig = 0.5 * a0 if sigma is None else sigma
-        grid = _sup_grid(a0, sig)
-        if a0 not in ref_vals:
-            ref_vals[a0] = eval_tp(ref, grid)
-        d = _sup_distance(eval_tp(w, grid), ref_vals[a0], grid, sig)
-        rows.append((int(n), float(sig), d, gen.square_sum_tail(n)))
-    return rows
+        if a0 not in grids:
+            sig = 0.5 * a0 if sigma is None else sigma
+            grids[a0] = (_sup_grid(a0, sig), sig, {})
+        grids[a0][2][n] = w
+    dist = {}  # n -> (sigma, distance)
+    for grid, sig, prefixes in grids.values():
+        ref_vals, *vals = _eval_windows([ref, *prefixes.values()], grid)
+        dist.update((n, (sig, _sup_distance(v, ref_vals, grid, sig))) for n, v in zip(prefixes, vals))
+    return [(int(n), float(dist[n][0]), dist[n][1], gen.square_sum_tail(n)) for n in ns]

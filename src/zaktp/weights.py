@@ -95,8 +95,9 @@ def make_weights(values: Sequence[float], coalesce_tol: float = _COALESCE_TOL) -
     return WeightMultiset(raw=tuple(vals), distinct=distinct, a0=a0)
 
 
-def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Divided difference of t -> e^{-x t} * chi_[0,inf)(x t), vectorized in x.
+def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray, runs: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """Divided differences of t -> e^{-x t} * chi_[0,inf)(x t) over the node runs
+    nodes[start:start + length] of ``runs``, vectorized in x.
 
     Used by :func:`eval_tp`; the x = 0 entries use the characteristic-function
     formula directly (value 1 at positive nodes, all derivatives zero).
@@ -110,7 +111,12 @@ def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     masked copy's branches.  The recursion runs in place in the (n, m) buffer:
     row i of a level overwrites row i of the one before, which row i - 1 has
     already read, so every entry gets the same operations in the same order as
-    level-by-level tables would give it, and the same bits.
+    level-by-level tables would give it, and the same bits.  After level l, row
+    i holds the divided difference over nodes[i:i + l + 1], from those nodes'
+    rows only; so the run (start, length) is row start after level length - 1,
+    the same bits as the recursion over that run alone.  It is kept as a copy
+    where a later level overwrites it, as the row itself where none does, and
+    the recursion stops at the longest run's level.
     """
     n = len(nodes)
     neg = x < 0
@@ -121,7 +127,15 @@ def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     np.exp(np.minimum(table, 0.0, out=table), out=table)
     table *= active
     rows, b = list(table), nodes.tolist()
-    for level in range(1, n):
+    out = [None] * len(runs)
+
+    def keep(level):
+        for k, (start, length) in enumerate(runs):
+            if length - 1 == level:
+                out[k] = rows[start] if start + length == n else rows[start].copy()
+
+    keep(0)
+    for level in range(1, max(length for _, length in runs)):
         fact = math.factorial(level)
         for i in range(n - level):
             if b[i + level] == b[i]:
@@ -134,16 +148,25 @@ def _dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
             else:
                 np.subtract(rows[i + 1], rows[i], out=rows[i])
                 rows[i] /= b[i + level] - b[i]
-    return table[0]
+        keep(level)
+    return out
+
+
+def _run_start(nodes: np.ndarray, sub: np.ndarray) -> int | None:
+    """Where the sorted nodes ``sub`` sit as a contiguous run of ``nodes``, compared exactly."""
+    for start in np.flatnonzero(nodes[: len(nodes) - len(sub) + 1] == sub[0]):
+        if np.array_equal(nodes[start : start + len(sub)], sub):
+            return int(start)
+    return None
 
 
 def eval_tp(weights: WeightMultiset, x):
     """Evaluate the window g_n at ``x`` (scalar or array of any shape).
 
-    Uses the divided-difference closed form; where sum(log|a|) passes
-    ``_LOG_PRODUCT_SWITCH`` the weight product overflows, and the window's
-    partial-fraction table, ``weights.table``, is used instead
-    (confluent weights included).
+    Uses the divided-difference closed form, over the full run of the window's
+    cluster nodes; where sum(log|a|) passes ``_LOG_PRODUCT_SWITCH`` the weight
+    product overflows, and the window's partial-fraction table,
+    ``weights.table``, is used instead (confluent weights included).
 
     The divided difference is taken only at live points.  At a dead point (x < 0
     with no negative weight, or x >= 0 with no positive one) every node is
@@ -151,7 +174,9 @@ def eval_tp(weights: WeightMultiset, x):
     times the factor (-1)^(n-1) sign(x) prod(a), a zero whose sign is the one
     the full computation gives: the output is bit-identical either way.  Only a
     one-signed window (all-positive, all-negative, every harmonic or geometric
-    prefix) has dead points; a mixed-sign window is live everywhere.  The table
+    prefix) has dead points; a mixed-sign window is live everywhere.  By the same
+    argument a window may take the live set of a wider one whose recursion it
+    shares (:func:`_eval_windows`): its dead points get +0 rows there.  The table
     evaluates each half-line's terms only there, so a point on a half-line
     without terms gets +0 uncomputed too; x = 0 counts as the left half-line
     when no weight is positive.  At x = +-inf both routes give a zero, the
@@ -160,27 +185,46 @@ def eval_tp(weights: WeightMultiset, x):
     a term's exponential only where it does not underflow (for the wide 40-term
     set on [-1, 12.5], about 17% of the terms times points).
     """
+    return _like_input(x, _eval_windows([weights], x)[0])
+
+
+def _eval_windows(windows: Sequence[WeightMultiset], x) -> list[np.ndarray]:
+    """:func:`eval_tp` of each window at the same points x, as arrays of at least one dimension.
+
+    Windows on the table route are evaluated alone.  On the divided-difference
+    route, the windows whose cluster nodes (values and multiplicities, compared
+    exactly) are contiguous runs of the widest one's share its recursion and its
+    live set, each with its own scale factor and clip; the rest are grouped the
+    same way among themselves, so a window that is a run of no other is
+    evaluated alone.  Every output has the bits that eval_tp gives it.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if weights.log_abs_product > _LOG_PRODUCT_SWITCH:
-        vals = _eval_table(weights.table, xs)
-    else:
-        nodes = weights.cluster_nodes()
-        # dead points: see above; NaN stays live and takes the full route
+    vals = [_eval_table(w.table, xs) if w.log_abs_product > _LOG_PRODUCT_SWITCH else None for w in windows]
+    todo = [i for i, v in enumerate(vals) if v is None]
+    while todo:
+        nodes = windows[max(todo, key=lambda i: windows[i].n)].cluster_nodes()
+        starts = {i: _run_start(nodes, windows[i].cluster_nodes()) for i in todo}
+        group = [(i, start) for i, start in starts.items() if start is not None]
+        todo = [i for i in todo if starts[i] is None]
+        # dead points: see eval_tp; NaN stays live and takes the full route
         if nodes[0] > 0:
             live = ~(xs < 0)
         elif nodes[-1] < 0:
             live = ~(xs >= 0)
         else:
             live = np.ones(xs.shape, dtype=bool)
-        dd = np.zeros_like(xs)
-        dd[live] = _dd_exp_chi(nodes, xs[live])
-        prod_a = float(np.prod(np.asarray(weights.raw)))
-        sign_x = np.sign(xs)
-        sign_x[sign_x == 0] = 1.0  # x = 0 uses the dedicated chi formula (no sign factor)
-        vals = (-1.0) ** (weights.n - 1) * sign_x * prod_a * dd
-    # clip roundoff-negative values; genuine negatives would indicate a bug
-    vals[(vals < 0) & (vals > -1e-10)] = 0.0
-    return _like_input(x, vals)
+        dds = _dd_exp_chi(nodes, xs[live], [(start, windows[i].n) for i, start in group])
+        for i, _ in group:
+            dd = np.zeros_like(xs)
+            dd[live] = dds.pop(0)  # the last row taken releases the recursion's buffer
+            sign_x = np.sign(xs)
+            sign_x[sign_x == 0] = 1.0  # x = 0 uses the dedicated chi formula (no sign factor)
+            prod_a = float(np.prod(np.asarray(windows[i].raw)))
+            vals[i] = (-1.0) ** (windows[i].n - 1) * sign_x * prod_a * dd
+    for v in vals:
+        # clip roundoff-negative values; genuine negatives would indicate a bug
+        v[(v < 0) & (v > -1e-10)] = 0.0
+    return vals
 
 
 def fourier_tp(weights: WeightMultiset, omega):

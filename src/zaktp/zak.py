@@ -170,8 +170,9 @@ def compute_zak_grid(
 ) -> ZakGrid:
     """Scan the Zak transform over a rectangle of one lattice cell.
 
-    Both sources evaluate the whole grid at once; a grid without nodes, or
-    of more than 2^22, is refused with ``ValueError`` before it is allocated.
+    Both sources evaluate the whole grid at once; a grid without nodes, of
+    more than 2^22, or with a sample outside the cell (NaN included) is
+    refused with ``ValueError`` before it is allocated.
     """
     xs = np.asarray(x_samples, dtype=float)
     oms = np.asarray(omega_samples, dtype=float)
@@ -179,7 +180,7 @@ def compute_zak_grid(
         raise ValueError("the grid needs at least one x and one omega sample")
     if len(xs) * len(oms) > _MAX_GRID_NODES:
         raise ValueError(f"a {len(xs)}x{len(oms)} grid exceeds {_MAX_GRID_NODES} nodes")
-    if np.any(xs < 0) or np.any(xs >= 1) or np.any(oms < 0) or np.any(oms >= 1):
+    if not (np.all((xs >= 0) & (xs < 1)) and np.all((oms >= 0) & (oms < 1))):  # NaN fails too
         raise ValueError("grid must lie within the lattice cell [0,1) x [0,1)")
     _check_strip(weights, tau)
     if source == "ebspline_factorized":

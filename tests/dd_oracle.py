@@ -1,10 +1,13 @@
 """The divided difference behind eval_tp as it ran before its in-place
 recursion: level-by-level tables, one new row at a time, kept so that the tests
-compare the in-place kernel with this algorithm byte for byte."""
+compare the in-place kernel with this algorithm byte for byte; and eval_tp's
+divided-difference route on it, one window alone at every point."""
 
 import math
 
 import numpy as np
+
+from zaktp.weights import _LOG_PRODUCT_SWITCH
 
 
 def dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -44,3 +47,17 @@ def dd_exp_chi(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
                 nxt[i] = (table[i + 1] - table[i]) / (nodes[i + level] - nodes[i])
         table = nxt
     return table[0]
+
+
+def eval_tp_all_points(weights, x):
+    """eval_tp's divided-difference route taken at every point, dead or not, on
+    the level-by-level recursion above, for this window alone."""
+    assert weights.log_abs_product <= _LOG_PRODUCT_SWITCH
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    dd = dd_exp_chi(weights.cluster_nodes(), xs)
+    prod_a = float(np.prod(np.asarray(weights.raw)))
+    sign_x = np.sign(xs)
+    sign_x[sign_x == 0] = 1.0
+    vals = (-1.0) ** (weights.n - 1) * sign_x * prod_a * dd
+    vals[(vals < 0) & (vals > -1e-10)] = 0.0
+    return vals

@@ -5,7 +5,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from dd_oracle import eval_tp_all_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mp_oracle import lattice_sum
+
+import zaktp.weights
 
 from zaktp.convergence import (
     WeightGenerator,
@@ -18,7 +23,7 @@ from zaktp.convergence import (
     zak_strip_distance,
 )
 from zaktp.errors import IllConditioned, SigmaTooLarge, StripViolation
-from zaktp.weights import make_weights
+from zaktp.weights import _LOG_PRODUCT_SWITCH, eval_tp, make_weights
 
 
 def test_truncate_rules():
@@ -88,8 +93,6 @@ def test_weighted_sup_distance_identity_and_sigma_zero():
     w8 = truncate(WeightGenerator.harmonic(1.0), 8)
     assert weighted_sup_distance(w5, w5, 0.5) == 0.0
     grid = np.linspace(-5, 5, 501)
-    from zaktp.weights import eval_tp
-
     plain = float(np.max(np.abs(eval_tp(w5, grid) - eval_tp(w8, grid))))
     assert weighted_sup_distance(w5, w8, 0.0, grid) == pytest.approx(plain)
 
@@ -227,6 +230,92 @@ def test_convergence_sweep_equals_per_n_distances(gen, ns, sigma, n_ref):
         ns, n_ref = tuple(min(n, 8) for n in ns), min(n_ref, 8)
     rows = convergence_sweep(gen, ns, sigma=sigma, n_ref=n_ref)
     assert np.asarray(rows).tobytes() == np.asarray(_sweep_per_n(gen, ns, sigma, n_ref)).tobytes()
+
+
+def _alone(w, grid):
+    """The window alone on the grid: the divided-difference route on the
+    level-by-level oracle, the table route (which shares nothing) by eval_tp."""
+    return eval_tp(w, grid) if w.log_abs_product > _LOG_PRODUCT_SWITCH else eval_tp_all_points(w, grid)
+
+
+def _sweep_alone(gen, ns, sigma=None, n_ref=64):
+    """convergence_sweep with each prefix and the reference evaluated alone on
+    the pair's default grid, from the definitions."""
+    ref = truncate(gen, n_ref)
+    rows = []
+    for n in ns:
+        w = truncate(gen, n)
+        a0 = min(w.a0, ref.a0)
+        sig = 0.5 * a0 if sigma is None else sigma
+        grid = np.linspace(-40.0 / a0, 40.0 / a0, 4001)
+        d = float(np.max(np.abs(_alone(w, grid) - _alone(ref, grid)) * np.exp(sig * np.abs(grid))))
+        rows.append((int(n), float(sig), d, gen.square_sum_tail(n)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "gen, ns, sigma, n_ref",
+    [
+        (WeightGenerator.harmonic(1.0), (4, 8, 16, 32), None, 64),
+        (WeightGenerator.alternating(1.07), (4, 8, 16, 32), None, 48),
+        # the later weights fall between the earlier ones: prefixes 2 and 4 are no run
+        (WeightGenerator.explicit([1.0, 3.0, 2.0, 5.0, 4.0]), (1, 2, 3, 4), None, 5),
+        # repeated weights: prefix 3 is the run [1, 1, 2] inside [1, 1, 1, 2, 2, 3]
+        (WeightGenerator.explicit([1.0, 2.0, 1.0, 2.0, 1.0, 3.0]), (1, 2, 3, 4, 5), 0.3, 6),
+        # a near-coalesced cluster whose mean moves with n: 1, 1 + 2e-10, 1 + 4e-10
+        (WeightGenerator.explicit([1.0, 2.0, 1.0 + 4e-10, 3.0, 1.0 + 8e-10, 4.0]), (1, 2, 3, 4, 5), None, 6),
+        # the n = 1 prefix [-c] is one-signed inside the mixed reference
+        (WeightGenerator.alternating(0.9), (1, 2, 3, 5), None, 8),
+        # the reference is on the table route; prefixes 4, 8 and 16 share 32's recursion
+        (WeightGenerator.geometric(1.05, 2.1), (4, 8, 16, 32), None, 48),
+        # min(a0) of the pair moves with n (2.0, 0.5, 0.3): one grid each
+        (WeightGenerator.explicit([2.0, 3.0, 0.5, 4.0, 0.3, -5.0]), (1, 3, 5, 6, 2), None, 2),
+    ],
+    ids=["harmonic", "alternating", "no_run", "repeated", "moving_cluster", "one_signed_n1", "table_reference", "moving_grid"],
+)
+def test_convergence_sweep_equals_each_window_alone(gen, ns, sigma, n_ref):
+    rows = convergence_sweep(gen, ns, sigma=sigma, n_ref=n_ref)
+    assert np.asarray(rows).tobytes() == np.asarray(_sweep_alone(gen, ns, sigma, n_ref)).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from([-2.5, -1.0, -0.6, 0.5, 1.0, 1.0 + 3e-10, 1.5, 2.0, 3.5]), min_size=1, max_size=10),
+    st.data(),
+)
+def test_convergence_sweep_equals_each_window_alone_on_drawn_weights(values, data):
+    # repeats, runs and non-runs, mixed and one-signed prefixes, moving grids and
+    # moving cluster means, all drawn
+    gen = WeightGenerator.explicit(values)
+    ns = tuple(data.draw(st.lists(st.integers(1, len(values)), min_size=1, max_size=5)))
+    n_ref = data.draw(st.integers(1, len(values)))
+    rows = convergence_sweep(gen, ns, n_ref=n_ref)
+    assert np.asarray(rows).tobytes() == np.asarray(_sweep_alone(gen, ns, None, n_ref)).tobytes()
+
+
+def test_default_harmonic_sweep_runs_one_divided_difference(monkeypatch):
+    # every harmonic prefix is a run of the n_ref = 64 reference's nodes
+    calls = []
+    dd = zaktp.weights._dd_exp_chi
+    monkeypatch.setattr(zaktp.weights, "_dd_exp_chi", lambda *args: calls.append(args[2]) or dd(*args))
+    convergence_sweep(WeightGenerator.harmonic(1.0), (4, 8, 16, 32))
+    assert calls == [[(0, 64), (0, 4), (0, 8), (0, 16), (0, 32)]]
+
+
+def test_weighted_sup_distance_refuses_empty_and_non_finite_grids():
+    w4, w8 = (truncate(WeightGenerator.harmonic(1.0), n) for n in (4, 8))
+    for grid in ([], [0.0, math.nan], [math.inf, 1.0], [-math.inf]):
+        with pytest.raises(ValueError, match="the grid must hold at least one point, and only finite ones"):
+            weighted_sup_distance(w4, w8, 0.1, np.asarray(grid))
+
+
+def test_weighted_sup_distance_equals_each_window_alone():
+    gen = WeightGenerator.alternating(1.0)
+    grid = np.linspace(-30.0, 30.0, 1201)
+    for n, m in ((1, 6), (6, 1), (3, 3), (2, 7)):
+        w_n, w_m = truncate(gen, n), truncate(gen, m)
+        want = float(np.max(np.abs(_alone(w_n, grid) - _alone(w_m, grid)) * np.exp(0.4 * np.abs(grid))))
+        assert np.float64(weighted_sup_distance(w_n, w_m, 0.4, grid)).tobytes() == np.float64(want).tobytes()
 
 
 def test_convergence_sweep_checks_sigma_like_the_distance():

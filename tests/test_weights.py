@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from dd_oracle import dd_exp_chi
+from dd_oracle import dd_exp_chi, eval_tp_all_points
 from mp_oracle import windows
 from piece_oracle import piece
 
@@ -20,6 +20,7 @@ from zaktp.convergence import WeightGenerator, truncate
 from zaktp.errors import EmptyInput, IllConditioned, ZeroWeight
 from zaktp.weights import (
     _LOG_PRODUCT_SWITCH,
+    _dd_exp_chi,
     _eval_table,
     eval_tp,
     exp_sum_rep,
@@ -172,20 +173,6 @@ def test_exp_sum_rep_survives_an_overflowing_weight_product():
 # bytes, signed zeros included); on the partial-fraction table against mpmath
 
 
-def _eval_tp_all_points(weights, x):
-    """eval_tp's divided-difference route taken at every point, dead or not, on
-    the level-by-level recursion of ``dd_oracle``."""
-    assert weights.log_abs_product <= _LOG_PRODUCT_SWITCH
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    dd = dd_exp_chi(weights.cluster_nodes(), xs)
-    prod_a = float(np.prod(np.asarray(weights.raw)))
-    sign_x = np.sign(xs)
-    sign_x[sign_x == 0] = 1.0
-    vals = (-1.0) ** (weights.n - 1) * sign_x * prod_a * dd
-    vals[(vals < 0) & (vals > -1e-10)] = 0.0
-    return vals
-
-
 @functools.lru_cache(maxsize=None)
 def _mp_peak(values):
     """max |g| over 71 points in [-2, 5], from 80-digit mpmath."""
@@ -236,9 +223,9 @@ def test_eval_tp_equals_all_points_reference(values, points):
     w = make_weights(values)
     xs = np.asarray(points)
     with np.errstate(all="ignore"):
-        assert eval_tp(w, xs).tobytes() == _eval_tp_all_points(w, xs).tobytes()
+        assert eval_tp(w, xs).tobytes() == eval_tp_all_points(w, xs).tobytes()
         for x in points:
-            assert np.float64(eval_tp(w, x)).tobytes() == _eval_tp_all_points(w, x).tobytes()
+            assert np.float64(eval_tp(w, x)).tobytes() == eval_tp_all_points(w, x).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,7 +242,30 @@ def test_eval_tp_equals_all_points_reference_on_generator_prefixes(rule, n, poin
         if w.log_abs_product > _LOG_PRODUCT_SWITCH:
             _assert_table_route(w, xs)
         else:
-            assert eval_tp(w, xs).tobytes() == _eval_tp_all_points(w, xs).tobytes()
+            assert eval_tp(w, xs).tobytes() == eval_tp_all_points(w, xs).tobytes()
+
+
+@st.composite
+def _node_runs(draw):
+    """Sorted nodes with repeats and both signs, and 1..6 (start, length) runs of them."""
+    nodes = np.sort(draw(st.lists(st.sampled_from([-3.0, -1.5, -1.0, 0.5, 1.0, 2.0, 2.5, 4.0]), min_size=1, max_size=12)))
+    n = len(nodes)
+    run = st.integers(0, n - 1).flatmap(lambda s: st.tuples(st.just(s), st.integers(1, n - s)))
+    return nodes, draw(st.lists(run, min_size=1, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_node_runs(), st.lists(st.one_of(st.floats(-20.0, 20.0), st.sampled_from(EDGE_POINTS)), min_size=1, max_size=30))
+def test_dd_exp_chi_runs_equal_the_recursion_over_each_run_alone(node_runs, points):
+    # one in-place recursion over all the nodes: run (start, length) is row start
+    # after level length - 1, kept before a later level overwrites it
+    nodes, runs = node_runs
+    xs = np.asarray(points, dtype=float)
+    with np.errstate(all="ignore"):
+        rows = _dd_exp_chi(nodes, xs, runs)
+        assert len(rows) == len(runs)
+        for (start, length), row in zip(runs, rows):
+            assert row.tobytes() == dd_exp_chi(nodes[start : start + length], xs).tobytes()
 
 
 WIDE = [1.2 * 2.0**k for k in range(1, 41)]
@@ -407,7 +417,7 @@ def test_eval_tp_at_huge_points_warns_of_no_overflow(values):
         want = np.zeros(len(xs))
     else:
         with np.errstate(all="ignore"):
-            want = _eval_tp_all_points(w, xs)
+            want = eval_tp_all_points(w, xs)
     nan = np.isnan(want)
     assert np.all(got[nan] == 0)
     assert got[~nan].tobytes() == want[~nan].tobytes()

@@ -280,6 +280,23 @@ def test_zak_grid_refuses_a_grid_without_nodes(source):
             compute_zak_grid(w, xs, oms, source=source)
 
 
+@pytest.mark.parametrize("source", ["ebspline_factorized", "direct_series"])
+@pytest.mark.parametrize(
+    "xs, oms",
+    [([math.nan], [0.5]), ([0.25, math.nan], [0.5]), ([0.5], [math.nan]), ([0.5], [0.25, math.nan]), ([-0.1], [0.5]), ([0.5], [1.0])],
+    ids=["nan_x", "nan_among_x", "nan_omega", "nan_among_omega", "negative_x", "omega_one"],
+)
+def test_zak_grid_refuses_samples_outside_the_cell(source, xs, oms):
+    # NaN fails every comparison, so it is refused with the samples outside the
+    # cell, before any value is formed: no nan+nanj and no RuntimeWarning from
+    # the prefactor on the way
+    w = make_weights([1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid must lie within the lattice cell"):
+            compute_zak_grid(w, xs, oms, source=source)
+
+
 def test_zak_grid_csv_schema():
     w = make_weights([1.0, -1.0])
     g = compute_zak_grid(w, [0.0, 0.5], [0.0], source="ebspline_factorized")
