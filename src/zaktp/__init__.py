@@ -21,10 +21,8 @@ from .analysis import (
     Region,
     ZeroCertificate,
     certify_zero_free,
-    fully_reduced_sign_changes,
     locate_zero_half,
     reduced_slice_monotonicity,
-    strong_sign_changes,
     unit_monotone_offset,
 )
 from .convergence import (

@@ -1,9 +1,9 @@
-"""Zero location at omega = 1/2, zero-free certification, sign-change tools.
+"""Zero location at omega = 1/2, zero-free certification, unit-interval monotonicity.
 
 All zeros of the Zak transform of a TP window lie at omega = 1/2, so the
 zero search is one-dimensional: bracket the single sign change of the real
-2-periodic slice Z(., 1/2), narrow it by k-section and finish with a secant
-step.  Both the search and the certifier work on the spline factor of
+2-periodic slice Z(., 1/2), narrow it by bisection on the slice in Python
+floats and finish with a secant step.  Both work on the spline factor of
 Z g = P Z B: the prefactor P has no zero in the strip, and Z B is a finite
 sum over the spline's pieces.  On [0, 1) the slice Re Z B(., 1/2) is one
 table of exponential-polynomial terms, extended by h(x + 1) = -h(x).  The
@@ -27,6 +27,7 @@ from .weights import WeightMultiset
 from .zak import _MAX_GRID_NODES, _check_strip, zak_ebspline, zak_prefactor
 
 _ZERO_TOL = 1e-8  # certify_zero_free: a zero, relative to max(1, max |Z g|)
+_MEMO_SAMPLES = 1 << 13  # the largest series table a spline keeps: 64 KiB (513 x-nodes times 15 shifts fit)
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +44,10 @@ def _prefactor(window):
 
 
 def _slice_table(table: ExpPolyTable, s: complex) -> ExpPolyTable:
-    """Z f(., s) on [0,1) as a one-piece table, f the piecewise sum with these pieces."""
-    return table.zak_sum([np.exp(-2j * np.pi * k * s) for k in range(len(table.coeffs))])
+    """Z f(., s) on [0,1) as a one-piece table, f the piecewise sum with these pieces:
+    sum_k e^{-2 pi i k s} coeffs[k], accumulated in k order (a reduction over the outer axis)."""
+    phases = np.array([np.exp(-2j * np.pi * k * s) for k in range(len(table.coeffs))])
+    return ExpPolyTable(table.etas, np.add.reduce(phases[:, None, None] * table.coeffs, axis=0, keepdims=True))
 
 
 def _cyclic_sign_changes(vals: np.ndarray) -> list[tuple[int, int]]:
@@ -62,10 +65,22 @@ def _sample_two_periodic(table: ExpPolyTable, per_period: int = 512) -> np.ndarr
     return np.concatenate([vals, -vals])
 
 
-def _two_periodic(h: ExpPolyTable, x: np.ndarray) -> np.ndarray:
-    """The slice at x >= 0: h on [0,1), extended by h(x+1) = -h(x)."""
-    k = np.floor(x)
-    return np.real(h.pieces_at(x - k)[0]) * (1.0 - 2.0 * (k % 2))
+def _slice_at(h: ExpPolyTable):
+    """x -> the slice at x >= 0 in Python floats: Re h on [0,1), h a one-piece table,
+    extended by h(x+1) = -h(x); Horner and math.exp per term with a nonzero real part, in slot order."""
+    terms = [(eta, c[::-1]) for eta, c in zip(h.etas.tolist(), h.coeffs[0].real.tolist()) if any(c)]
+
+    def at(x: float) -> float:
+        k = math.floor(x)
+        t, v = x - k, 0.0
+        for eta, c in terms:
+            acc = 0.0
+            for a in c:
+                acc = acc * t + a
+            v += acc * math.exp(eta * t)
+        return -v if k % 2 else v
+
+    return at
 
 
 def _table_zero(h: ExpPolyTable, tol: float) -> float:
@@ -92,27 +107,30 @@ def _table_zero(h: ExpPolyTable, tol: float) -> float:
             raise MultipleZeros("zero plateau wider than 100 x tol")
 
     lo_i, hi_i = changes[0]
-    lo, hi = lo_i / N, hi_i / N
+    if (hi_i - lo_i) % (2 * N) > 1:  # the bracket holds a sample that is exactly zero: the zero
+        return (lo_i + 1) % (2 * N) / N % 1.0
+    lo, hi, at, eps = lo_i / N, hi_i / N, _slice_at(h), float(np.finfo(float).eps)
     if hi < lo:
         hi += 2.0
-    f_lo, f_hi = vals[lo_i], vals[hi_i]
-    while True:
-        xs = np.linspace(lo, hi, 65)
-        fs = _two_periodic(h, xs)
-        fs[[0, -1]] = f_lo, f_hi  # the bracket's signs, as first found
-        if not fs.all():
-            return float(xs[np.argmin(fs != 0.0)] % 1.0)
-        i = int(np.argmax(np.signbit(fs[1:]) != np.signbit(fs[:-1])))
-        width, lo, hi, f_lo, f_hi = hi - lo, xs[i], xs[i + 1], fs[i], fs[i + 1]
-        if hi - lo <= tol + 4 * np.finfo(float).eps * abs(lo) or not hi - lo < width:
+    f_lo, f_hi = float(vals[lo_i]), float(vals[hi_i])  # the bracket's signs, as first found
+    while True:  # bisection on the scalar slice
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        f = at(mid)
+        if f == 0.0:
+            return mid % 1.0
+        if (f < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f
+        else:
+            hi, f_hi = mid, f
+        if hi - lo <= tol + 4 * eps * abs(lo) or not hi - lo < width:
             break
-    ends = np.array([lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo)])
-    err = np.abs(_two_periodic(h, ends))
+    ends = (lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo))
+    err = [abs(at(x)) for x in ends]
     # a jump discontinuity (type-1 window at integer x) also brackets a sign
     # change; only accept the root if the slice actually vanishes there
-    if err.min() > 1e-6 * float(np.max(np.abs(vals))):
+    if min(err) > 1e-6 * float(np.max(np.abs(vals))):
         raise NoZero("sign change is a jump discontinuity, not a zero")
-    return float(ends[np.argmin(err)] % 1.0)
+    return ends[err.index(min(err))] % 1.0
 
 
 def locate_zero_half(window, tol: float = 1e-12) -> float:
@@ -121,9 +139,10 @@ def locate_zero_half(window, tol: float = 1e-12) -> float:
     Z g(., 1/2) = P(1/2) Z B(., 1/2), P(1/2) = prod a / (1 + e^{-a}) real and
     nonzero, so the zero is that of h = Re Z B(., 1/2), the one-piece table
     :func:`_slice_table` extended by h(x+1) = -h(x).  A scan of 4096 points of
-    [0, 2) brackets the sign change; k-section on the table, 64 subintervals
-    per pass, narrows it until it is at most tol + 4 eps |x| wide or stops
-    shrinking, and the result is whichever of its ends and its secant point
+    [0, 2) brackets the sign change, or has a sample exactly zero, the result;
+    bisection on h in Python floats (:func:`_slice_at`) narrows the bracket
+    until it is at most tol + 4 eps |x| wide or stops shrinking (or meets an
+    exact zero), and the result is whichever of its ends and its secant point
     has the smallest |h|, kept on the spline factor per tol: the certifier at
     tau = 0 reads it back.  Raises ``ValueError`` unless 0 < tol < inf,
     :class:`NoZero` when the slice has no sign change or jumps there (type-1
@@ -178,25 +197,36 @@ def _series_tables(B: PiecewiseExpPoly, tau: float, xg: np.ndarray):
     so that Z B(x_j, omega + i tau) = sum_k e^{-2 pi i k omega} G0[k, j].  The
     sum is finite: ``ks`` holds every shift that puts a grid point in [0, m].
     One pass per piece masks its points once, and B, B', B'' (stacked per
-    piece) share each e^{eta t}: the bits of three ``eval`` passes.
+    piece) share each e^{eta t}: the bits of three ``eval`` passes.  ``B.series``
+    keeps the stack, and the read-only tables of the last (tau, x grid) with at
+    most ``_MEMO_SAMPLES`` samples each, so a second omega band rebuilds nothing.
     """
-    ks = np.arange(math.floor(-xg[-1]), math.ceil(B.m - xg[0]) + 1)
-    if len(ks) * len(xg) > _MAX_GRID_NODES:
-        raise ValueError(f"a {len(ks)}x{len(xg)} series table exceeds {_MAX_GRID_NODES} nodes")
-    d1 = B.table.reduce(0.0)  # the classical derivatives between the knots
-    # row r m + p of the stack is piece p of B^{(r)}
-    stack = ExpPolyTable(B.table.etas, np.concatenate([B.table.coeffs, d1.coeffs, d1.reduce(0.0).coeffs]))
-    shifted = xg[None, :] + ks[:, None]
-    # the piece index and local coordinate of eval_ebspline
-    k = np.floor(shifted)
-    t = shifted - k
-    G = np.zeros((3, *shifted.shape), stack.coeffs.dtype)
-    for p in range(B.m):
-        sel = k == p
-        if sel.any():
-            G[:, sel] = stack.pieces_at(t[sel], slice(p, None, B.m))
-    G0, G1, G2 = np.real(G) * np.exp(2.0 * np.pi * ks * tau)[:, None]
-    return ks, G0, G1, G2
+    k0, k1 = math.floor(-xg[-1]), math.ceil(B.m - xg[0])
+    if (k1 - k0 + 1) * len(xg) > _MAX_GRID_NODES:
+        raise ValueError(f"a {k1 - k0 + 1}x{len(xg)} series table exceeds {_MAX_GRID_NODES} nodes")
+    memo, key = B.series, (tau, xg.tobytes())
+    if memo.get("key") == key:
+        return memo["tables"]
+    ks = np.arange(k0, k1 + 1)
+    if "stack" not in memo:  # row r m + p is piece p of B^{(r)}, the classical derivatives between the knots
+        d1 = B.table.reduce(0.0)
+        memo["stack"] = ExpPolyTable(B.table.etas, np.concatenate([B.table.coeffs, d1.coeffs, d1.reduce(0.0).coeffs]))
+    stack, shifted = memo["stack"], (xg[None, :] + ks[:, None]).ravel()
+    # the piece index and local coordinate of eval_ebspline, the points stably sorted by
+    # piece (row-major order nearly is), so that each piece evaluates one run of them
+    order = np.argsort(np.floor(shifted), kind="stable")
+    k = np.floor(shifted[order])
+    t, runs = shifted[order] - k, np.searchsorted(k, np.arange(B.m + 1)).tolist()
+    G = np.zeros((3, len(shifted)), stack.coeffs.dtype)
+    for p, (a, b) in enumerate(zip(runs, runs[1:])):
+        if a < b:
+            G[:, order[a:b]] = stack.pieces_at(t[a:b], slice(p, None, B.m))
+    tables = (ks, *(np.real(G).reshape(3, len(ks), len(xg)) * np.exp(2.0 * np.pi * ks * tau)[:, None]))
+    if len(ks) * len(xg) <= _MEMO_SAMPLES:  # kept, read-only, with stage one's omega-free bounds
+        memo.update(key=key, tables=tables, bounds=[_neigh_max(u[None]) for u in _majorants(*tables)])
+        for a in (*tables, *memo["bounds"]):
+            a.setflags(write=False)
+    return tables
 
 
 def _require_finite(arr) -> None:
@@ -307,7 +337,7 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
         pref = np.abs(P(og + 1j * tau))[:, None]
     _require_finite(pref)
     B = window.spline if isinstance(window, WeightMultiset) else window
-    ks, G0, G1, G2 = _series_tables(B, tau, xg)
+    ks, G0, G1, G2 = tables = _series_tables(B, tau, xg)
     dk = (-2j * np.pi * ks)[:, None]
     phases = np.exp(-2j * np.pi * og[:, None] * ks[None, :])
     zv = np.abs(phases @ G0)
@@ -321,7 +351,8 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
     # local bound: 3x3 neighbourhood max of the grid gradient (captures knot
     # jumps) times the cell radius, plus a Hessian term; stage one on majorants
     radius = grid_step * math.sqrt(2.0) / 2.0
-    ug, uh = (_neigh_max(u[None]) for u in _majorants(ks, G0, G1, G2))
+    kept = B.series.get("tables") is tables
+    ug, uh = B.series["bounds"] if kept else (_neigh_max(u[None]) for u in _majorants(*tables))
     certified = bool(np.all(zv > 1.1 * ug * radius + 0.6 * uh * radius**2))
     r0, r1 = (max(i - 1, 0), i + 2) if certified else (0, len(og))
     ph = phases[r0:r1]
@@ -355,17 +386,7 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
 
 
 # ---------------------------------------------------------------------------
-# Sign changes and monotonicity
-
-
-def strong_sign_changes(samples: Sequence[float]) -> int:
-    """Count of strict sign alternations, skipping zeros."""
-    v = np.asarray(samples, dtype=float)
-    v = v[v != 0.0]
-    if len(v) < 2:
-        return 0
-    s = np.sign(v)
-    return int(np.sum(s[1:] * s[:-1] < 0))
+# Unit-interval monotonicity
 
 
 def unit_monotone_offset(f_samples: Sequence[float]) -> float:
@@ -415,22 +436,3 @@ def reduced_slice_monotonicity(weights: WeightMultiset, eta_index: int) -> Monot
     x0 = unit_monotone_offset(_sample_two_periodic(h0))
     y0 = unit_monotone_offset(_sample_two_periodic(h0.reduce(eta)))
     return MonotonicityReport(x0=x0, y0=y0, eta=eta)
-
-
-def fully_reduced_sign_changes(weights: WeightMultiset, omega: float, N: int) -> int:
-    """S^- of the fully reduced real Zak slice of B over [0, N).
-
-    Applies D_{eta_1}^{mu_1 - 1} prod_j D_{eta_j}^{mu_j} to the fundamental
-    slice, extends by quasi-periodicity, and counts strong sign changes of
-    the real part, 256 samples per unit.
-    """
-    red = _slice_table(weights.spline.table, complex(omega))
-    clusters = sorted(((-b, mu) for b, mu in weights.distinct))
-    for idx, (eta, mu) in enumerate(clusters):
-        for _ in range(mu - 1 if idx == 0 else mu):
-            red = red.reduce(eta)
-    base = red.pieces_at(np.arange(256) / 256)[0]
-    samples = np.concatenate(
-        [np.real(np.exp(2j * np.pi * k * omega) * base) for k in range(N)]
-    )
-    return strong_sign_changes(samples)

@@ -124,7 +124,9 @@ def _sup_grid(a0: float, sigma: float, grid: np.ndarray | None = None) -> np.nda
 
 def _sup_distance(vals_n: np.ndarray, vals_m: np.ndarray, grid: np.ndarray, sigma: float) -> float:
     diff = np.abs(vals_n - vals_m)
-    return float(np.max(diff * np.exp(sigma * np.abs(grid))))
+    with np.errstate(over="ignore", invalid="ignore"):  # where e^{sigma |x|} overflows, both windows are 0
+        weighted = diff * np.exp(sigma * np.abs(grid))
+    return float(np.max(weighted, where=diff != 0.0, initial=0.0))
 
 
 def weighted_sup_distance(

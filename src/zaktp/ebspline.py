@@ -141,13 +141,6 @@ class ExpPolyTable:
         out[..., :-1] += self.coeffs[..., 1:] * np.arange(1, self.coeffs.shape[-1])
         return ExpPolyTable(self.etas, out)
 
-    def zak_sum(self, phases) -> "ExpPolyTable":
-        """The one-piece table sum_k phases[k] coeffs[k], accumulated in k order."""
-        acc = phases[0] * self.coeffs[0]
-        for ph, c in zip(phases[1:], self.coeffs[1:]):
-            acc = acc + ph * c
-        return ExpPolyTable(self.etas, acc[None])
-
     def lattice_sum(self, x, s, alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Sum_k f(x + alpha k) e^{-2 pi i k alpha s} in closed form and its rounding bound,
         shaped s.shape + x.shape; :class:`IllConditioned` where the bound passes
@@ -241,13 +234,17 @@ class PiecewiseExpPoly:
     ``pieces[k]`` is a tuple of (eta, ascending coefficients) terms valid for
     x in [k, k+1) with local coordinate t = x - k; support is exactly [0, m].
     Coefficients may be real or complex.  ``table`` is derived from the
-    pieces, with the exponents ascending.  ``half_zeros`` keeps, per tol, the
-    zero of Z(., 1/2) that ``analysis.locate_zero_half`` found to it.
+    pieces, with the exponents ascending.  Two memos, which equality, hash,
+    repr and ``replace`` ignore: ``half_zeros`` keeps, per tol, the zero of
+    Z(., 1/2) that ``analysis.locate_zero_half`` found to it; ``series`` keeps
+    the B/B'/B'' stack of ``analysis._series_tables`` and the read-only tables of
+    its last scan, one scan of at most 8,192 samples (64 KiB) per table.
     """
 
     pieces: tuple[tuple[tuple[float, tuple], ...], ...]
     table: ExpPolyTable = field(init=False, repr=False, compare=False)
     half_zeros: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         etas = sorted({eta for piece in self.pieces for eta, _ in piece})

@@ -17,11 +17,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .ebspline import PiecewiseExpPoly, _like_input
-from .errors import PoleHit, StripViolation
+from .errors import IllConditioned, PoleHit, StripViolation
 from .weights import WeightMultiset, make_weights
 
 _STRIP_MARGIN = 1e-6
 _MAX_GRID_NODES = 1 << 22
+_EXP_MAX = float(np.log(np.finfo(float).max))  # e^x overflows above this, about 709.78
 
 
 def _check_strip(weights: WeightMultiset, tau: float):
@@ -64,12 +65,17 @@ def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
     kernel ``frames._zak_squares`` (once per shift j, for its |P|^2 table),
     the factorized route of ``compute_zak_grid`` and the certificate scan.
     Scalars serve the single frequencies of ``zak_factorized`` (inversion and
-    dilation checks).
+    dilation checks).  Where e^{-(a + 2 pi i s)} leaves the double range (a
+    weight below about -709 on the real line), :class:`IllConditioned` names the weight.
     """
     vec = isinstance(s, np.ndarray)  # a scalar stays off 0-d arrays, which cost ~6x per call
     sc = s.astype(complex) if vec else complex(s)
+    # Re -(a + 2 pi i s) = 2 pi Im s - a, as the exponent below rounds it
+    edge = 2.0 * np.pi * (sc.imag.max(initial=-np.inf) if vec else sc.imag)
     out = 1.0 + 0.0j
     for a in weights.raw:
+        if edge - a > _EXP_MAX:
+            raise IllConditioned(f"prefactor weight {a}: e^-(a + 2 pi i s) leaves the double range")
         denom = 1.0 - np.exp(-(a + 2j * np.pi * sc))
         pole = abs(denom) < 1e-14
         if pole.any() if vec else pole:

@@ -1,6 +1,7 @@
 """Tests for truncation families and convergence observables."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -307,6 +308,18 @@ def test_weighted_sup_distance_refuses_empty_and_non_finite_grids():
     for grid in ([], [0.0, math.nan], [math.inf, 1.0], [-math.inf]):
         with pytest.raises(ValueError, match="the grid must hold at least one point, and only finite ones"):
             weighted_sup_distance(w4, w8, 0.1, np.asarray(grid))
+
+
+def test_weighted_sup_distance_on_a_grid_where_the_weight_overflows():
+    # e^{0.5 |x|} overflows at |x| = 1600 and 2000, where both windows are exactly 0:
+    # those points add 0, not 0 * inf = NaN, and no RuntimeWarning is raised
+    w4, w8 = (truncate(WeightGenerator.harmonic(1.0), n) for n in (4, 8))
+    grid = np.linspace(-2000.0, 2000.0, 11)
+    assert not eval_tp(w4, grid[[0, 1, -2, -1]]).any() and not eval_tp(w8, grid[[0, 1, -2, -1]]).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = weighted_sup_distance(w4, w8, 0.5, grid)
+    assert got == weighted_sup_distance(w4, w8, 0.5, grid[2:-2]) and 0.0 < got < math.inf
 
 
 def test_weighted_sup_distance_equals_each_window_alone():

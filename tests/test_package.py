@@ -59,7 +59,6 @@ fourier_ebspline
 fourier_tp
 frame_bounds
 frames
-fully_reduced_sign_changes
 locate_zero_half
 make_weights
 periodize_sample
@@ -67,7 +66,6 @@ psi_decay_diagnostic
 reduce_ebspline
 reduced_slice_monotonicity
 report_io
-strong_sign_changes
 truncate
 unit_monotone_offset
 weighted_sup_distance

@@ -183,6 +183,17 @@ def test_factorized_route_refuses_before_the_prefactor_overflows(route):
             route(make_weights([-800.0, 1.0]))
 
 
+@pytest.mark.parametrize("s", [0.2, np.array([0.1, 0.2, 0.3 + 0.01j])], ids=["scalar", "array"])
+def test_prefactor_refuses_a_factor_past_the_double_range(s):
+    # e^{-(a + 2 pi i s)} = e^800 for a = -800: it was nan+nanj after two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IllConditioned, match=r"^prefactor weight -800\.0: e\^-\(a \+ 2 pi i s\) leaves the double range$"):
+            zak_prefactor(make_weights([-800.0, 1.0]), s)
+    # the edge is where e^x overflows, as the exponent rounds 2 pi Im s - a
+    assert np.all(np.isfinite(zak_prefactor(make_weights([-709.0, 1.0]), s)))
+
+
 def test_strip_violation():
     w = make_weights([1.0, -1.0])
     with pytest.raises(StripViolation):
