@@ -196,8 +196,8 @@ def _series_tables(B: PiecewiseExpPoly, tau: float, xg: np.ndarray):
     Returns (ks, G0, G1, G2) with G?[kidx, j] = B^{(?)}(x_j + k) e^{2 pi k tau},
     so that Z B(x_j, omega + i tau) = sum_k e^{-2 pi i k omega} G0[k, j].  The
     sum is finite: ``ks`` holds every shift that puts a grid point in [0, m].
-    One pass per piece masks its points once, and B, B', B'' (stacked per
-    piece) share each e^{eta t}: the bits of three ``eval`` passes.  ``B.series``
+    One pass per piece evaluates one run of its points, and B, B', B'' (stacked
+    per piece) share each e^{eta t}: the bits of three ``eval`` passes.  ``B.series``
     keeps the stack, and the read-only tables of the last (tau, x grid) with at
     most ``_MEMO_SAMPLES`` samples each, so a second omega band rebuilds nothing.
     """
