@@ -645,7 +645,7 @@ def test_kept_series_tables_are_read_only_bytes_of_a_fresh_spline(monkeypatch):
     other = _series_tables(B, 0.1, xg)
     assert other is not first and B.series["tables"] is other and _series_tables(B, 0.0, xg) is not first
     # a scan over the size bound is built but not kept
-    kept, wide = B.series["tables"], _grid(0.0, 40.0, 1 / 512)
+    kept, wide = B.series["tables"], _grid(0.0, 4.0, 1 / 512)
     assert len(_series_tables(B, 0.0, wide)[0]) * len(wide) > zaktp.analysis._MEMO_SAMPLES
     assert B.series["tables"] is kept
     # equality, hash, repr and replace() ignore the memo
