@@ -333,9 +333,7 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
         raise ValueError(f"a {len(og)}x{len(xg)} grid exceeds {_MAX_GRID_NODES} nodes")
     # |P| first: where it overflows, so does |Z g| = |P| |Z B|, and B need not be built
     P = _prefactor(window)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pref = np.abs(P(og + 1j * tau))[:, None]
-    _require_finite(pref)
+    pref = np.abs(P(og + 1j * tau))[:, None]  # an overflowed product raises
     B = window.spline if isinstance(window, WeightMultiset) else window
     ks, G0, G1, G2 = tables = _series_tables(B, tau, xg)
     dk = (-2j * np.pi * ks)[:, None]

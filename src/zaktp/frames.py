@@ -1,22 +1,23 @@
 """Gabor frame bounds on integer lattices and discrete periodized frames.
 
 Frame bounds for the lattice alpha = 1, beta = 1/N are grid estimates of
-ess inf / ess sup of Sum_{j<N} |Zg(x, omega + j/N)|^2 over the unit cell,
-read from one separable grid: each refinement step is a strided view of the
-finest grid.  That grid comes from one kernel on the rows omega <= 1/2 only,
-since for a real window the rows omega > 1/2 mirror them.  It forms the
-per-shift tables once (the phases of each shift j, and |P|^2 from one
-prefactor call on the omega column), then walks the grid in blocks of rows
-through one reused scratch buffer: per block and shift, two real GEMMs
-against the columns B(x + k) of the spline factor, squared in place.  Finest
-grids above 2^22 nodes are refused before allocation.  The discrete route
-periodizes and samples the window to C^K, a closed-form lattice sum of its
-partial fractions with step K; the critically sampled frame operator is
-diagonalized by the discrete Zak transform, so its spectrum is
+ess inf / ess sup of F(x, omega) = Sum_{j<N} |Zg(x, omega + j/N)|^2 over the
+unit cell, read from one separable grid: each refinement step is a strided
+view of the finest grid.  F is 1/N-periodic in omega and, for a real window,
+even, so one kernel forms only the grid's distinct rows.  It builds one table
+per shift j (|P| cos and |P| sin of the phases, interleaved rows, |P| from one
+prefactor call on the omega column), then walks the rows in blocks through
+one reused scratch buffer: per block and shift, one real GEMM against the
+columns B(x + k) of the spline factor gives |P| Re and |P| Im, squared in
+place.  Finest grids above 2^22 nodes are refused before allocation.  The
+discrete route periodizes and samples the window to C^K, a closed-form lattice
+sum of its partial fractions with step K; the critically sampled frame
+operator is diagonalized by the discrete Zak transform, so its spectrum is
 M |DFT_{K/M}(v[qM + r])|^2 (Zibulski-Zeevi).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import Indivisible
 from .weights import WeightMultiset
 from .zak import _MAX_GRID_NODES, zak_prefactor
 
-_BLOCK_NODES = 1 << 14  # nodes per row block of the frame kernel: one 128 KB scratch buffer
+_BLOCK_NODES = 1 << 14  # nodes per row block of the frame kernel, Re and Im: one 128 KB scratch buffer
 
 
 @dataclass(frozen=True)
@@ -68,15 +69,15 @@ class DiscreteWindow:
 def _zak_squares(weights: WeightMultiset, N: int, xs: np.ndarray, oms: np.ndarray) -> np.ndarray:
     """(len(oms), len(xs)) grid of Sum_{j<N} |Zg(x, omega + j/N)|^2, by blocks of rows.
 
-    The per-shift tables come first: cos and sin of 2 pi k (omega + j/N), and
-    |P(omega + j/N)|^2 from one prefactor call on the omega column.  The output
-    is allocated once, next to one scratch buffer of ``_BLOCK_NODES`` nodes (one
-    row, if a row is longer).  For each block of omega rows, each shift j, and
-    cos then sin, one GEMM against the columns B(x + k) writes Re or Im into the
-    buffer, which is squared in place, scaled by |P|^2 and added into the block.
-    Re and Im are squared after their sums, so the zero's cancellation happens in
-    them; a squared autocorrelation sum would turn it into noise of order
-    eps * |P Z|^2.
+    The per-shift tables come first: |P| cos and |P| sin of 2 pi k (omega + j/N)
+    as rows 2i and 2i + 1, |P(omega + j/N)| from one prefactor call on the omega
+    column.  The output is allocated once, next to one scratch buffer of
+    ``_BLOCK_NODES`` nodes (the Re and Im of one row, if they are longer).  For
+    each block of omega rows and each shift j, one GEMM against the columns
+    B(x + k) writes |P| Re and |P| Im into the buffer, which is squared in place
+    and added into the block.  Re and Im are squared after their sums, so the
+    zero's cancellation happens in them; a squared autocorrelation sum would
+    turn it into noise of order eps * |P Z|^2.
     """
     B = weights.spline
     bv = B.table.pieces_at(xs)
@@ -84,21 +85,19 @@ def _zak_squares(weights: WeightMultiset, N: int, xs: np.ndarray, oms: np.ndarra
     tables = []
     for j in range(N):
         om_j = oms + j / N
-        arg = np.outer(om_j, ks)
-        pref = zak_prefactor(weights, om_j)
-        tables.append((np.cos(arg), np.sin(arg), (pref.real**2 + pref.imag**2)[:, None]))
+        arg, mod = np.outer(om_j, ks), np.abs(zak_prefactor(weights, om_j))[:, None, None]
+        tables.append((mod * np.stack((np.cos(arg), np.sin(arg)), axis=1)).reshape(2 * len(oms), B.m))
     total = np.zeros((len(oms), len(xs)))
-    rows = max(1, _BLOCK_NODES // len(xs))
-    buf = np.empty(rows * len(xs))
+    rows = max(1, _BLOCK_NODES // (2 * len(xs)))
+    buf = np.empty(2 * rows * len(xs))
     for r in range(0, len(oms), rows):
         block = total[r : r + rows]
-        part = buf[: block.size].reshape(block.shape)
-        for cos, sin, p2 in tables:
-            for trig in (cos, sin):
-                np.matmul(trig[r : r + rows], bv, out=part)
-                part *= part
-                part *= p2[r : r + rows]
-                block += part
+        part = buf[: 2 * block.size].reshape(2 * len(block), len(xs))
+        for table in tables:
+            np.matmul(table[2 * r : 2 * r + len(part)], bv, out=part)
+            part *= part
+            block += part[0::2]
+            block += part[1::2]
     return total
 
 
@@ -115,13 +114,14 @@ def frame_bounds(
     trace records A_est over ``refinements`` grid doublings; only the
     finest grid is evaluated, and step s reads every 2^(refinements - s)-th
     node of it, which is exact since i/n and 2^d i/(2^d n) round alike.
-    The finest grid comes from one batched kernel per shift j, on the rows
-    omega <= 1/2 only.  For a real window Zg(x, 1 - omega) = conj Zg(x, omega),
-    and {omega + j/N} mod 1 reflects onto itself, so row n - i of the grid
-    equals row i: every minimum, maximum and first argmin over the full grid,
-    and over each strided step (n is a multiple of every stride), lies in
-    the rows i <= n/2, and the mirrored rows are never formed.  A finest
-    grid of more than 2^22 nodes is refused with ``ValueError`` before
+    Of the finest grid's rows omega_i = i/n only the distinct ones are formed:
+    F is 1/N-periodic in omega and even, as Zg(x, -omega) = conj Zg(x, omega)
+    for a real window, so with p = n / gcd(N, n) row i equals rows i + p and
+    p - i, and rows c = 0..p//2 are distinct.  B_est is their maximum; the
+    first argmin in row-major order is that of the full grid, since each
+    class's first row is c (of equal rows, the smallest omega wins); and the
+    rows i = 0 mod stride of a step fold onto every gcd(stride, p)-th row c.  A
+    finest grid of more than 2^22 nodes is refused with ``ValueError`` before
     anything is allocated.
     """
     if N < 1:
@@ -131,24 +131,24 @@ def frame_bounds(
     n_x, n_w = resolution
     # past 16 doublings any grid exceeds the cap; min() keeps the shift small
     if (n_x * n_w) << (2 * min(refinements, 16)) > _MAX_GRID_NODES:
-        raise ValueError(
-            f"a {n_x}x{n_w} grid refined {refinements} times exceeds {_MAX_GRID_NODES} nodes"
-        )
+        raise ValueError(f"a {n_x}x{n_w} grid refined {refinements} times exceeds {_MAX_GRID_NODES} nodes")
+    fine_x, fine_w = n_x << refinements, n_w << refinements
+    period = fine_w // math.gcd(N, fine_w)  # rows i and i + period, and period - i, are equal
+    xs = np.arange(fine_x) / fine_x
+    oms = np.arange(period // 2 + 1) / fine_w
+    fine = _zak_squares(weights, N, xs, oms)
     extra, zero = [], None
     if N == 1 and weights.n >= 2:
         from .analysis import locate_zero_half
 
         zero = locate_zero_half(weights)
         extra = [float(_zak_squares(weights, 1, np.array([zero]), np.array([0.5]))[0, 0])]
-    fine_x, fine_w = n_x << refinements, n_w << refinements
-    xs = np.arange(fine_x) / fine_x
-    oms = np.arange(fine_w // 2 + 1) / fine_w
-    fine = _zak_squares(weights, N, xs, oms)
     trace = []
     for step in range(refinements + 1):
         stride = 1 << (refinements - step)
         res = (n_x << step, n_w << step)
-        trace.append((res, min([float(fine[::stride, ::stride].min())] + extra)))
+        rows = fine[:: math.gcd(stride, period), ::stride]  # the classes of the rows i = 0 mod stride
+        trace.append((res, min([float(rows.min())] + extra)))
     i_w, i_x = divmod(int(np.argmin(fine)), len(xs))
     loc = (zero, 0.5) if extra and extra[0] < fine[i_w, i_x] else (xs[i_x], oms[i_w])
     return FrameBoundsReport(
@@ -163,8 +163,8 @@ def frame_bounds(
 
 def periodize_sample(weights: WeightMultiset, K: int) -> DiscreteWindow:
     """Periodized integer samples v_j = Z_K g(j, 0), summed in closed form."""
-    if K < 1:
-        raise ValueError("K must be positive")
+    if not 1 <= K <= _MAX_GRID_NODES:  # refused before the samples are allocated
+        raise ValueError(f"K must be positive and at most {_MAX_GRID_NODES}, got {K}")
     vals = weights.table.lattice_sum(np.arange(K), 0.0, alpha=K)[0].real
     return DiscreteWindow(K=K, values=tuple(float(v) for v in vals), weights=weights)
 

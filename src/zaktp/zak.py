@@ -9,6 +9,8 @@ argument may be complex, s = omega + i*tau, inside the strip |tau| < a0 / (2*pi)
 """
 from __future__ import annotations
 
+import cmath
+import contextlib
 import functools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -62,27 +64,30 @@ def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
     """The factor prod a_nu / (1 - e^{-(a_nu + 2 pi i s)}) of the factorization, vectorized over s.
 
     An ndarray s takes the array path, one call per omega column: the frame
-    kernel ``frames._zak_squares`` (once per shift j, for its |P|^2 table),
-    the factorized route of ``compute_zak_grid`` and the certificate scan.
-    Scalars serve the single frequencies of ``zak_factorized`` (inversion and
+    kernel ``frames._zak_squares`` (per shift j, for |P|), ``compute_zak_grid``
+    and the certificate scan; scalars serve ``zak_factorized`` (inversion and
     dilation checks).  Where e^{-(a + 2 pi i s)} leaves the double range (a
-    weight below about -709 on the real line), :class:`IllConditioned` names the weight.
+    weight below about -709 on the real line), or the product of finite
+    factors does, :class:`IllConditioned` is raised, with no warning.
     """
     vec = isinstance(s, np.ndarray)  # a scalar stays off 0-d arrays, which cost ~6x per call
     sc = s.astype(complex) if vec else complex(s)
     # Re -(a + 2 pi i s) = 2 pi Im s - a, as the exponent below rounds it
     edge = 2.0 * np.pi * (sc.imag.max(initial=-np.inf) if vec else sc.imag)
     out = 1.0 + 0.0j
-    for a in weights.raw:
-        if edge - a > _EXP_MAX:
-            raise IllConditioned(f"prefactor weight {a}: e^-(a + 2 pi i s) leaves the double range")
-        denom = 1.0 - np.exp(-(a + 2j * np.pi * sc))
-        pole = abs(denom) < 1e-14
-        if pole.any() if vec else pole:
-            at = sc[pole].flat[0] if vec else sc
-            raise PoleHit(f"prefactor denominator vanishes for weight {a} at s = {complex(at)}")
-        out *= a / denom
-    return out if vec else complex(out)
+    with np.errstate(over="ignore", invalid="ignore") if vec else contextlib.nullcontext():
+        for a in weights.raw:
+            if edge - a > _EXP_MAX:
+                raise IllConditioned(f"prefactor weight {a}: e^-(a + 2 pi i s) leaves the double range")
+            denom = 1.0 - np.exp(-(a + 2j * np.pi * sc))
+            pole = abs(denom) < 1e-14
+            if pole.any() if vec else pole:
+                at = sc[pole].flat[0] if vec else sc
+                raise PoleHit(f"prefactor denominator vanishes for weight {a} at s = {complex(at)}")
+            out *= a / denom if vec else complex(a / denom)  # Python's product: NumPy's bits, no warning
+    if not (np.isfinite(out).all() if vec else cmath.isfinite(out)):
+        raise IllConditioned(f"the prefactor's product over {weights.n} weights is not finite: it leaves the double range")
+    return out
 
 
 def zak_factorized(weights: WeightMultiset, x, s) -> complex | np.ndarray:

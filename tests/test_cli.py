@@ -253,6 +253,12 @@ def test_framebounds_grid_cap_is_an_error(capsys, res, refinements):
     assert err.startswith("ValueError: ") and "exceeds 4194304 nodes" in err
 
 
+def test_discrete_frame_huge_K_is_an_error(capsys):
+    # refused before the 7.45 GiB of samples are allocated: one line, exit 1
+    code, out, err = run(capsys, "discrete-frame", "--weights", "1,-1", "--K", "1000000000", "--M", "2")
+    assert (code, out, err) == (1, "", "ValueError: K must be positive and at most 4194304, got 1000000000\n")
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_out_writes_the_golden_bytes(tmp_path, capsys, name):
     # every subcommand honours --out: nothing on stdout, the golden bytes in the file

@@ -1,5 +1,6 @@
 """Tests for Gabor frame bounds and discrete periodized frames."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -12,7 +13,7 @@ from mp_oracle import lattice_sum
 
 from zaktp import frames
 from zaktp.analysis import locate_zero_half
-from zaktp.ebspline import eval_ebspline
+from zaktp.ebspline import ExpPolyTable, eval_ebspline
 from zaktp.errors import Indivisible
 from zaktp.frames import (
     DiscreteWindow,
@@ -22,7 +23,7 @@ from zaktp.frames import (
     periodize_sample,
 )
 from zaktp.weights import eval_tp, make_weights
-from zaktp.zak import zak_prefactor
+from zaktp.zak import compute_zak_grid, zak_prefactor
 
 
 def _reference_zak_squares(weights, N, n_x, n_w, extra=None):
@@ -251,7 +252,7 @@ class _Reached(Exception):
     pass
 
 
-def _refuse_to_compute(*args):
+def _refuse_to_compute(*args, **kwargs):
     raise _Reached
 
 
@@ -304,15 +305,18 @@ def test_frame_bounds_value_at_zero_hint_is_exact(ws):
     assert np.max(np.abs(near - exact) / exact) <= 1e-5
 
 
-def _mirrored_report(weights, N, resolution, refinements):
-    """The report of frame_bounds read off an explicit full grid whose row n - i copies row i."""
+def _expanded_report(weights, N, resolution, refinements):
+    """The report of frame_bounds read off an explicit full grid in which every
+    row copies the distinct row of its class: row i is row c = min(i mod p, p - i mod p)."""
     n_x, n_w = resolution[0] << refinements, resolution[1] << refinements
     xs, oms = np.arange(n_x) / n_x, np.arange(n_w) / n_w
-    half = n_w // 2
+    p = n_w // math.gcd(N, n_w)
+    distinct = frames._zak_squares(weights, N, xs, oms[: p // 2 + 1])
     fine = np.empty((n_w, n_x))
-    fine[: half + 1] = frames._zak_squares(weights, N, xs, oms[: half + 1])
-    fine[half + 1 :] = fine[n_w - half - 1 : 0 : -1]
-    assert np.array_equal(fine[1:], fine[:0:-1])
+    for i in range(n_w):
+        fine[i] = distinct[min(i % p, p - i % p)]
+    assert np.array_equal(fine, np.roll(fine, p, axis=0))  # period 1/gcd(N, n), a multiple of 1/N
+    assert np.array_equal(fine[1:], fine[:0:-1])  # row n - i copies row i
     hint, extra = None, []
     if N == 1 and weights.n >= 2:
         hint = locate_zero_half(weights)
@@ -338,15 +342,75 @@ def _mirrored_report(weights, N, resolution, refinements):
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("resolution,refinements", [((16, 24), 1), ((5, 7), 0), ((3, 1), 0), ((4, 2), 2), ((2, 3), 1)])
 def test_frame_bounds_equals_exactly_symmetric_full_grid(ws, N, resolution, refinements):
-    # bit for bit the report of the full grid that is exactly symmetric under
-    # omega <-> 1 - omega; and the kernel evaluated on the rows omega > 1/2
-    # directly agrees with their mirror copies, since Zg(x, 1 - w) = conj Zg(x, w)
+    # bit for bit the report of the full grid that is exactly 1/N-periodic and
+    # symmetric under omega <-> -omega; and the kernel evaluated on every row
+    # directly agrees with the copies, since Zg(x, -w) = conj Zg(x, w) and |Zg| is 1-periodic in w
     w = make_weights(ws)
-    ref, fine, xs, oms = _mirrored_report(w, N, resolution, refinements)
+    ref, fine, xs, oms = _expanded_report(w, N, resolution, refinements)
     got = frame_bounds(w, N, resolution=resolution, refinements=refinements)
     assert got.to_json_dict() == ref.to_json_dict()
     direct = frames._zak_squares(w, N, xs, oms)
     assert np.max(np.abs(fine - direct)) <= 1e-14 * np.max(direct)
+
+
+_SHIFT_WINDOWS = ([0.9, -2.1, 1.4], [2.0, -3.0, 0.7, -1.1], [1.0], [1.0, -1.0])
+_SHIFT_CASES = list(itertools.product(range(4), range(1, 9), range(1, 13), range(3)))
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_frame_bounds_match_the_full_per_shift_grid(part):
+    # four sevenths of the 1,152 cases (windows, N = 1..8, n_w = 1..12, 0..2 refinements):
+    # the grid of Sum_j |Zg(x, omega + j/N)|^2 over all n rows, each shift its own
+    # compute_zak_grid call; the even window [1, -1] has exact ties
+    for iw, N, n_w, refinements in _SHIFT_CASES[part::7]:
+        w = make_weights(_SHIFT_WINDOWS[iw])
+        got = frame_bounds(w, N, resolution=(3, n_w), refinements=refinements)
+        n_x, n = 3 << refinements, n_w << refinements
+        xs, oms = np.arange(n_x) / n_x, np.arange(n) / n
+
+        def squares(xs, oms):
+            return sum(np.abs(compute_zak_grid(w, xs, (oms + j / N) % 1.0).values) ** 2 for j in range(N))
+
+        full = squares(xs, oms)
+        hint = [float(squares([locate_zero_half(w)], np.array([0.5]))[0, 0])] if N == 1 and w.n >= 2 else []
+        tol = 1e-14 * got.B_est
+        assert abs(got.B_est - full.max()) <= tol
+        for step, (res, a) in enumerate(got.refinement_trace):
+            stride = 1 << (refinements - step)
+            assert res == (3 << step, n_w << step)
+            assert abs(a - min([full[::stride, ::stride].min()] + hint)) <= tol
+        # the argmin, a node or the zero hint, is a true minimum
+        x, om = got.min_location
+        assert squares([x], np.array([om]))[0, 0] <= min([full.min()] + hint) + tol
+
+
+@pytest.mark.parametrize("N,rows", [(1, 257), (2, 129), (3, 257)])
+def test_frame_bounds_forms_only_the_distinct_rows(monkeypatch, N, rows):
+    # n = 512 rows: for N = 2 the rows i and 256 - i are equal, so 129 are formed;
+    # for N = 1 and N = 3 (gcd(3, 512) = 1) they are the 257 rows omega <= 1/2
+    calls = []
+    real = frames._zak_squares
+
+    def counting(weights, N, xs, oms):
+        calls.append((len(oms), len(xs)))
+        return real(weights, N, xs, oms)
+
+    monkeypatch.setattr(frames, "_zak_squares", counting)
+    frame_bounds(make_weights([0.9, -2.1, 1.4, -3.0]), N, resolution=(64, 64), refinements=3)
+    assert [c for c in calls if c[1] == 512] == [(rows, 512)]
+
+
+def test_frame_bounds_peak_memory_is_below_the_half_grid():
+    # the N = 2 kernel forms 129 of the 257 rows omega <= 1/2, and nothing expands them
+    w = make_weights([0.9, -2.1, 1.4, -3.0])
+    w.spline  # built and cached before tracing
+    tracemalloc.start()
+    try:
+        frame_bounds(w, 2, resolution=(64, 64), refinements=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8 * 257 * 512 * 8
 
 
 def _unblocked_zak_squares(weights, N, xs, oms):
@@ -367,10 +431,11 @@ def _unblocked_zak_squares(weights, N, xs, oms):
 
 @pytest.mark.parametrize("ws", [[0.9, -2.1, 1.4], [2.0, -3.0, 0.7, -1.1], [1.0]])
 @pytest.mark.parametrize("N", [1, 2, 3])
-@pytest.mark.parametrize("n_x,n_w", [(512, 257), (300, 200), (20000, 3), (1 << 14, 2)])
+@pytest.mark.parametrize("n_x,n_w", [(512, 257), (300, 200), (20000, 3), (1 << 14, 2), (1 << 13, 3)])
 def test_zak_squares_blocks_equal_unblocked_reference(ws, N, n_x, n_w):
-    # 32-row blocks and a last block of one row; 54-row blocks and a partial
-    # last one; rows longer than a block, and rows exactly one block long
+    # a block holds Re and Im: 16-row blocks and a last block of one row; 27-row
+    # blocks and a partial last one; rows longer than a block, rows whose Re
+    # alone fills one, and rows whose Re and Im fill exactly one
     assert n_w > max(1, frames._BLOCK_NODES // n_x)
     w = make_weights(ws)
     xs, oms = np.arange(n_x) / n_x, np.arange(n_w) / (2 * n_w - 2)
@@ -466,6 +531,20 @@ def test_discrete_frame_min_at_even_window_zak_zero(K, M):
     # even window: the discrete Zak transform vanishes at (1/2, 1/2)
     rep = discrete_frame_test(periodize_sample(make_weights([1.0, -1.0]), K), M)
     assert rep["lambda_min_at"] == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("K", [2**22 + 1, 10**9])
+def test_periodize_sample_caps_K(monkeypatch, K):
+    # refused before the samples are allocated: the lattice sum must never be reached
+    monkeypatch.setattr(ExpPolyTable, "lattice_sum", _refuse_to_compute)
+    with pytest.raises(ValueError, match="K must be positive and at most 4194304"):
+        periodize_sample(make_weights([1.0, -1.0]), K)
+
+
+def test_periodize_sample_cap_admits_2_to_the_22(monkeypatch):
+    monkeypatch.setattr(ExpPolyTable, "lattice_sum", _refuse_to_compute)
+    with pytest.raises(_Reached):
+        periodize_sample(make_weights([1.0, -1.0]), 2**22)
 
 
 def test_discrete_frame_large_K():

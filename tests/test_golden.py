@@ -39,6 +39,9 @@ COMMANDS = {
     "framebounds_n1": [
         "framebounds", "--weights", "1,1,-2", "--N", "1", "--res", "8x8", "--refinements", "2",
     ],
+    "framebounds_n3": [
+        "framebounds", "--weights", "0.9,-2.1,1.4", "--N", "3", "--res", "4x6", "--refinements", "1",
+    ],
     "discrete_frame": ["discrete-frame", "--weights", "1,-1", "--K", "12", "--M", "2"],
     "discrete_window": [
         "discrete-frame", "--weights", "1,-2", "--K", "8", "--M", "2", "--window-only",

@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 
 from zaktp.ebspline import ExpPolyTable, PiecewiseExpPoly, _horner, build_ebspline, eval_ebspline
 from zaktp.errors import IllConditioned, PoleHit, StripViolation
-from zaktp.frames import periodize_sample
+from zaktp.frames import frame_bounds, periodize_sample
 from zaktp.weights import exp_sum_rep, fourier_tp, make_weights
 from zaktp.zak import (
     compute_zak_grid,
@@ -192,6 +192,41 @@ def test_prefactor_refuses_a_factor_past_the_double_range(s):
             zak_prefactor(make_weights([-800.0, 1.0]), s)
     # the edge is where e^x overflows, as the exponent rounds 2 pi Im s - a
     assert np.all(np.isfinite(zak_prefactor(make_weights([-709.0, 1.0]), s)))
+
+
+_PRODUCT_OVERFLOW = "^the prefactor's product over 46 weights is not finite: it leaves the double range$"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: zak_prefactor(w, 0.3),
+        lambda w: zak_prefactor(w, np.array([0.1, 0.3 + 0.01j])),
+        lambda w: compute_zak_grid(w, [0.5], [0.5]),
+        lambda w: frame_bounds(w, 2, (4, 4), 0),
+        lambda w: frame_bounds(w, 1, (4, 4), 0),
+    ],
+    ids=["scalar", "array", "compute_zak_grid", "frame_bounds_N2", "frame_bounds_N1"],
+)
+def test_prefactor_refuses_a_product_past_the_double_range(call):
+    # every factor is finite, but sum log a = 749: this was nan+nanj (a NaN grid,
+    # A_est = B_est = nan) after RuntimeWarnings; N = 1 forms its grid before the zero search
+    w = truncate(WeightGenerator.geometric(1.0, 2.0), 46)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IllConditioned, match=_PRODUCT_OVERFLOW):
+            call(w)
+
+
+@pytest.mark.parametrize("ws", [[0.9, -2.1, 1.4], [-1.5, 2.0], [2.0**k for k in range(1, 45)]])
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 0.77 + 0.01j])
+def test_scalar_prefactor_keeps_the_bits_of_numpy_scalar_products(ws, s):
+    # Python's complex product has NumPy's bits; 44 weights reach |P| = 1e298
+    w = make_weights(ws)
+    ref = 1.0 + 0.0j
+    for a in w.raw:
+        ref *= a / (1.0 - np.exp(-(a + 2j * np.pi * complex(s))))
+    assert zak_prefactor(w, s) == complex(ref)
 
 
 def test_strip_violation():
