@@ -4,11 +4,12 @@ All zeros of the Zak transform of a TP window lie at omega = 1/2, so the
 zero search is one-dimensional: bracket the single sign change of the real
 2-periodic slice Z(., 1/2), narrow it by bisection on the slice in Python
 floats and finish with a secant step.  Both work on the spline factor of
-Z g = P Z B: the prefactor P has no zero in the strip, and Z B is a finite
-sum over the spline's pieces.  On [0, 1) the slice Re Z B(., 1/2) is one
-table of exponential-polynomial terms, extended by h(x + 1) = -h(x).  The
-certifier covers a region with a grid scan of Z B plus a Lipschitz
-majorant; where that fails, the structure theorem
+Z g = P Z B: the prefactor P has no zero in the strip, and Z B is the finite
+sum of the kernel in ``zak``, its phases from ``_phases``.  On [0, 1) the
+slice Re Z B(., 1/2) is one table of exponential-polynomial terms, extended by
+h(x + 1) = -h(x).  The certifier covers a region with a grid scan of Z B, its
+columns B(x + k) from ``_zak_columns``, plus a Lipschitz majorant; where that
+fails, the structure theorem
 Z B(x, 1/2 + i tau) = e^{-2 pi tau x} Z (B e^{2 pi tau .})(x, 1/2) names the
 one candidate zero, which is then checked.
 """
@@ -24,10 +25,10 @@ import numpy as np
 from .ebspline import ExpPolyTable, PiecewiseExpPoly
 from .errors import IllConditioned, MultipleZeros, NoZero, NotUnitMonotone
 from .weights import WeightMultiset
-from .zak import _MAX_GRID_NODES, _check_strip, zak_ebspline, zak_prefactor
+from .zak import _MAX_GRID_NODES, _check_strip, _phases, _zak_columns, zak_ebspline, zak_prefactor
 
 _ZERO_TOL = 1e-8  # certify_zero_free: a zero, relative to max(1, max |Z g|)
-_MEMO_SAMPLES = 1 << 13  # the largest series table a spline keeps: 64 KiB (513 x-nodes times 15 shifts fit)
+_MEMO_SAMPLES = 1 << 13  # the largest series table a spline keeps, 64 KiB: 513 x-nodes times the cell's m + 1 = 15 shifts
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,7 @@ def _prefactor(window):
 def _slice_table(table: ExpPolyTable, s: complex) -> ExpPolyTable:
     """Z f(., s) on [0,1) as a one-piece table, f the piecewise sum with these pieces:
     sum_k e^{-2 pi i k s} coeffs[k], accumulated in k order (a reduction over the outer axis)."""
-    phases = np.array([np.exp(-2j * np.pi * k * s) for k in range(len(table.coeffs))])
+    phases = _phases(s, np.arange(len(table.coeffs)))
     return ExpPolyTable(table.etas, np.add.reduce(phases[:, None, None] * table.coeffs, axis=0, keepdims=True))
 
 
@@ -92,7 +93,7 @@ def _table_zero(h: ExpPolyTable, tol: float) -> float:
     vals = _sample_two_periodic(h, N)
 
     if not vals.any():
-        raise NoZero("slice vanishes identically on the sample grid")
+        raise IllConditioned("the slice underflows to 0 on every sample: the spline factor leaves the double range")
     # cyclic sign changes, skipping exact zeros
     changes = _cyclic_sign_changes(vals)
     if not changes:
@@ -146,8 +147,9 @@ def locate_zero_half(window, tol: float = 1e-12) -> float:
     has the smallest |h|, kept on the spline factor per tol: the certifier at
     tau = 0 reads it back.  Raises ``ValueError`` unless 0 < tol < inf,
     :class:`NoZero` when the slice has no sign change or jumps there (type-1
-    windows) and :class:`MultipleZeros` when more than one bracket per period
-    survives, which would contradict the single-zero property.
+    windows), :class:`IllConditioned` when it underflows to 0 on every sample,
+    and :class:`MultipleZeros` when more than one bracket per period survives,
+    which would contradict the single-zero property.
     """
     B = window.spline if isinstance(window, WeightMultiset) else window  # a spline is its own factor
     if tol not in B.half_zeros:  # a search that raises keeps nothing
@@ -191,47 +193,32 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def _series_tables(B: PiecewiseExpPoly, tau: float, xg: np.ndarray):
-    """Samples of B, B', B'' on x + k weighted by e^{2 pi k tau}.
+    """Samples of B, B', B'' on x + k weighted by e^{2 pi k tau}, xg ascending.
 
     Returns (ks, G0, G1, G2) with G?[kidx, j] = B^{(?)}(x_j + k) e^{2 pi k tau},
-    so that Z B(x_j, omega + i tau) = sum_k e^{-2 pi i k omega} G0[k, j].  The
-    sum is finite: ``ks`` holds every shift that puts a grid point in [0, m].
-    One pass per piece evaluates one run of its points, and B, B', B'' (stacked
-    per piece) share each e^{eta t}: the bits of three ``eval`` passes.  ``B.series``
-    keeps the stack, and the read-only tables of the last (tau, x grid) with at
-    most ``_MEMO_SAMPLES`` samples each, so a second omega band rebuilds nothing.
+    so that Z B(x_j, omega + i tau) = sum_k e^{-2 pi i k omega} G0[k, j]: the
+    columns of :func:`zak._zak_columns` on the stack of B, B', B'' (row r m + p is
+    piece p of B^{(r)}), which share each e^{eta t}, and its shifts ``ks``, from
+    -floor(x_max) to m - 1 - floor(x_min).  ``B.series`` keeps the stack, and the
+    read-only tables of the last (tau, x grid) with at most ``_MEMO_SAMPLES``
+    samples each, so a second omega band rebuilds nothing.
     """
-    k0, k1 = math.floor(-xg[-1]), math.ceil(B.m - xg[0])
-    if (k1 - k0 + 1) * len(xg) > _MAX_GRID_NODES:
-        raise ValueError(f"a {k1 - k0 + 1}x{len(xg)} series table exceeds {_MAX_GRID_NODES} nodes")
+    n_ks = B.m + math.floor(xg[-1]) - math.floor(xg[0])
+    if n_ks * len(xg) > _MAX_GRID_NODES:
+        raise ValueError(f"a {n_ks}x{len(xg)} series table exceeds {_MAX_GRID_NODES} nodes")
     memo, key = B.series, (tau, xg.tobytes())
     if memo.get("key") == key:
         return memo["tables"]
-    ks = np.arange(k0, k1 + 1)
-    if "stack" not in memo:  # row r m + p is piece p of B^{(r)}, the classical derivatives between the knots
+    if "stack" not in memo:  # the classical derivatives between the knots
         d1 = B.table.reduce(0.0)
         memo["stack"] = ExpPolyTable(B.table.etas, np.concatenate([B.table.coeffs, d1.coeffs, d1.reduce(0.0).coeffs]))
-    stack, shifted = memo["stack"], (xg[None, :] + ks[:, None]).ravel()
-    # the piece index and local coordinate of eval_ebspline, the points stably sorted by
-    # piece (row-major order nearly is), so that each piece evaluates one run of them
-    order = np.argsort(np.floor(shifted), kind="stable")
-    k = np.floor(shifted[order])
-    t, runs = shifted[order] - k, np.searchsorted(k, np.arange(B.m + 1)).tolist()
-    G = np.zeros((3, len(shifted)), stack.coeffs.dtype)
-    for p, (a, b) in enumerate(zip(runs, runs[1:])):
-        if a < b:
-            G[:, order[a:b]] = stack.pieces_at(t[a:b], slice(p, None, B.m))
-    tables = (ks, *(np.real(G).reshape(3, len(ks), len(xg)) * np.exp(2.0 * np.pi * ks * tau)[:, None]))
+    ks, G = _zak_columns(B.m, memo["stack"], xg)
+    tables = (ks, *(np.real(G) * np.exp(2.0 * np.pi * ks * tau)[:, None]))
     if len(ks) * len(xg) <= _MEMO_SAMPLES:  # kept, read-only, with stage one's omega-free bounds
         memo.update(key=key, tables=tables, bounds=[_neigh_max(u[None]) for u in _majorants(*tables)])
         for a in (*tables, *memo["bounds"]):
             a.setflags(write=False)
     return tables
-
-
-def _require_finite(arr) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise IllConditioned("|Z| is not finite on the grid: the weight product leaves the double range")
 
 
 def _neigh_max(arr: np.ndarray) -> np.ndarray:
@@ -265,9 +252,9 @@ def _structure_zero(B: PiecewiseExpPoly, P, region: Region):
     try:
         if tau == 0:  # B_tau = B: the search locate_zero_half made and kept on the spline
             x_tau = locate_zero_half(B)
-        else:  # B_tau's table
-            grow = np.exp(2.0 * np.pi * tau * np.arange(B.m))[:, None, None]
-            x_tau = _table_zero(_slice_table(ExpPolyTable(B.table.etas + 2.0 * np.pi * tau, B.table.coeffs * grow), 0.5), 1e-12)
+        else:  # B_tau's slice: Z B(., 1/2 + i tau) with every exponent shifted by 2 pi tau
+            h = _slice_table(B.table, complex(0.5, tau))
+            x_tau = _table_zero(ExpPolyTable(h.etas + 2.0 * np.pi * tau, h.coeffs), 1e-12)
     except NoZero:
         return None
     x = x_tau + math.ceil(region.x[0] - x_tau)
@@ -337,13 +324,14 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
     B = window.spline if isinstance(window, WeightMultiset) else window
     ks, G0, G1, G2 = tables = _series_tables(B, tau, xg)
     dk = (-2j * np.pi * ks)[:, None]
-    phases = np.exp(-2j * np.pi * og[:, None] * ks[None, :])
+    phases = _phases(og, ks)
     zv = np.abs(phases @ G0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product raises below
         zg = pref * zv
     i, j = np.unravel_index(int(np.argmin(zg)), zg.shape)
     min_mod, max_mod = float(zg[i, j]), float(zg.max())
-    _require_finite((min_mod, max_mod))  # a NaN is the grid's min and max, +inf its max
+    if not (math.isfinite(min_mod) and math.isfinite(max_mod)):  # a NaN is the grid's min and max, +inf its max
+        raise IllConditioned("|Z| is not finite on the grid: the weight product leaves the double range")
     loc = (float(xg[j]), float(og[i]))
 
     # local bound: 3x3 neighbourhood max of the grid gradient (captures knot

@@ -199,10 +199,7 @@ def parse_and_run(argv=None) -> int:
     try:
         write_report(*_run(args), args.out)
         return 0
-    except ZakTPError as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ZakTPError, ValueError, OSError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1
 

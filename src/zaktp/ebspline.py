@@ -237,8 +237,8 @@ class PiecewiseExpPoly:
     pieces, with the exponents ascending.  Two memos, which equality, hash,
     repr and ``replace`` ignore: ``half_zeros`` keeps, per tol, the zero of
     Z(., 1/2) that ``analysis.locate_zero_half`` found to it; ``series`` keeps
-    the B/B'/B'' stack of ``analysis._series_tables`` and the read-only tables of
-    its last scan, one scan of at most 8,192 samples (64 KiB) per table.
+    the B/B'/B'' stack ``analysis._series_tables`` hands ``zak._zak_columns`` and
+    the read-only tables of its last scan, at most 8,192 samples (64 KiB) each.
     """
 
     pieces: tuple[tuple[tuple[float, tuple], ...], ...]

@@ -8,23 +8,23 @@ even, so one kernel forms only the grid's distinct rows.  It builds one table
 per shift j (|P| cos and |P| sin of the phases, interleaved rows, |P| from one
 prefactor call on the omega column), then walks the rows in blocks through
 one reused scratch buffer: per block and shift, one real GEMM against the
-columns B(x + k) of the spline factor gives |P| Re and |P| Im, squared in
-place.  Finest grids above 2^22 nodes are refused before allocation.  The
-discrete route periodizes and samples the window to C^K, a closed-form lattice
-sum of its partial fractions with step K; the critically sampled frame
-operator is diagonalized by the discrete Zak transform, so its spectrum is
-M |DFT_{K/M}(v[qM + r])|^2 (Zibulski-Zeevi).
+columns B(x + k) of the spline factor (``zak._zak_columns``) gives |P| Re and
+|P| Im, squared in place.  Finest grids above 2^22 nodes are refused before
+allocation.  The discrete route periodizes and samples the window to C^K, a
+closed-form lattice sum of its partial fractions with step K; the critically
+sampled frame operator is diagonalized by the discrete Zak transform, so its
+spectrum is M |DFT_{K/M}(v[qM + r])|^2 (Zibulski-Zeevi).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import Indivisible
 from .weights import WeightMultiset
-from .zak import _MAX_GRID_NODES, zak_prefactor
+from .zak import _MAX_GRID_NODES, _zak_columns, zak_prefactor
 
 _BLOCK_NODES = 1 << 14  # nodes per row block of the frame kernel, Re and Im: one 128 KB scratch buffer
 
@@ -38,18 +38,9 @@ class FrameBoundsReport:
     min_location: tuple[float, float]
     refinement_trace: tuple[tuple[tuple[int, int], float], ...]
 
-    def to_json_dict(self):
-        return {
-            "schema": "framebounds/1",
-            "N": self.N,
-            "grid_resolution": list(self.grid_resolution),
-            "A_est": self.A_est,
-            "B_est": self.B_est,
-            "min_location": list(self.min_location),
-            "refinement_trace": [
-                {"resolution": list(res), "A_est": a} for res, a in self.refinement_trace
-            ],
-        }
+    def to_json_dict(self):  # tuples are written as lists
+        trace = [{"resolution": res, "A_est": a} for res, a in self.refinement_trace]
+        return {"schema": "framebounds/1", **asdict(self), "refinement_trace": trace}
 
 
 @dataclass(frozen=True)
@@ -70,9 +61,10 @@ def _zak_squares(weights: WeightMultiset, N: int, xs: np.ndarray, oms: np.ndarra
     """(len(oms), len(xs)) grid of Sum_{j<N} |Zg(x, omega + j/N)|^2, by blocks of rows.
 
     The per-shift tables come first: |P| cos and |P| sin of 2 pi k (omega + j/N)
-    as rows 2i and 2i + 1, |P(omega + j/N)| from one prefactor call on the omega
-    column.  The output is allocated once, next to one scratch buffer of
-    ``_BLOCK_NODES`` nodes (the Re and Im of one row, if they are longer).  For
+    as rows 2i and 2i + 1, k over the shifts of ``zak._zak_columns`` (real
+    tables, not the complex ``zak._phases``), |P(omega + j/N)| from one prefactor
+    call on the omega column.  The output is allocated once, next to one scratch
+    buffer of ``_BLOCK_NODES`` nodes (the Re and Im of one row, if longer).  For
     each block of omega rows and each shift j, one GEMM against the columns
     B(x + k) writes |P| Re and |P| Im into the buffer, which is squared in place
     and added into the block.  Re and Im are squared after their sums, so the
@@ -80,13 +72,12 @@ def _zak_squares(weights: WeightMultiset, N: int, xs: np.ndarray, oms: np.ndarra
     turn it into noise of order eps * |P Z|^2.
     """
     B = weights.spline
-    bv = B.table.pieces_at(xs)
-    ks = 2.0 * np.pi * np.arange(B.m)
+    ks, (bv,) = _zak_columns(B.m, B.table, xs)  # one row block: B's
     tables = []
     for j in range(N):
         om_j = oms + j / N
-        arg, mod = np.outer(om_j, ks), np.abs(zak_prefactor(weights, om_j))[:, None, None]
-        tables.append((mod * np.stack((np.cos(arg), np.sin(arg)), axis=1)).reshape(2 * len(oms), B.m))
+        arg, mod = np.outer(om_j, 2.0 * np.pi * ks), np.abs(zak_prefactor(weights, om_j))[:, None, None]
+        tables.append((mod * np.stack((np.cos(arg), np.sin(arg)), axis=1)).reshape(2 * len(oms), len(ks)))
     total = np.zeros((len(oms), len(xs)))
     rows = max(1, _BLOCK_NODES // (2 * len(xs)))
     buf = np.empty(2 * rows * len(xs))

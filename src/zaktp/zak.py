@@ -4,8 +4,10 @@ Two independent routes, one per representation the window carries.  The direct
 route sums its partial fractions ``window.table`` over the lattice in closed
 form and states its rounding bound; where crowded weights make the bound pass
 1e-10 max(1, |Z|) it raises ``IllConditioned`` instead.  The factorized route
-is a finite sum over its exponential B-spline factor ``window.spline``.  The
-argument may be complex, s = omega + i*tau, inside the strip |tau| < a0 / (2*pi).
+is the finite sum Z B(x, s) = sum_k e^{-2 pi i k s} B(x + k) over the spline
+factor B = ``window.spline``; every such sum takes its columns from
+:func:`_zak_columns` and its phases from :func:`_phases`.  The argument may be
+complex, s = omega + i*tau, inside the strip |tau| < a0 / (2*pi).
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ebspline import PiecewiseExpPoly, _like_input
+from .ebspline import _PI, ExpPolyTable, PiecewiseExpPoly, _like_input
 from .errors import IllConditioned, PoleHit, StripViolation
 from .weights import WeightMultiset, make_weights
 
@@ -43,20 +45,43 @@ def zak_tp(weights: WeightMultiset, x: float, s) -> complex:
     return complex(weights.table.lattice_sum(float(x), sc)[0])
 
 
-def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
-    """Zak transform of a compactly supported spline: exact finite sum.
+def _zak_columns(m: int, table: ExpPolyTable, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ks, X) of Z f(x, s) = sum_k e^{-2 pi i k s} f(x + k), f the pieces of ``table``
+    in row blocks of m: X[r, i, j] is piece ks[i] + floor(x_j) of block r at the exact
+    local coordinate x_j - floor(x_j), ks = -max floor .. m - 1 - min floor.  Points of
+    one floor share one ``pieces_at`` call; with one floor, X is that call's array."""
+    fl = np.floor(x)
+    lo, hi = (int(fl.min()), int(fl.max())) if fl.size else (0, 0)
+    ks, t, shape = np.arange(-hi, m - lo), x - fl, (len(table.coeffs) // m, m, len(x))
+    if lo == hi:
+        return ks, table.pieces_at(t).reshape(shape)
+    X = np.zeros((shape[0], len(ks), len(x)), table.coeffs.dtype)
+    for f in set(fl.astype(int).tolist()):  # not np.unique, whose first call imports numpy.ma
+        cols = np.flatnonzero(fl == f)
+        X[:, hi - f : hi - f + m, cols] = table.pieces_at(t[cols]).reshape(shape[:2] + cols.shape)
+    return ks, X
 
-    Any complex s is legal.  Vectorized over x.
+
+def _phases(s, ks: np.ndarray) -> np.ndarray:
+    """e^{-2 pi i k s}, shaped s.shape + ks.shape: the phases of every Zak sum of a spline."""
+    return np.exp(-2j * np.pi * np.multiply.outer(s, ks))
+
+
+def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
+    """Zak transform of a compactly supported spline: exact finite sum, vectorized over x.
+
+    x and s must be finite (``ValueError`` otherwise).  The columns are formed at
+    x - floor(x), m rows for any x, times e^{2 pi i floor(x) s} where the floor is not 0.
     """
-    sc = complex(s)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    sc, xs = complex(s), np.atleast_1d(np.asarray(x, dtype=float))
+    if not (cmath.isfinite(sc) and np.isfinite(xs).all()):
+        name, v = ("s", s) if not cmath.isfinite(sc) else ("x", float(xs[~np.isfinite(xs)][0]))
+        raise ValueError(f"the Zak transform needs a finite x and s, got {name} = {v!r}")
     n_shift = np.floor(xs)
-    x0 = xs - n_shift
-    out = np.zeros(xs.shape, dtype=complex)
-    # piece k at t = x0 is B(x0 + k): x0 lies in [0, 1), so x0 + k - k never rounds
-    for k, col in enumerate(B.table.pieces_at(x0)):
-        out += col * np.exp(-2j * np.pi * k * sc)
-    out *= np.exp(2j * np.pi * n_shift * sc)
+    ks, X = _zak_columns(B.m, B.table, xs - n_shift)
+    out, far = _phases(sc, ks) @ X[0], np.flatnonzero(n_shift)
+    if far.size:
+        out[far] *= np.exp(2j * _PI * n_shift[far].astype(_PI.dtype) * sc).astype(complex)  # n s in extended precision
     return _like_input(x, out)
 
 
@@ -92,8 +117,8 @@ def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
 
 def zak_factorized(weights: WeightMultiset, x, s) -> complex | np.ndarray:
     """Zak transform via the spline factorization (exact, preferred for scans)."""
-    B = weights.spline  # first: a spline that leaves the double range refuses before P can overflow
-    return zak_prefactor(weights, s) * zak_ebspline(B, x, s)
+    zb = zak_ebspline(weights.spline, x, s)  # first: a spline past the double range or a non-finite x, s refuses before P
+    return zak_prefactor(weights, s) * zb
 
 
 _QUAD_POINTS = 256  # Gauss-Legendre nodes of zak_inversion_check
@@ -195,10 +220,9 @@ def compute_zak_grid(
         raise ValueError("grid must lie within the lattice cell [0,1) x [0,1)")
     _check_strip(weights, tau)
     if source == "ebspline_factorized":
-        B = weights.spline
-        s = oms + 1j * tau
-        phases = np.exp(-2j * np.pi * np.outer(s, np.arange(B.m)))  # (n_omega, m)
-        values, tail = zak_prefactor(weights, s)[:, None] * (phases @ B.table.pieces_at(xs)), 0.0
+        B, s = weights.spline, oms + 1j * tau  # B first, as in zak_factorized
+        ks, X = _zak_columns(B.m, B.table, xs)
+        values, tail = zak_prefactor(weights, s)[:, None] * (_phases(s, ks) @ X[0]), 0.0
     elif source == "direct_series":
         values, bound = weights.table.lattice_sum(xs, oms + 1j * tau)
         tail = float(bound.max(initial=0.0))

@@ -18,10 +18,11 @@ def piece(terms, t):
 
 
 def slice_terms(B, s):
-    """Terms of the fundamental slice: phase-weighted pieces added per exponent in k order."""
+    """Terms of the fundamental slice: phase-weighted pieces added per exponent in k order.
+    Each phase is e^{-2 pi i (s k)}, the product s k rounded first, as the package forms it."""
     acc = {}
     for k, pc in enumerate(B.pieces):
-        phase = np.exp(-2j * np.pi * k * s)
+        phase = np.exp(-2j * np.pi * (s * k))
         for eta, coeffs in pc:
             c = phase * np.asarray(coeffs, dtype=complex)
             if eta in acc:

@@ -13,12 +13,17 @@ from zaktp.analysis import (
     _grid,
     _neigh_max,
     _prefactor,
-    _require_finite,
     _series_tables,
     _structure_zero,
 )
+from zaktp.errors import IllConditioned
 from zaktp.weights import WeightMultiset
 from zaktp.zak import _check_strip
+
+
+def _require_finite(arr) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise IllConditioned("|Z| is not finite on the grid: the weight product leaves the double range")
 
 
 def _spline_factor(window):
@@ -33,7 +38,7 @@ def scan_grids(window, region: Region, grid_step: float):
     og = _grid(region.omega[0], region.omega[1], grid_step) if region.omega[1] > region.omega[0] else np.asarray([region.omega[0]])
     ks, G0, G1, G2 = _series_tables(_spline_factor(window), region.tau, xg)
     dk = (-2j * np.pi * ks)[:, None]
-    phases = np.exp(-2j * np.pi * og[:, None] * ks[None, :])
+    phases = np.exp(-2j * np.pi * (og[:, None] * ks[None, :]))  # omega k rounded first, as zak._phases forms it
     zv = np.abs(phases @ G0)
     grad = np.hypot(np.abs(phases @ G1), np.abs(phases @ (dk * G0)))
     hess = np.sqrt(

@@ -495,7 +495,8 @@ def test_certify_accepts_a_spline_window_with_any_finite_tau():
 @pytest.mark.parametrize("case", ["weights", "spline", "confluent", "tau"])
 def test_series_tables_equal_per_shift_loop(case):
     # reference: one evaluation per lattice shift of B and of its derivative
-    # splines, built through reduce_ebspline, as the tables were once built
+    # splines, built through reduce_ebspline: B(x + k) is piece k + floor(x)
+    # at the exact local coordinate x - floor(x), through table.eval
     w = make_weights(REFINE_WEIGHTS)
     tau = 0.25 * w.a0 / (2 * np.pi) if case == "tau" else 0.0
     # a weights window reaches the tables through its spline factor
@@ -505,10 +506,22 @@ def test_series_tables_equal_per_shift_loop(case):
     ks, G0, G1, G2 = _series_tables(B, tau, xg)
     samp = [B, reduce_ebspline(B, 0.0), reduce_ebspline(reduce_ebspline(B, 0.0), 0.0)]
     wide = range(-4, B.m + 4)  # every shift outside ks must vanish on the grid
+    fl = np.floor(xg)
+    at = {k: (np.where((k + fl >= 0) & (k + fl < B.m), k + fl, -1), xg - fl) for k in wide}
     for f, G in zip(samp, (G0, G1, G2)):
-        ref = {k: np.real(np.asarray(f(xg + k))) * np.exp(2.0 * np.pi * k * tau) for k in wide}
+        ref = {k: np.real(f.table.eval(*at[k])) * np.exp(2.0 * np.pi * k * tau) for k in wide}
         assert np.array_equal(G, np.stack([ref[k] for k in ks]))
         assert not any(ref[k].any() for k in wide if k not in ks)
+
+
+def test_series_tables_in_the_cell_are_the_pieces_bit_for_bit():
+    # one floor: the certificate's G0 rows are B's pieces at the grid itself (the
+    # tables once took x + k - k, 1.7e-16 off for these weights on this non-dyadic grid)
+    B = make_weights(REFINE_WEIGHTS).spline
+    xg = _grid(0.1, 0.9, 0.037)
+    ks, G0, _, _ = _series_tables(B, 0.0, xg)
+    assert ks.tolist() == list(range(B.m))
+    assert G0.tobytes() == np.real(B.table.pieces_at(xg)).tobytes()
 
 
 @st.composite
@@ -691,8 +704,8 @@ def _peak_of(call):
     [
         # 2049 x 2049 = 4,198,401 omega-x nodes: just over the cap
         (Region(x=(0.0, 2.0), omega=(0.0, 2.0)), 1 / 1024, "a 2049x2049 grid exceeds 4194304 nodes"),
-        # 2050 shifts x 2048 points = 4,198,400 series samples: just over the cap
-        (Region(x=(0.0, 2047.0), omega=(0.3, 0.3)), 1.0, "a 2050x2048 series table exceeds 4194304 nodes"),
+        # 2049 shifts x 2048 points = 4,196,352 series samples: just over the cap
+        (Region(x=(0.0, 2047.0), omega=(0.3, 0.3)), 1.0, "a 2049x2048 series table exceeds 4194304 nodes"),
         # 4,194,305 points on one axis: refused before the axis is built
         (Region(x=(0.0, 4096.0), omega=(0.0, 0.45)), 1 / 1024, "a step of 0.0009765625 on (0.0, 4096.0) exceeds 4194304 nodes"),
         (Region(x=(0.0, 1e12), omega=(0.0, 0.45)), 1e-3, "exceeds 4194304 nodes"),
@@ -706,7 +719,8 @@ def test_certify_refuses_a_scan_over_the_node_cap_unallocated(region, step, mess
 
 
 def test_certify_node_cap_is_inclusive(monkeypatch):
-    # a 33x65 scan with 4 shifts: the cap admits exactly its node and sample counts
+    # a 33x65 scan with 3 shifts (-1, 0, 1): the cap, patched where _series_tables
+    # reads it, admits exactly its node and sample counts
     w, region, line = make_weights([1.0, -1.0]), Region(x=(0.0, 1.0), omega=(0.0, 0.5)), Region(x=(0.0, 1.0), omega=(0.3, 0.3))
     for cap, ok in ((33 * 65, True), (33 * 65 - 1, False)):
         monkeypatch.setattr(zaktp.analysis, "_MAX_GRID_NODES", cap)
@@ -715,12 +729,12 @@ def test_certify_node_cap_is_inclusive(monkeypatch):
         else:
             with pytest.raises(ValueError, match="a 33x65 grid exceeds 2144 nodes"):
                 certify_zero_free(w, region, 1 / 64)
-    for cap, ok in ((4 * 65, True), (4 * 65 - 1, False)):
+    for cap, ok in ((3 * 65, True), (3 * 65 - 1, False)):
         monkeypatch.setattr(zaktp.analysis, "_MAX_GRID_NODES", cap)
         if ok:
             certify_zero_free(w, line, 1 / 64)
         else:
-            with pytest.raises(ValueError, match="a 4x65 series table exceeds 259 nodes"):
+            with pytest.raises(ValueError, match="a 3x65 series table exceeds 194 nodes"):
                 certify_zero_free(w, line, 1 / 64)
 
 

@@ -28,6 +28,15 @@ def test_zero_type1_reports_error(capsys):
     assert "NoZero" in err
 
 
+def test_zero_of_a_window_whose_spline_slice_underflows_exits_with_one_line(capsys):
+    # n = 46: sum log a = 749, and the half slice underflows to 0; n = 44 is found
+    code, out, err = run(capsys, "zero", "--gen", "geometric:c=1,r=2", "--n", "46")
+    assert (code, out) == (1, "")
+    assert err == "IllConditioned: the slice underflows to 0 on every sample: the spline factor leaves the double range\n"
+    code, out, _ = run(capsys, "zero", "--gen", "geometric:c=1,r=2", "--n", "44")
+    assert code == 0 and json.loads(out)["x_zero"] == 0.28023870432273873
+
+
 def test_zero_coarse_tol_returns_the_root(capsys):
     # a tolerance wider than the scan's bracket still ends on the zero, not on the jump check
     code, out, _ = run(capsys, "zero", "--weights", "1,-2", "--tol", "1e-3")
@@ -83,7 +92,7 @@ def test_zak_refuses_a_huge_grid(capsys):
     "argv,message",
     [
         (["--x-range", "0,2", "--omega-range", "0,2", "--step", "0.0009765625"], "a 2049x2049 grid exceeds 4194304 nodes"),
-        (["--x-range", "0,2047", "--omega-range", "0.3,0.3", "--step", "1"], "a 2050x2048 series table exceeds 4194304 nodes"),
+        (["--x-range", "0,2047", "--omega-range", "0.3,0.3", "--step", "1"], "a 2049x2048 series table exceeds 4194304 nodes"),
         (["--x-range", "0,4096", "--omega-range", "0,0.45", "--step", "0.0009765625"],
          "a step of 0.0009765625 on (0.0, 4096.0) exceeds 4194304 nodes"),
     ],

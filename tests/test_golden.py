@@ -31,6 +31,9 @@ COMMANDS = {
         "certify", "--weights", "1,2,-3", "--omega-range", "0,0.4", "--tau", "0.04",
         "--step", "0.0078125",
     ],
+    "certify_cross": [
+        "certify", "--weights", "1,2,-3", "--x-range=-0.3,0.7", "--omega-range", "0.1,0.45", "--step", "0.01",
+    ],
     "certify_zero_box": [
         "certify", "--weights", "1,-2", "--x-range", "0.2,0.8", "--omega-range", "0.45,0.55",
         "--step", "0.0078125",

@@ -1,6 +1,8 @@
 """Tests for the Zak transform routes and their cross-validation."""
 
 import math
+import re
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -10,7 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mp_oracle import lattice_sum
 
+import zaktp.analysis
+import zaktp.frames
 import zaktp.weights
+import zaktp.zak
+from zaktp.analysis import Region, certify_zero_free
 from zaktp.convergence import WeightGenerator, truncate, zak_strip_distance
 from numpy.polynomial.legendre import leggauss
 
@@ -19,6 +25,7 @@ from zaktp.errors import IllConditioned, PoleHit, StripViolation
 from zaktp.frames import frame_bounds, periodize_sample
 from zaktp.weights import exp_sum_rep, fourier_tp, make_weights
 from zaktp.zak import (
+    _zak_columns,
     compute_zak_grid,
     zak_dilation_check,
     zak_ebspline,
@@ -399,3 +406,109 @@ def test_spline_columns_within_ulps_at_gauss_legendre_nodes(name):
         for eta, row in zip(B.table.etas, B.table.coeffs[k]):
             moduli[k] += _horner(np.abs(row), xs) * np.exp(eta * xs) * (1 + abs(eta) * (k + 1))
     assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * moduli)
+
+
+def _stack(B):
+    """B and B' as one table of two row blocks, as the certificate stacks them."""
+    return ExpPolyTable(B.table.etas, np.concatenate([B.table.coeffs, B.table.reduce(0.0).coeffs]))
+
+
+def test_zak_columns_take_each_piece_at_the_exact_local_coordinate(monkeypatch):
+    # unsorted points on four floors: X[r, i, j] is piece ks[i] + floor(x_j) of block r
+    # at x_j - floor(x_j), by table.eval; one pieces_at call per floor
+    B = build_ebspline([1.0, -2.0, 0.5])
+    stack, x = _stack(B), np.array([0.3, -1.7, 2.05, 0.99, -0.0, 1.0, -1.2, 0.037 * 7])
+    calls, real = [], ExpPolyTable.pieces_at
+
+    def counting(self, t, rows=slice(None)):
+        calls.append(len(t))
+        return real(self, t, rows)
+
+    monkeypatch.setattr(ExpPolyTable, "pieces_at", counting)
+    ks, X = _zak_columns(B.m, stack, x)
+    monkeypatch.undo()
+    assert ks.tolist() == list(range(-2, 5))  # -max floor .. m - 1 - min floor
+    assert sorted(calls) == [1, 1, 2, 4] and X.shape == (2, 7, len(x))
+    fl = np.floor(x)
+    for r in range(2):
+        for i, k in enumerate(ks):
+            p = k + fl
+            ref = stack.eval(np.where((p >= 0) & (p < B.m), p + r * B.m, -1), x - fl)
+            assert X[r, i].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("x", [np.arange(64) / 64, np.arange(64) / 64 + 3.0, np.array([-2.5])])
+def test_zak_columns_of_one_floor_are_the_pieces_at_call_itself(monkeypatch, x):
+    # no zeroed buffer and no masked copy: X is a view of the one pieces_at array
+    B = build_ebspline([1.0, -2.0, 0.5])
+    made, real = [], ExpPolyTable.pieces_at
+
+    def keeping(self, t, rows=slice(None)):
+        made.append(real(self, t, rows))
+        return made[-1]
+
+    monkeypatch.setattr(ExpPolyTable, "pieces_at", keeping)
+    ks, X = _zak_columns(B.m, _stack(B), x)
+    f = int(np.floor(x[0]))
+    assert len(made) == 1 and X.base is made[0] and X.shape == (2, B.m, len(x))
+    assert ks.tolist() == list(range(-f, B.m - f))
+
+
+_KERNEL_CONSUMERS = {
+    "compute_zak_grid": lambda w: compute_zak_grid(w, [0.1, 0.6], [0.2, 0.7]),
+    "zak_ebspline": lambda w: zak_ebspline(w.spline, 0.3, 0.2),
+    "frame_bounds": lambda w: frame_bounds(w, 2, (4, 4), 0),
+    "certify_zero_free": lambda w: certify_zero_free(w, Region(x=(-0.3, 0.7), omega=(0.1, 0.4)), 1 / 32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_CONSUMERS))
+def test_every_zak_sum_of_the_spline_takes_its_columns_from_the_kernel(monkeypatch, name):
+    calls, real = [], zaktp.zak._zak_columns
+
+    def spy(m, table, x):
+        calls.append(len(x))
+        return real(m, table, x)
+
+    for module in (zaktp.zak, zaktp.frames, zaktp.analysis):
+        monkeypatch.setattr(module, "_zak_columns", spy)
+    _KERNEL_CONSUMERS[name](make_weights([1.0, -2.0, 0.5]))  # a fresh window: nothing kept
+    assert calls
+
+
+def test_factorized_route_at_a_huge_x_forms_m_rows():
+    # the columns at x - floor(x), times e^{2 pi i floor(x) s} with floor(x) s in extended
+    # precision: nothing of size floor(x), and the phase keeps its digits
+    w = make_weights([1.0, -2.0, 0.5])
+    zak_factorized(w, 0.25, 0.3)  # the spline and first-call caches, before tracing
+    tracemalloc.start()
+    try:
+        got = zak_factorized(w, 1e6 + 0.25, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - zak_tp(w, 1e6 + 0.25, 0.3)) <= 1e-12
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "x,s,named",
+    [
+        (float("nan"), 0.3, "x = nan"),
+        (float("inf"), 0.3, "x = inf"),
+        (np.array([0.2, -np.inf, 0.4]), 0.3, "x = -inf"),
+        (0.3, float("nan"), "s = nan"),
+        (0.3, float("inf"), "s = inf"),
+        (0.3, complex(0.2, float("nan")), "s = (0.2+nanj)"),
+    ],
+)
+@pytest.mark.parametrize("route", ["zak_ebspline", "zak_factorized"])
+def test_zak_transform_refuses_a_value_that_is_not_finite(x, s, named, route):
+    # it was nan+nanj, after three RuntimeWarnings for an infinite x, or an
+    # IllConditioned from the prefactor for a NaN s
+    w = make_weights([1.0, -2.0])
+    call = {"zak_ebspline": lambda: zak_ebspline(w.spline, x, s), "zak_factorized": lambda: zak_factorized(w, x, s)}[route]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^the Zak transform needs a finite x and s, got {re.escape(named)}$"):
+            call()
