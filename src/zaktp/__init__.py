@@ -28,7 +28,6 @@ from .analysis import (
 from .convergence import (
     WeightGenerator,
     convergence_sweep,
-    eval_reciprocal_laplace,
     psi_decay_diagnostic,
     truncate,
     weighted_sup_distance,
@@ -38,8 +37,6 @@ from .ebspline import (
     PiecewiseExpPoly,
     build_ebspline,
     eval_ebspline,
-    fourier_ebspline,
-    reduce_ebspline,
 )
 from .errors import (
     EmptyInput,

@@ -35,15 +35,6 @@ _MEMO_SAMPLES = 1 << 13  # the largest series table a spline keeps, 64 KiB: 513 
 # Slice helpers
 
 
-def _prefactor(window):
-    """P with Z window(x, s) = P(s) Z B(x, s), B the spline factor; P = 1 for a spline."""
-    if isinstance(window, WeightMultiset):
-        return functools.partial(zak_prefactor, window)
-    if isinstance(window, PiecewiseExpPoly):
-        return np.ones_like
-    raise TypeError(f"unsupported window type {type(window)!r}")
-
-
 def _slice_table(table: ExpPolyTable, s: complex) -> ExpPolyTable:
     """Z f(., s) on [0,1) as a one-piece table, f the piecewise sum with these pieces:
     sum_k e^{-2 pi i k s} coeffs[k], accumulated in k order (a reduction over the outer axis)."""
@@ -310,16 +301,20 @@ def certify_zero_free(window, region: Region, grid_step: float) -> ZeroCertifica
         if not -math.inf < lo <= hi < math.inf:  # NaN fails too
             raise ValueError(f"region {name} range ({lo}, {hi}) is reversed or not finite")
     tau = region.tau
-    if isinstance(window, WeightMultiset):
+    if isinstance(window, WeightMultiset):  # P with Z window(x, s) = P(s) Z B(x, s)
         _check_strip(window, tau)
-    elif isinstance(window, PiecewiseExpPoly) and not math.isfinite(tau):  # no strip: any finite tau
-        raise ValueError(f"a spline window needs a finite tau, got {tau}")
+        P = functools.partial(zak_prefactor, window)
+    elif isinstance(window, PiecewiseExpPoly):  # no strip: any finite tau, and P = 1
+        if not math.isfinite(tau):
+            raise ValueError(f"a spline window needs a finite tau, got {tau}")
+        P = np.ones_like
+    else:
+        raise TypeError(f"unsupported window type {type(window)!r}")
     xg = _grid(region.x[0], region.x[1], grid_step)
     og = _grid(region.omega[0], region.omega[1], grid_step)
     if len(og) * len(xg) > _MAX_GRID_NODES:  # _series_tables checks its own size
         raise ValueError(f"a {len(og)}x{len(xg)} grid exceeds {_MAX_GRID_NODES} nodes")
     # |P| first: where it overflows, so does |Z g| = |P| |Z B|, and B need not be built
-    P = _prefactor(window)
     pref = np.abs(P(og + 1j * tau))[:, None]  # an overflowed product raises
     B = window.spline if isinstance(window, WeightMultiset) else window
     ks, G0, G1, G2 = tables = _series_tables(B, tau, xg)

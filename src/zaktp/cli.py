@@ -27,13 +27,6 @@ from .weights import WeightMultiset, eval_tp, make_weights
 from .zak import compute_zak_grid
 
 
-def _parse_weights(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad weights list {text!r}")
-
-
 def _parse_gen(text: str) -> WeightGenerator:
     rule, _, rest = text.partition(":")
     params = {}
@@ -58,8 +51,11 @@ def _parse_res(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad resolution {text!r}, expected like 64x64")
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+def _parse_floats(text: str, kind=float) -> list:
+    try:
+        return [kind(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad list {text!r}, expected comma-separated {kind.__name__}s")
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -91,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--weights", type=_parse_weights, help="comma-separated TP weights")
+        sp.add_argument("--weights", type=_parse_floats, help="comma-separated TP weights")
         sp.add_argument("--gen", type=_parse_gen, help="generator spec, e.g. harmonic:c=1")
         sp.add_argument("--n", type=int, default=8, help="truncation length for --gen")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -139,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("converge", help="truncation convergence sweep for a generator")
     sp.add_argument("--gen", type=_parse_gen, required=True)
-    sp.add_argument("--ns", type=_parse_floats, default=[4, 8, 16, 32])
+    sp.add_argument("--ns", type=lambda text: _parse_floats(text, int), default=[4, 8, 16, 32])
     sp.add_argument("--sigma", type=float, default=None)
     sp.add_argument("--n-ref", type=int, default=64)
     sp.add_argument("--out", default=None)
@@ -157,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args):
     """The subcommand's report and its format, csv or json."""
     if args.command == "converge":
-        rows = convergence_sweep(args.gen, [int(n) for n in args.ns], args.sigma, int(args.n_ref))
+        rows = convergence_sweep(args.gen, args.ns, args.sigma, args.n_ref)
         return [("n", "sigma", "distance", "tail_proxy")] + [tuple(r) for r in rows], "csv"
     w = _weights_from(args)
     if args.command == "eval":

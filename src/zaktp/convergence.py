@@ -23,18 +23,17 @@ from .zak import _check_strip
 class WeightGenerator:
     """Weight sequence rule with a summable inverse-square tail."""
 
-    rule: str  # harmonic | alternating | geometric | explicit
+    rule: str  # harmonic | alternating | geometric
     c: float = 1.0
     r: float = 2.0
-    values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.rule != "explicit" and self.c == 0:
+        if self.rule not in ("harmonic", "alternating", "geometric"):
+            raise ValueError(f"unknown rule {self.rule!r}")
+        if self.c == 0:
             raise ValueError("c must be nonzero")
         if self.rule == "geometric" and self.r <= 1.0:
             raise ValueError("geometric rule needs r > 1")
-        if any(v == 0 for v in self.values):
-            raise ValueError("weights must be nonzero")
 
     @classmethod
     def harmonic(cls, c: float = 1.0) -> "WeightGenerator":
@@ -48,10 +47,6 @@ class WeightGenerator:
     def geometric(cls, c: float = 1.0, r: float = 2.0) -> "WeightGenerator":
         return cls(rule="geometric", c=float(c), r=float(r))
 
-    @classmethod
-    def explicit(cls, values: Sequence[float]) -> "WeightGenerator":
-        return cls(rule="explicit", values=tuple(float(v) for v in values))
-
     def weight(self, nu: int) -> float:
         """The nu-th weight, 1-based."""
         if nu < 1:
@@ -60,13 +55,7 @@ class WeightGenerator:
             return self.c * nu
         if self.rule == "alternating":
             return self.c * nu * (-1) ** nu
-        if self.rule == "geometric":
-            return self.c * self.r**nu
-        if self.rule == "explicit":
-            if nu > len(self.values):
-                raise ValueError(f"explicit rule has only {len(self.values)} weights")
-            return self.values[nu - 1]
-        raise ValueError(f"unknown rule {self.rule!r}")
+        return self.c * self.r**nu  # geometric
 
     def square_sum_tail(self, n: int) -> float:
         """Sum of a_nu^{-2} over nu > n, in closed form per rule."""
@@ -74,12 +63,8 @@ class WeightGenerator:
             raise ValueError("n must be nonnegative")
         if self.rule in ("harmonic", "alternating"):
             return _trigamma(n + 1.0) / self.c**2
-        if self.rule == "geometric":
-            q = self.r ** (-2)
-            return q ** (n + 1) / (self.c**2 * (1.0 - q))
-        if self.rule == "explicit":
-            return float(sum(v ** (-2) for v in self.values[n:]))
-        raise ValueError(f"unknown rule {self.rule!r}")
+        q = self.r ** (-2)  # geometric
+        return q ** (n + 1) / (self.c**2 * (1.0 - q))
 
 
 # B_2, B_4, ..., B_16
@@ -166,14 +151,6 @@ def _strip_values(weights: WeightMultiset, xi: float) -> np.ndarray:
     return out
 
 
-def eval_reciprocal_laplace(weights: WeightMultiset, s: complex) -> complex:
-    """The entire function Psi(s) = prod (1 + s/a_nu) e^{-s/a_nu}."""
-    out = complex(1.0)
-    for a in weights.raw:
-        out *= (1.0 + s / a) * np.exp(-s / a)
-    return complex(out)
-
-
 def psi_decay_diagnostic(
     weights: WeightMultiset,
     omega: float,
@@ -189,7 +166,7 @@ def psi_decay_diagnostic(
         raise ValueError(f"p = {p} exceeds the number of weights n = {weights.n}")
     taus = np.asarray(tau_samples, dtype=float)
     # one distinct |tau| leaves the slope undetermined: polyfit would warn and return noise
-    distinct = np.unique(np.abs(taus)).size
+    distinct = len(set(np.abs(taus).tolist()))  # not np.unique, whose first call imports numpy.ma
     if distinct < 2 or not (math.isfinite(omega) and np.all(np.isfinite(taus)) and np.all(taus != 0)):
         raise ValueError("need a finite omega and at least two tau samples, finite, nonzero and of distinct |tau|")
     # log|1/Psi| accumulated in log space to avoid overflow for large tau

@@ -30,6 +30,7 @@ _P = np.polynomial.polynomial
 _PI = np.longdouble("3.14159265358979323846264338327950288")
 _COALESCE_TOL = 1e-9  # weights this close share a cluster: spline weights, make_weights' default
 _UNDERFLOW = -746.0  # np.exp is exactly +0 below this: e^-746 is under half the least subnormal, e^-744.4
+_FAR_FACTOR = "the quasi-periodic factor e^(2 pi i floor(x) s) takes the Zak transform past the double range"
 
 
 def cluster_values(vals: Sequence[float], tol: float):
@@ -144,7 +145,8 @@ class ExpPolyTable:
     def lattice_sum(self, x, s, alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Sum_k f(x + alpha k) e^{-2 pi i k alpha s} in closed form and its rounding bound,
         shaped s.shape + x.shape; :class:`IllConditioned` where the bound passes
-        1e-10 max(1, |Z|), as the partial fractions of crowded weights cancel.
+        1e-10 max(1, |Z|), as the partial fractions of crowded weights cancel, and
+        where the shift's factor e^{2 pi i floor(x) s} takes a finite Z past the double range.
 
         f is a window's two-piece table (piece 0 on y < 0, piece 1 on y >= 0), each
         term decaying on its half-line, as inside the strip |Im s| < a0 / (2 pi).  From
@@ -191,12 +193,16 @@ class ExpPolyTable:
         out = fs.T @ es
         fa, ea, fx, ex = (v.astype(float) for v in rest)  # no cancellation: doubles do
         kappa, kappa_exp = fa.T @ ea, fx.T @ ea + fa.T @ ex
-        if np.any(k0):
-            shift = np.multiply.outer(-alpha * w, k0)
-            out *= np.exp(shift)
-            grow = np.exp(shift.real.astype(float))
-            kappa, kappa_exp = kappa * grow, (kappa_exp + np.abs(shift).astype(float) * kappa) * grow
-        out = out.astype(complex)
+        finite = np.isfinite(out)
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite Z that the factor takes past the range is refused
+            if np.any(k0):  # kappa grows in the coefficients' precision: it may pass the double range where Z does not
+                shift = np.multiply.outer(-alpha * w, k0)
+                out *= np.exp(shift)
+                grow = np.exp(shift.real)
+                kappa, kappa_exp = kappa * grow, (kappa_exp + np.abs(shift) * kappa) * grow
+            out = out.astype(complex)
+        if not np.isfinite(out[finite]).all():
+            raise IllConditioned(_FAR_FACTOR)
         unit = np.finfo(real).eps / 2
         bound = (unit * ((4 * T * D + 16) * kappa + kappa_exp) + 2.0**-52 * np.abs(out)).astype(float)
         worst = float(np.max(bound / np.maximum(1.0, np.abs(out)), initial=0.0))
@@ -359,32 +365,3 @@ def eval_ebspline(B: PiecewiseExpPoly, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     k = np.floor(xs)
     return _like_input(x, B.table.eval(np.where((xs >= 0) & (xs < B.m), k, -1), xs - k))
-
-
-def fourier_ebspline(lam: Sequence[float], omega):
-    """Fourier transform: the product of (e^{lambda_j - 2 pi i w} - 1)/(lambda_j - 2 pi i w).
-
-    The removable singularity at lambda_j = 2 pi i w (only reachable for
-    lambda_j = 0, w = 0 on the real line) is handled by a series branch.
-    """
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.ones(w.shape, dtype=complex)
-    for lj in _spline_weights(lam)[0]:
-        z = lj - 2j * np.pi * w
-        small = np.abs(z) < 1e-6
-        factor = np.empty_like(out)
-        zs = z[~small]
-        factor[~small] = (np.exp(zs) - 1.0) / zs
-        zt = z[small]
-        factor[small] = 1.0 + zt / 2.0 + zt**2 / 6.0 + zt**3 / 24.0
-        out *= factor
-    return _like_input(omega, out)
-
-
-def reduce_ebspline(B: PiecewiseExpPoly, eta: float) -> PiecewiseExpPoly:
-    """Apply the reduction operator e^{eta x} d/dx (e^{-eta x} .) piecewise.
-
-    Each term p(t) e^{mu t} maps to (p' + (mu - eta) p)(t) e^{mu t}; knot
-    discontinuities are ignored (classical derivative between knots).
-    """
-    return PiecewiseExpPoly.from_table(B.table.reduce(eta))

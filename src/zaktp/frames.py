@@ -6,7 +6,7 @@ unit cell, read from one separable grid: each refinement step is a strided
 view of the finest grid.  F is 1/N-periodic in omega and, for a real window,
 even, so one kernel forms only the grid's distinct rows.  It builds one table
 per shift j (|P| cos and |P| sin of the phases, interleaved rows, |P| from one
-prefactor call on the omega column), then walks the rows in blocks through
+prefactor call on the (N, omega) grid), then walks the rows in blocks through
 one reused scratch buffer: per block and shift, one real GEMM against the
 columns B(x + k) of the spline factor (``zak._zak_columns``) gives |P| Re and
 |P| Im, squared in place.  Finest grids above 2^22 nodes are refused before
@@ -63,7 +63,7 @@ def _zak_squares(weights: WeightMultiset, N: int, xs: np.ndarray, oms: np.ndarra
     The per-shift tables come first: |P| cos and |P| sin of 2 pi k (omega + j/N)
     as rows 2i and 2i + 1, k over the shifts of ``zak._zak_columns`` (real
     tables, not the complex ``zak._phases``), |P(omega + j/N)| from one prefactor
-    call on the omega column.  The output is allocated once, next to one scratch
+    call on the (N, omega) grid.  The output is allocated once, next to one scratch
     buffer of ``_BLOCK_NODES`` nodes (the Re and Im of one row, if longer).  For
     each block of omega rows and each shift j, one GEMM against the columns
     B(x + k) writes |P| Re and |P| Im into the buffer, which is squared in place
@@ -73,11 +73,9 @@ def _zak_squares(weights: WeightMultiset, N: int, xs: np.ndarray, oms: np.ndarra
     """
     B = weights.spline
     ks, (bv,) = _zak_columns(B.m, B.table, xs)  # one row block: B's
-    tables = []
-    for j in range(N):
-        om_j = oms + j / N
-        arg, mod = np.outer(om_j, 2.0 * np.pi * ks), np.abs(zak_prefactor(weights, om_j))[:, None, None]
-        tables.append((mod * np.stack((np.cos(arg), np.sin(arg)), axis=1)).reshape(2 * len(oms), len(ks)))
+    om_j = oms + np.arange(N)[:, None] / N  # (N, len(oms)): row j is the shift j
+    arg, mod = np.multiply.outer(om_j, 2.0 * np.pi * ks), np.abs(zak_prefactor(weights, om_j))[..., None, None]
+    tables = (mod * np.stack((np.cos(arg), np.sin(arg)), axis=2)).reshape(N, 2 * len(oms), len(ks))
     total = np.zeros((len(oms), len(xs)))
     rows = max(1, _BLOCK_NODES // (2 * len(xs)))
     buf = np.empty(2 * rows * len(xs))

@@ -14,13 +14,13 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ebspline import _PI, ExpPolyTable, PiecewiseExpPoly, _like_input
+from .ebspline import _FAR_FACTOR, _PI, ExpPolyTable, PiecewiseExpPoly, _like_input
 from .errors import IllConditioned, PoleHit, StripViolation
 from .weights import WeightMultiset, make_weights
 
@@ -71,7 +71,8 @@ def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
     """Zak transform of a compactly supported spline: exact finite sum, vectorized over x.
 
     x and s must be finite (``ValueError`` otherwise).  The columns are formed at
-    x - floor(x), m rows for any x, times e^{2 pi i floor(x) s} where the floor is not 0.
+    x - floor(x), m rows for any x, times e^{2 pi i floor(x) s} where the floor is not 0;
+    :class:`IllConditioned` where that factor takes Z B past the double range.
     """
     sc, xs = complex(s), np.atleast_1d(np.asarray(x, dtype=float))
     if not (cmath.isfinite(sc) and np.isfinite(xs).all()):
@@ -81,19 +82,22 @@ def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
     ks, X = _zak_columns(B.m, B.table, xs - n_shift)
     out, far = _phases(sc, ks) @ X[0], np.flatnonzero(n_shift)
     if far.size:
-        out[far] *= np.exp(2j * _PI * n_shift[far].astype(_PI.dtype) * sc).astype(complex)  # n s in extended precision
+        with np.errstate(over="ignore", invalid="ignore"):  # n s in extended precision; past the double range: refused
+            out[far] *= np.exp(2j * _PI * n_shift[far].astype(_PI.dtype) * sc).astype(complex)
+        if not np.isfinite(out[far]).all():
+            raise IllConditioned(_FAR_FACTOR)
     return _like_input(x, out)
 
 
 def zak_prefactor(weights: WeightMultiset, s) -> complex | np.ndarray:
     """The factor prod a_nu / (1 - e^{-(a_nu + 2 pi i s)}) of the factorization, vectorized over s.
 
-    An ndarray s takes the array path, one call per omega column: the frame
-    kernel ``frames._zak_squares`` (per shift j, for |P|), ``compute_zak_grid``
-    and the certificate scan; scalars serve ``zak_factorized`` (inversion and
-    dilation checks).  Where e^{-(a + 2 pi i s)} leaves the double range (a
-    weight below about -709 on the real line), or the product of finite
-    factors does, :class:`IllConditioned` is raised, with no warning.
+    An ndarray s takes the array path, one call per grid: the frame kernel
+    ``frames._zak_squares`` (its (N, omega) grid of shifts, for |P|),
+    ``compute_zak_grid`` and the certificate scan; scalars serve
+    ``zak_factorized`` (inversion and dilation checks).  Where e^{-(a + 2 pi i s)}
+    leaves the double range (a weight below about -709 on the real line), or the
+    product of finite factors does, :class:`IllConditioned` is raised, with no warning.
     """
     vec = isinstance(s, np.ndarray)  # a scalar stays off 0-d arrays, which cost ~6x per call
     sc = s.astype(complex) if vec else complex(s)
@@ -184,17 +188,10 @@ class ZakGrid:
                 v = self.values[i, j]
                 yield (xx, om, self.tau, v.real, v.imag, abs(v))
 
-    def to_json_dict(self):
-        return {
-            "schema": "zakgrid/1",
-            "x_samples": list(self.x_samples),
-            "omega_samples": list(self.omega_samples),
-            "tau": self.tau,
-            "tail_bound": self.tail_bound,
-            "source": self.source,
-            "re": [[v.real for v in row] for row in self.values],
-            "im": [[v.imag for v in row] for row in self.values],
-        }
+    def to_json_dict(self):  # tuples are written as lists, the values as their re and im rows
+        d = {"schema": "zakgrid/1", **asdict(self)}
+        values = d.pop("values")
+        return {**d, "re": values.real.tolist(), "im": values.imag.tolist()}
 
 
 def compute_zak_grid(

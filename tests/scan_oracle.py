@@ -2,6 +2,7 @@
 ran it before its omega-free first stage: a reference that forms every grid on
 every region, for the tests that check the two-stage scan against it."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,18 +13,22 @@ from zaktp.analysis import (
     _ZERO_TOL,
     _grid,
     _neigh_max,
-    _prefactor,
     _series_tables,
     _structure_zero,
 )
 from zaktp.errors import IllConditioned
 from zaktp.weights import WeightMultiset
-from zaktp.zak import _check_strip
+from zaktp.zak import _check_strip, zak_prefactor
 
 
 def _require_finite(arr) -> None:
     if not np.all(np.isfinite(arr)):
         raise IllConditioned("|Z| is not finite on the grid: the weight product leaves the double range")
+
+
+def _prefactor(window):
+    """P with Z window(x, s) = P(s) Z B(x, s), B the spline factor; P = 1 for a spline."""
+    return functools.partial(zak_prefactor, window) if isinstance(window, WeightMultiset) else np.ones_like
 
 
 def _spline_factor(window):

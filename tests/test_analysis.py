@@ -37,7 +37,7 @@ from zaktp.analysis import (
     unit_monotone_offset,
 )
 from zaktp.convergence import WeightGenerator, truncate
-from zaktp.ebspline import build_ebspline, reduce_ebspline
+from zaktp.ebspline import PiecewiseExpPoly, build_ebspline
 from zaktp.errors import IllConditioned, NotUnitMonotone, NoZero, StripViolation, ZakTPError
 from zaktp.weights import WeightMultiset, make_weights
 from zaktp.zak import zak_ebspline, zak_tp
@@ -495,7 +495,7 @@ def test_certify_accepts_a_spline_window_with_any_finite_tau():
 @pytest.mark.parametrize("case", ["weights", "spline", "confluent", "tau"])
 def test_series_tables_equal_per_shift_loop(case):
     # reference: one evaluation per lattice shift of B and of its derivative
-    # splines, built through reduce_ebspline: B(x + k) is piece k + floor(x)
+    # splines, built from the reduced tables: B(x + k) is piece k + floor(x)
     # at the exact local coordinate x - floor(x), through table.eval
     w = make_weights(REFINE_WEIGHTS)
     tau = 0.25 * w.a0 / (2 * np.pi) if case == "tau" else 0.0
@@ -504,7 +504,7 @@ def test_series_tables_equal_per_shift_loop(case):
     B = build_ebspline(splines[case]) if case in splines else w.spline
     xg = np.linspace(-1.7, 2.6, 37)  # more than a period on either side of the cell
     ks, G0, G1, G2 = _series_tables(B, tau, xg)
-    samp = [B, reduce_ebspline(B, 0.0), reduce_ebspline(reduce_ebspline(B, 0.0), 0.0)]
+    samp = [B, *(PiecewiseExpPoly.from_table(t) for t in (B.table.reduce(0.0), B.table.reduce(0.0).reduce(0.0)))]
     wide = range(-4, B.m + 4)  # every shift outside ks must vanish on the grid
     fl = np.floor(xg)
     at = {k: (np.where((k + fl >= 0) & (k + fl < B.m), k + fl, -1), xg - fl) for k in wide}

@@ -139,6 +139,23 @@ def test_eval_bad_grid_is_a_usage_error(capsys, grid):
     assert f"argument --grid: bad grid {grid!r}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value, kind",
+    [
+        (("eval", "--weights=1,x"), "--weights", "1,x", "floats"),
+        (("eval", "--weights=1,-1", "--x=0.1,a"), "--x", "0.1,a", "floats"),
+        (("certify", "--weights=1,-1", "--x-range=0,b"), "--x-range", "0,b", "floats"),
+        # a non-integer n was cut to int: 4.5 gave a row for n = 4
+        (("converge", "--gen", "harmonic:c=1", "--ns", "4.5,8", "--n-ref", "8"), "--ns", "4.5,8", "ints"),
+        (("converge", "--gen", "harmonic:c=1", "--ns", "4,8.0", "--n-ref", "8"), "--ns", "4,8.0", "ints"),
+    ],
+)
+def test_a_bad_list_is_a_usage_error(capsys, argv, flag, value, kind):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: bad list {value!r}, expected comma-separated {kind}\n" in err
+
+
 def test_eval_csv(capsys):
     code, out, _ = run(capsys, "eval", "--weights", "1,-1", "--x", "0,1")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +18,6 @@ from zaktp.convergence import (
     WeightGenerator,
     _trigamma,
     convergence_sweep,
-    eval_reciprocal_laplace,
     psi_decay_diagnostic,
     truncate,
     weighted_sup_distance,
@@ -27,11 +27,36 @@ from zaktp.errors import IllConditioned, SigmaTooLarge, StripViolation
 from zaktp.weights import _LOG_PRODUCT_SWITCH, eval_tp, make_weights
 
 
+@dataclass(frozen=True)
+class Listed:
+    """A weight sequence given as a list, with the two methods truncate and
+    convergence_sweep call on a generator: its weights and their square-sum tail."""
+
+    values: tuple
+    rule = "explicit"  # the id of the sweep tests' cases
+
+    def weight(self, nu: int) -> float:
+        if not 1 <= nu <= len(self.values):
+            raise ValueError(f"the list has only {len(self.values)} weights")
+        return float(self.values[nu - 1])
+
+    def square_sum_tail(self, n: int) -> float:
+        return float(sum(v ** (-2) for v in self.values[n:]))
+
+
+def eval_reciprocal_laplace(weights, s: complex) -> complex:
+    """The entire function Psi(s) = prod (1 + s/a_nu) e^{-s/a_nu}."""
+    out = complex(1.0)
+    for a in weights.raw:
+        out *= (1.0 + s / a) * np.exp(-s / a)
+    return complex(out)
+
+
 def test_truncate_rules():
     assert truncate(WeightGenerator.harmonic(1.0), 3).raw == (1.0, 2.0, 3.0)
     assert truncate(WeightGenerator.alternating(1.0), 2).raw == (-1.0, 2.0)
     assert truncate(WeightGenerator.geometric(1.0, 2.0), 3).raw == (2.0, 4.0, 8.0)
-    assert truncate(WeightGenerator.explicit([1.5, -2.5]), 2).raw == (1.5, -2.5)
+    assert truncate(Listed((1.5, -2.5)), 2).raw == (1.5, -2.5)
 
 
 @pytest.mark.parametrize(
@@ -41,12 +66,12 @@ def test_truncate_rules():
         (lambda: WeightGenerator.alternating(-0.0), "c must be nonzero"),
         (lambda: WeightGenerator.geometric(0.0, 0.5), "c must be nonzero"),
         (lambda: WeightGenerator.geometric(1.0, 1.0), "geometric rule needs r > 1"),
-        (lambda: WeightGenerator.explicit([1.5, 0.0]), "weights must be nonzero"),
         # the fields are checked however the generator is made
         (lambda: WeightGenerator(rule="harmonic", c=0.0), "c must be nonzero"),
         (lambda: WeightGenerator(rule="alternating", c=0), "c must be nonzero"),
         (lambda: WeightGenerator(rule="geometric", r=0.5), "geometric rule needs r > 1"),
-        (lambda: WeightGenerator(rule="explicit", values=(2.0, -0.0)), "weights must be nonzero"),
+        (lambda: WeightGenerator(rule="bogus"), "unknown rule 'bogus'"),
+        (lambda: WeightGenerator(rule="explicit", c=0.0), "unknown rule 'explicit'"),
     ],
 )
 def test_weight_generator_refuses_bad_fields(make, message):
@@ -199,6 +224,9 @@ def test_psi_monotone_decay():
         psi = eval_reciprocal_laplace(w, complex(0.0, t))
         mags.append(1.0 / abs(psi))
     assert all(mags[i] >= mags[i + 1] for i in range(len(mags) - 1))
+    # the diagnostic's log-space slope is the fit of the product's own moduli
+    slope = np.polyfit(np.log(taus), np.log(mags), 1)[0]
+    assert psi_decay_diagnostic(w, 0.0, taus, 3) == pytest.approx(slope, rel=1e-12, abs=0)
 
 
 def _sweep_per_n(gen, ns, sigma=None, n_ref=64):
@@ -217,7 +245,7 @@ SWEEP_GENERATORS = [
     WeightGenerator.alternating(0.9),
     WeightGenerator.geometric(1.05, 2.1),
     # past n_ref = 2, min(a0) of the pair moves with n (2.0, 0.5, 0.3): one grid each
-    WeightGenerator.explicit([2.0, 3.0, 0.5, 4.0, 0.3, -5.0, 6.0, 7.0]),
+    Listed((2.0, 3.0, 0.5, 4.0, 0.3, -5.0, 6.0, 7.0)),
 ]
 
 
@@ -227,7 +255,7 @@ SWEEP_GENERATORS = [
     [((4, 8, 16, 32), None, 48), ((2, 4, 4, 8), None, 8), ((8, 3, 8, 5), 0.1, 8), ((1, 3, 5, 3), None, 2)],
 )
 def test_convergence_sweep_equals_per_n_distances(gen, ns, sigma, n_ref):
-    if gen.rule == "explicit":
+    if isinstance(gen, Listed):
         ns, n_ref = tuple(min(n, 8) for n in ns), min(n_ref, 8)
     rows = convergence_sweep(gen, ns, sigma=sigma, n_ref=n_ref)
     assert np.asarray(rows).tobytes() == np.asarray(_sweep_per_n(gen, ns, sigma, n_ref)).tobytes()
@@ -260,17 +288,17 @@ def _sweep_alone(gen, ns, sigma=None, n_ref=64):
         (WeightGenerator.harmonic(1.0), (4, 8, 16, 32), None, 64),
         (WeightGenerator.alternating(1.07), (4, 8, 16, 32), None, 48),
         # the later weights fall between the earlier ones: prefixes 2 and 4 are no run
-        (WeightGenerator.explicit([1.0, 3.0, 2.0, 5.0, 4.0]), (1, 2, 3, 4), None, 5),
+        (Listed((1.0, 3.0, 2.0, 5.0, 4.0)), (1, 2, 3, 4), None, 5),
         # repeated weights: prefix 3 is the run [1, 1, 2] inside [1, 1, 1, 2, 2, 3]
-        (WeightGenerator.explicit([1.0, 2.0, 1.0, 2.0, 1.0, 3.0]), (1, 2, 3, 4, 5), 0.3, 6),
+        (Listed((1.0, 2.0, 1.0, 2.0, 1.0, 3.0)), (1, 2, 3, 4, 5), 0.3, 6),
         # a near-coalesced cluster whose mean moves with n: 1, 1 + 2e-10, 1 + 4e-10
-        (WeightGenerator.explicit([1.0, 2.0, 1.0 + 4e-10, 3.0, 1.0 + 8e-10, 4.0]), (1, 2, 3, 4, 5), None, 6),
+        (Listed((1.0, 2.0, 1.0 + 4e-10, 3.0, 1.0 + 8e-10, 4.0)), (1, 2, 3, 4, 5), None, 6),
         # the n = 1 prefix [-c] is one-signed inside the mixed reference
         (WeightGenerator.alternating(0.9), (1, 2, 3, 5), None, 8),
         # the reference is on the table route; prefixes 4, 8 and 16 share 32's recursion
         (WeightGenerator.geometric(1.05, 2.1), (4, 8, 16, 32), None, 48),
         # min(a0) of the pair moves with n (2.0, 0.5, 0.3): one grid each
-        (WeightGenerator.explicit([2.0, 3.0, 0.5, 4.0, 0.3, -5.0]), (1, 3, 5, 6, 2), None, 2),
+        (Listed((2.0, 3.0, 0.5, 4.0, 0.3, -5.0)), (1, 3, 5, 6, 2), None, 2),
     ],
     ids=["harmonic", "alternating", "no_run", "repeated", "moving_cluster", "one_signed_n1", "table_reference", "moving_grid"],
 )
@@ -287,7 +315,7 @@ def test_convergence_sweep_equals_each_window_alone(gen, ns, sigma, n_ref):
 def test_convergence_sweep_equals_each_window_alone_on_drawn_weights(values, data):
     # repeats, runs and non-runs, mixed and one-signed prefixes, moving grids and
     # moving cluster means, all drawn
-    gen = WeightGenerator.explicit(values)
+    gen = Listed(tuple(values))
     ns = tuple(data.draw(st.lists(st.integers(1, len(values)), min_size=1, max_size=5)))
     n_ref = data.draw(st.integers(1, len(values)))
     rows = convergence_sweep(gen, ns, n_ref=n_ref)

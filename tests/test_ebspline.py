@@ -1,5 +1,6 @@
 """Tests for exponential B-splines built by exact convolution."""
 
+import cmath
 import json
 import math
 import time
@@ -21,12 +22,10 @@ from zaktp.ebspline import (
     _spline_weights,
     build_ebspline,
     eval_ebspline,
-    fourier_ebspline,
-    reduce_ebspline,
 )
 from zaktp.errors import IllConditioned
 from zaktp.weights import eval_tp, fourier_tp, make_weights
-from zaktp.zak import zak_ebspline, zak_factorized, zak_tp
+from zaktp.zak import zak_ebspline, zak_factorized, zak_prefactor, zak_tp
 
 
 def test_box_spline():
@@ -95,6 +94,21 @@ def test_smoothness_order():
         assert left == pytest.approx(right, abs=1e-5)
 
 
+def fourier_ebspline(lams, omega: float) -> complex:
+    """The spline's Fourier transform, the product of (e^z - 1) / z over z = lambda_j - 2 pi i omega,
+    by a series at the removable singularity z = 0 (lambda_j = 0, omega = 0)."""
+    out = 1.0 + 0.0j
+    for lam in lams:
+        z = lam - 2j * math.pi * omega
+        out *= (cmath.exp(z) - 1.0) / z if abs(z) >= 1e-6 else 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0
+    return out
+
+
+def _reduced(B, eta):
+    """B reduced by e^{eta x} d/dx (e^{-eta x} .) between the knots, as a spline."""
+    return PiecewiseExpPoly.from_table(B.table.reduce(eta))
+
+
 def test_fourier_ebspline_against_quadrature():
     lams = [0.4, -0.8]
     B = build_ebspline(lams)
@@ -105,19 +119,18 @@ def test_fourier_ebspline_against_quadrature():
 
 
 def test_fourier_ebspline_product_form():
-    lams = [0.4, -0.8, 0.0]
-    om = 0.23
-    expected = 1.0
-    for lam in lams:
-        z = lam - 2j * np.pi * om
-        expected *= (np.exp(z) - 1) / z
-    assert fourier_ebspline(lams, om) == pytest.approx(expected)
+    # the Fourier side of Z g = P Z B: g^ = P B^, B the spline of weights -a
+    for ws in ([1.0, -2.0, 0.5], [2.0, 2.0, -1.0], [3.0], [-0.7, -1.5]):
+        w = make_weights(ws)
+        for om in (0.0, 0.23, 0.5, 1.7, -0.4):
+            ref = zak_prefactor(w, om) * fourier_ebspline([-a for a in w.raw], om)
+            assert fourier_tp(w, om) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def test_reduce_kills_single_exponential():
     lam = 0.8
     B = build_ebspline([lam])
-    red = reduce_ebspline(B, lam)
+    red = _reduced(B, lam)
     xs = np.linspace(0.01, 0.99, 10)
     assert np.allclose(eval_ebspline(red, xs), 0.0, atol=1e-14)
 
@@ -125,7 +138,7 @@ def test_reduce_kills_single_exponential():
 def test_reduce_matches_finite_difference():
     B = build_ebspline([0.5, -0.7, 1.2])
     eta = 0.3
-    red = reduce_ebspline(B, eta)
+    red = _reduced(B, eta)
     h = 1e-6
     for x in (0.4, 1.3, 2.6):
         fd = math.exp(eta * x) * (
@@ -145,8 +158,6 @@ def test_spline_weights_cluster():
 def test_spline_weights_refuse_empty_and_nonfinite(lams, message):
     with pytest.raises(ValueError, match=message):
         build_ebspline(lams)
-    with pytest.raises(ValueError, match=message):
-        fourier_ebspline(lams, 0.3)
 
 
 def test_scalar_in_python_scalar_out():
@@ -155,7 +166,7 @@ def test_scalar_in_python_scalar_out():
     B, complex_B = build_ebspline(lams), PiecewiseExpPoly((((0.0, (1.0 + 1.0j,)),),))
     cases = [
         (eval_tp, w, float), (fourier_tp, w, complex), (eval_ebspline, B, float),
-        (eval_ebspline, complex_B, complex), (fourier_ebspline, lams, complex),
+        (eval_ebspline, complex_B, complex),
         (lambda spline, x: zak_ebspline(spline, x, 0.3), B, complex),
     ]
     for f, obj, kind in cases:
@@ -190,7 +201,7 @@ def test_table_equals_per_term_oracle(lams, eta, s):
     B = build_ebspline(lams)
     x = np.linspace(-0.5, B.m + 0.5, 301)
     assert np.array_equal(eval_ebspline(B, x), _oracle_eval(B, x))
-    red = reduce_ebspline(B, eta)
+    red = _reduced(B, eta)
     assert np.array_equal(eval_ebspline(red, x), _oracle_eval(red, x))
     t = np.linspace(0.0, 1.0, 101)
     h = _slice_table(B.table, s)

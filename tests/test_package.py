@@ -52,10 +52,8 @@ discrete_frame_test
 ebspline
 errors
 eval_ebspline
-eval_reciprocal_laplace
 eval_tp
 exp_sum_rep
-fourier_ebspline
 fourier_tp
 frame_bounds
 frames
@@ -63,7 +61,6 @@ locate_zero_half
 make_weights
 periodize_sample
 psi_decay_diagnostic
-reduce_ebspline
 reduced_slice_monotonicity
 report_io
 truncate
@@ -110,6 +107,20 @@ def test_cli_subcommands_load_no_scipy():
     proc = _python("-c", code, json.dumps(GOLDEN_COMMANDS))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"{name} []" for name in GOLDEN_COMMANDS]
+
+
+def test_psi_leaves_numpy_ma_unimported():
+    # np.unique's first call imports numpy.ma, about 8 ms and 1 MB of a cold command
+    code = (
+        "import contextlib, io, sys\n"
+        "from zaktp.cli import parse_and_run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert parse_and_run(['psi', '--weights=1,2,-3']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_importtime_shows_no_scipy():

@@ -491,6 +491,53 @@ def test_factorized_route_at_a_huge_x_forms_m_rows():
     assert peak < 64 * 1024
 
 
+_FAR = "^the quasi-periodic factor e\\^\\(2 pi i floor\\(x\\) s\\) takes the Zak transform past the double range$"
+_FAR_ROUTES = {
+    "zak_ebspline": lambda w, x, s: zak_ebspline(w.spline, x, s),
+    "zak_factorized": zak_factorized,
+    "zak_tp": zak_tp,
+}
+
+
+@pytest.mark.parametrize("route", _FAR_ROUTES)
+@pytest.mark.parametrize(
+    "x",
+    [
+        -1e6 + 0.25,  # |e^{2 pi i floor(x) s}| = e^{2 pi 10^4} leaves even the extended range
+        -1e5 + 0.25,  # e^6283 is finite in extended precision; the product in double is not
+    ],
+)
+def test_a_far_x_whose_factor_passes_the_double_range_is_refused(route, x):
+    # it was nan+nanj after two RuntimeWarnings, and "partial fractions cancel" after four
+    w = make_weights([1.0, -2.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IllConditioned, match=_FAR):
+            _FAR_ROUTES[route](w, x, complex(0.31, 0.01))
+
+
+def test_a_far_x_refusal_checks_the_product_not_only_the_factor():
+    # at x - floor(x) = 0.55, |Z B| = 1.196 and the factor is e^709.7 = 1.65e308, finite:
+    # Z B passes the double range, while Z g = P Z B, |P| = 0.073, stays inside it
+    w, x, s = make_weights([1.0, -2.0, 0.5]), -11300 + 0.55, complex(0.31, 709.7 / (2 * math.pi * 11300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for route in ("zak_ebspline", "zak_factorized"):
+            with pytest.raises(IllConditioned, match=_FAR):
+                _FAR_ROUTES[route](w, x, s)
+        # the direct route's rounding bound grows with the factor in extended precision
+        assert 1e307 < abs(zak_tp(w, x, s)) < 1.79e308
+
+
+def test_the_routes_agree_at_a_far_x_inside_the_double_range():
+    # |e^{2 pi i floor(x) s}| = e^{2 pi 20} = 4e54
+    w, x, s = make_weights([1.0, -2.0, 0.5]), -2000 + 0.25, complex(0.31, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, ref = zak_factorized(w, x, s), zak_tp(w, x, s)
+    assert abs(got - ref) <= 2e-15 * abs(ref)
+
+
 @pytest.mark.parametrize(
     "x,s,named",
     [
