@@ -193,16 +193,17 @@ class ExpPolyTable:
         out = fs.T @ es
         fa, ea, fx, ex = (v.astype(float) for v in rest)  # no cancellation: doubles do
         kappa, kappa_exp = fa.T @ ea, fx.T @ ea + fa.T @ ex
-        finite = np.isfinite(out)
-        with np.errstate(over="ignore", invalid="ignore"):  # a finite Z that the factor takes past the range is refused
-            if np.any(k0):  # kappa grows in the coefficients' precision: it may pass the double range where Z does not
+        if np.any(k0):  # kappa grows in the coefficients' precision: it may pass the double range where Z does not
+            finite = np.isfinite(out)
+            with np.errstate(over="ignore", invalid="ignore"):  # a finite Z that the factor takes past the range is refused
                 shift = np.multiply.outer(-alpha * w, k0)
                 out *= np.exp(shift)
                 grow = np.exp(shift.real)
                 kappa, kappa_exp = kappa * grow, (kappa_exp + np.abs(shift) * kappa) * grow
-            out = out.astype(complex)
-        if not np.isfinite(out[finite]).all():
-            raise IllConditioned(_FAR_FACTOR)
+                out = out.astype(complex)
+            if not np.isfinite(out[finite]).all():
+                raise IllConditioned(_FAR_FACTOR)
+        out = out.astype(complex, copy=False)
         unit = np.finfo(real).eps / 2
         bound = (unit * ((4 * T * D + 16) * kappa + kappa_exp) + 2.0**-52 * np.abs(out)).astype(float)
         worst = float(np.max(bound / np.maximum(1.0, np.abs(out)), initial=0.0))

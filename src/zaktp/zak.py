@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -82,8 +82,8 @@ def zak_ebspline(B: PiecewiseExpPoly, x, s) -> complex | np.ndarray:
     ks, X = _zak_columns(B.m, B.table, xs - n_shift)
     out, far = _phases(sc, ks) @ X[0], np.flatnonzero(n_shift)
     if far.size:
-        with np.errstate(over="ignore", invalid="ignore"):  # n s in extended precision; past the double range: refused
-            out[far] *= np.exp(2j * _PI * n_shift[far].astype(_PI.dtype) * sc).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # n s and the product in extended precision; past doubles: refused
+            out[far] = (out[far] * np.exp(2j * _PI * n_shift[far].astype(_PI.dtype) * sc)).astype(complex)
         if not np.isfinite(out[far]).all():
             raise IllConditioned(_FAR_FACTOR)
     return _like_input(x, out)
@@ -188,10 +188,9 @@ class ZakGrid:
                 v = self.values[i, j]
                 yield (xx, om, self.tau, v.real, v.imag, abs(v))
 
-    def to_json_dict(self):  # tuples are written as lists, the values as their re and im rows
-        d = {"schema": "zakgrid/1", **asdict(self)}
-        values = d.pop("values")
-        return {**d, "re": values.real.tolist(), "im": values.imag.tolist()}
+    def to_json_dict(self):  # the fields but the values, in order, then the values as their re and im rows
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "values"}
+        return {"schema": "zakgrid/1", **d, "re": self.values.real.tolist(), "im": self.values.imag.tolist()}
 
 
 def compute_zak_grid(

@@ -529,6 +529,17 @@ def test_a_far_x_refusal_checks_the_product_not_only_the_factor():
         assert 1e307 < abs(zak_tp(w, x, s)) < 1.79e308
 
 
+def test_a_far_x_whose_factor_alone_passes_the_double_range_is_not_refused():
+    # at x - floor(x) = 0.05 and omega = 0.4, |Z B| = 0.54 and the factor is e^710 = 2.2e308:
+    # the product, formed before the rounding to double, is 1.2e308, inside the range
+    w, x, s = make_weights([1.0, -2.0, 0.5]), -11300 + 0.05, complex(0.4, 710 / (2 * math.pi * 11300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        zb, got, ref = zak_ebspline(w.spline, x, s), zak_factorized(w, x, s), zak_tp(w, x, s)
+    assert 1e308 < abs(zb) < 1.79e308
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
 def test_the_routes_agree_at_a_far_x_inside_the_double_range():
     # |e^{2 pi i floor(x) s}| = e^{2 pi 20} = 4e54
     w, x, s = make_weights([1.0, -2.0, 0.5]), -2000 + 0.25, complex(0.31, 0.01)
