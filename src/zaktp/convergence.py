@@ -134,7 +134,9 @@ def weighted_sup_distance(
 
 def zak_strip_distance(w_n: WeightMultiset, w_m: WeightMultiset, xi: float) -> float:
     """max |Zg_n - Zg_m| over [0,1) x [-xi, xi], from the closed-form lattice sums
-    (``IllConditioned`` where they refuse): 64 x, 9 tau and omega in {0, 1/4, 1/2, 3/4}."""
+    (``IllConditioned`` where they refuse): 64 x, 9 tau and omega in {0, 1/4, 1/2, 3/4}, where
+    3/4 is not summed: real windows have conj Zg(x, s) = Zg(x, -conj(s)) = Zg(x, 1 - conj(s)),
+    so the moduli at 3/4 + i tau are those at 1/4 + i tau (up to the lattice sums' rounding)."""
     if xi < 0:
         raise ValueError("xi must be nonnegative")
     _check_strip(min(w_n, w_m, key=lambda w: w.a0), xi)
@@ -143,10 +145,10 @@ def zak_strip_distance(w_n: WeightMultiset, w_m: WeightMultiset, xi: float) -> f
 
 @functools.lru_cache(maxsize=2)  # of samples, not of a representation (the window holds its table)
 def _strip_values(weights: WeightMultiset, xi: float) -> np.ndarray:
-    """Zg on the strip grid, (9, 4, 64); a sweep pairs each prefix with one reference."""
+    """Zg on the strip grid, (9, 3, 64), omega in {0, 1/4, 1/2}; a sweep pairs each prefix with one reference."""
     xs = np.arange(64) / 64
     taus = np.linspace(-xi, xi, 9) if xi > 0 else np.asarray([0.0])
-    out = weights.table.lattice_sum(xs, np.add.outer(1j * taus, [0.0, 0.25, 0.5, 0.75]))[0]
+    out = weights.table.lattice_sum(xs, np.add.outer(1j * taus, [0.0, 0.25, 0.5]))[0]
     out.setflags(write=False)
     return out
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import IllConditioned
 
-_P = np.polynomial.polynomial
 _PI = np.longdouble("3.14159265358979323846264338327950288")
 _COALESCE_TOL = 1e-9  # weights this close share a cluster: spline weights, make_weights' default
 _UNDERFLOW = -746.0  # np.exp is exactly +0 below this: e^-746 is under half the least subnormal, e^-744.4
@@ -100,20 +99,29 @@ class ExpPolyTable:
 
     def pieces_at(self, t: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """The pieces ``rows`` (every piece by default) at the same 1-D points t,
-        shape (len(rows), len(t)): the table's one evaluator.  Each e^{eta t} a
-        live term needs is formed once and shared by the pieces (at most T np.exp
-        calls, not P T); each piece adds padded Horner times it in slot order,
-        where ``_keep`` says (without a skip, all rows at once).  No (T, n) array
-        is formed."""
+        shape (len(rows), len(t)): the table's one evaluator.  Each e^{eta t} a live
+        term needs is formed once and shared by the pieces (at most T np.exp calls,
+        not P T); each piece adds padded Horner times it in slot order, where
+        ``_keep`` says (without a skip, all rows at once).  No (T, n) array is formed.
+        Each ``_keep`` set is found inside that of the same-sign term with the next
+        smaller |eta|: rounded products are monotone in eta, so the sets nest."""
         coeffs, live = self.coeffs[rows], self._live_mask[rows]
         out = np.zeros((len(coeffs), len(t)), coeffs.dtype)
         span = np.max(np.abs(t), initial=0.0) if self._may_underflow else 0.0
-        terms = zip(self.etas.tolist(), coeffs.transpose(1, 0, 2), live.T, live.sum(axis=0).tolist())
-        for eta, c, ps, n_live in terms:  # per term: its exponent, its (P, D) rows, which are live
+        etas, keeps, chain = self.etas.tolist(), {}, {}  # chain: per sign, the last set found and its points
+        for j in sorted(np.flatnonzero(live.any(axis=0) & self._may_underflow).tolist(), key=lambda j: abs(etas[j])):
+            keep, tp = chain.get(etas[j] > 0, (slice(None), t))
+            local = self._keep(etas[j], tp, span)  # a slice only while no smaller |eta| skipped
+            if not isinstance(local, slice):
+                keep = local if isinstance(keep, slice) else keep[local]
+                chain[etas[j] > 0] = keep, tp[local]
+            keeps[j] = keep
+        terms = zip(etas, coeffs.transpose(1, 0, 2), live.T, live.sum(axis=0).tolist())
+        for j, (eta, c, ps, n_live) in enumerate(terms):  # per term: its exponent, its (P, D) rows, which are live
             if not n_live:
                 continue
             if self._may_underflow:
-                keep = self._keep(eta, t, span)
+                keep = keeps.pop(j)  # released once added
                 tk = t[keep]
                 e = np.exp(eta * tk)
                 for p in np.flatnonzero(ps):
@@ -153,14 +161,14 @@ class ExpPolyTable:
         y0 = x + alpha k0 in [0, alpha) a term sums p(y0 + h m) e^{eta y0} q^m, m >= 0:
         h = alpha, q = e^{h (eta - 2 pi i s)} on the right, h = -alpha from y0 - alpha
         on the left.  By Taylor's formula that is e^{eta y0} Sum_i h^i p^(i)(y0)/i! S_i(q),
-        S_i(q) = Sum_m m^i q^m = q A_i(q)/(1 - q)^(i+1) (Eulerian A_i): a factor in x
-        times one in s, so one matrix product, in the coefficients' precision.  kappa,
-        the same sum over the terms' moduli, bounds each quantity on the way by its
-        share.  The bound is (4 T D + 16) unit roundoffs of kappa (coefficients good to
-        2 T D units, Horner, moments, the sum), plus kappa_exp, the shares weighted by
-        the exponents rounded on the way (eta y, h (eta - 2 pi i s) via dS_i/dz =
-        S_(i+1), the phases), plus 2^-52 |Z| for the rounding to complex128.
-        """
+        S_i(q) = Sum_m m^i q^m = q A_i(q)/(1 - q)^(i+1) (Eulerian A_i): a factor in x times
+        one in s, so one matrix product, in the coefficients' precision.  Inside the strip
+        Im z = -h Im(2 pi i s) of z = log q is one row for all terms, so ``_moments`` forms
+        its cosines and sines once per column.  kappa, the same sum over the terms' moduli,
+        bounds each quantity on the way by its share.  The bound is (4 T D + 16) unit
+        roundoffs of kappa (coefficients good to 2 T D units, Horner, moments, the sum), plus
+        kappa_exp, the shares weighted by the exponents rounded on the way (eta y, h (eta -
+        2 pi i s) via dS_i/dz = S_(i+1), the phases), plus 2^-52 |Z| for the rounding to complex128."""
         xs, ss = np.asarray(x, dtype=float), np.asarray(s, dtype=complex)
         xf, sf = xs.ravel(), ss.ravel()
         # y0 = fmod(x, alpha) (+ alpha) is exact but for the last addition, made in
@@ -179,7 +187,7 @@ class ExpPolyTable:
             etas, y = etas.astype(real), y0 + y
             z = h * (etas[:, None] - w)  # (T, Ns): q = e^z
             eta_y = np.multiply.outer(etas, y)  # (T, Nx)
-            ey, moments, bounds = np.exp(eta_y), _moments(z, D), _moments(z.real, D + 1)
+            ey, (moments, bounds) = np.exp(eta_y), _moments(z.real, z[0].imag, D)
             for i in range(D):
                 taylor = c[:, i:] * [math.comb(j, i) for j in range(i, D)]
                 scale, mod = np.exp(np.real(pre)) * abs(h) ** i, _horner(np.abs(taylor), np.abs(y)) * ey
@@ -223,15 +231,21 @@ def _horner(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _moments(z: np.ndarray, count: int) -> list[np.ndarray]:
-    """S_i(q) = Sum_m m^i q^m at q = e^z, Re z < 0, for i < count."""
-    omq, q = -np.expm1(z), np.exp(z) if count > 1 else None  # 1 - q without cancellation
-    return [1.0 / omq] + [q * _P.polyval(q, _eulerian(i)) / omq ** (i + 1) for i in range(1, count)]
+def _moments(x: np.ndarray, y: np.ndarray, count: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """S_i(q) = Sum_m m^i q^m = q A_i(q) / (1 - q)^(i+1) (Eulerian A_i) for i < count at q = e^(x + i y),
+    and for i <= count at q = e^x, x < 0.  y is one row, Im z in every row of x: cos y, sin y and
+    sin(y/2) are formed once per column, and q and 1 - q have the bits of np.exp(z) and -np.expm1(z),
+    by NumPy's formula e^z - 1 = (e^x - 1) cos y - 2 sin^2(y/2) + i e^x sin y (no cancellation)."""
+    em1, ex, cos, sin, half = np.expm1(x), np.exp(x), np.cos(y), np.sin(y), np.sin(y / 2)
+    q, omq = np.empty((2,) + x.shape, np.result_type(x, 1j))
+    q.real, q.imag, omq.real, omq.imag = ex * cos, ex * sin, -(em1 * cos - 2 * half * half), -(ex * sin)
+    return tuple([1.0 / o] + [p * _horner(_eulerian(i), p) / o ** (i + 1) for i in range(1, n)]
+                 for p, o, n in ((q, omq, count), (ex, -em1, count + 1)))
 
 
-def _eulerian(i: int) -> list[int]:
+def _eulerian(i: int) -> np.ndarray:
     """Ascending coefficients A(i, k) = sum_j (-1)^j C(i+1, j) (k+1-j)^i of the Eulerian A_i."""
-    return [sum((-1) ** j * math.comb(i + 1, j) * (k + 1 - j) ** i for j in range(k + 2)) for k in range(i)]
+    return np.array([sum((-1) ** j * math.comb(i + 1, j) * (k + 1 - j) ** i for j in range(k + 2)) for k in range(i)], float)
 
 
 @dataclass(frozen=True)

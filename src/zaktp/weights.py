@@ -69,7 +69,7 @@ class WeightMultiset:
 
     def cluster_nodes(self) -> np.ndarray:
         """Cluster values expanded with multiplicity, sorted ascending."""
-        return np.concatenate([np.full(mu, b) for b, mu in self.distinct])
+        return np.repeat(*zip(*self.distinct))
 
 
 def make_weights(values: Sequence[float], coalesce_tol: float = _COALESCE_TOL) -> WeightMultiset:
@@ -255,24 +255,24 @@ def exp_sum_rep(weights: WeightMultiset) -> ExpPolyTable:
 
     A term lives on the half-line where it decays (b > 0 on the right); its
     polynomial is in the global coordinate x, ascending.  The coefficients are the
-    higher-order residues of the Fourier product at s = -b_i, obtained from the
-    log-derivative recursion in extended precision (they cancel against each other
-    as the weights crowd; ``eval_tp`` evaluates a float64 copy); the result is
-    verified against the Fourier product and :class:`IllConditioned` is raised
-    unless the reconstruction residual is at most ``_CHECK_TOL`` relative to
-    max(1, |Fourier product|).
+    higher-order residues of the Fourier product at s = -b_i, in extended precision
+    (they cancel against each other as the weights crowd; ``eval_tp`` evaluates a
+    float64 copy): the simple ones H(-b_i) of all clusters from one (clusters, n)
+    product, the rest by the log-derivative recursion per confluent cluster.  It raises
+    :class:`IllConditioned` unless the residual against the Fourier product at three
+    frequencies, formed in one pass, is at most ``_CHECK_TOL`` times max(1, |Fourier product|).
     """
     # sorted raw weights line up with the cluster nodes, one cluster per run
     raws, nodes = np.sort(np.asarray(weights.raw)), weights.cluster_nodes().astype(_EXT)
     bs = np.array([b for b, _ in weights.distinct], _EXT)
     mus = np.array([mu for _, mu in weights.distinct])
-    coeffs = np.zeros((2, len(bs), mus.max()), _EXT)
-    terms = []  # (b, j, c_j): c_j is the coefficient of (s + b)^-j, for the residual check
-    for i, (b, mu) in enumerate(weights.distinct):
-        # H(-b) = prod a / prod_k (b_k - b)^mu_k as a product of ratios a / (b_k - b):
-        # prod a itself leaves the double range for wide windows
-        hs = [np.prod(raws / np.where(nodes == b, 1.0, nodes - b))]
-        d, mk = (np.delete(bs - b, i), np.delete(mus, i)) if mu > 1 else (None, None)
+    on = np.arange(mus.max()) < mus[:, None]  # (clusters, D): the degrees each cluster has
+    cs = np.zeros(on.shape, _EXT)  # cs[i, j - 1] = c_{i,j}, the coefficient of (s + b_i)^-j
+    # H(-b) = prod a / prod_k (b_k - b)^mu_k of every cluster b, as a product of ratios
+    # a / (b_k - b): prod a itself leaves the double range for wide windows
+    cs[:, 0] = np.prod(raws / np.where(nodes == bs[:, None], 1.0, nodes - bs[:, None]), axis=1)
+    for i in np.flatnonzero(mus > 1).tolist():
+        hs, mu, d, mk = [cs[i, 0]], int(mus[i]), np.delete(bs - bs[i], i), np.delete(mus, i)
 
         def l_deriv(p):
             return -((-1.0) ** p) * math.factorial(p) * np.sum(mk / d ** (p + 1))
@@ -280,25 +280,24 @@ def exp_sum_rep(weights: WeightMultiset) -> ExpPolyTable:
         for m_ in range(1, mu):
             hs.append(sum(math.comb(m_ - 1, l) * hs[l] * l_deriv(m_ - 1 - l) for l in range(m_)))
         # c_{i,j} = H^{(mu-j)}(-b) / (mu-j)!
-        cs = [hs[mu - j] / math.factorial(mu - j) for j in range(1, mu + 1)]
-        terms += [(b, j, c) for j, c in enumerate(cs, 1)]
-        c = [cs[j] / math.factorial(j) for j in range(mu)]
-        if b > 0:
-            coeffs[1, i, :mu] = c
-        else:
-            coeffs[0, i, :mu] = [-v for v in c]
-
+        cs[i, :mu] = [hs[mu - j] / math.factorial(mu - j) for j in range(1, mu + 1)]
+    c = cs / np.array([math.factorial(j) for j in range(on.shape[1])], _EXT)
+    coeffs = np.zeros((2, *on.shape), _EXT)
+    right, left = on & (bs > 0)[:, None], on & (bs < 0)[:, None]
+    coeffs[1][right], coeffs[0][left] = c[right], -c[left]
     table = ExpPolyTable([-b for b, _ in weights.distinct], coeffs)
 
-    # residual check against the Fourier product at a few frequencies
-    tb, tj, tc = (np.array(v, t) for v, t in zip(zip(*terms), (_EXT, int, _EXT)))
-    for om in (0.1318, 0.7, 2.31):
-        recon = np.sum(tc / (tb + 2j * np.pi * om) ** tj)
-        target = complex(fourier_tp(weights, om))
-        # written so that a NaN residual (an overflowed weight product) raises too
-        if not abs(recon - target) <= _CHECK_TOL * max(1.0, abs(target)):
-            raise IllConditioned(
-                f"partial-fraction residual {abs(recon - target):.3e} at omega={om}; "
-                "weights may be too close without coalescing, or their product overflows"
-            )
+    # residual check against the Fourier product at three frequencies, in one pass
+    tb, tj, tc = (np.broadcast_to(v, on.shape)[on] for v in (bs[:, None], np.arange(1, on.shape[1] + 1), cs))
+    oms = np.array([0.1318, 0.7, 2.31])
+    target = fourier_tp(weights, oms)
+    resid = np.abs(np.sum(tc / (tb + 2j * np.pi * oms[:, None]) ** tj, axis=1) - target)
+    # written so that a NaN residual (an overflowed weight product) raises too
+    bad = ~(resid <= _CHECK_TOL * np.maximum(1.0, np.abs(target)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise IllConditioned(
+            f"partial-fraction residual {resid[k]:.3e} at omega={oms[k]}; "
+            "weights may be too close without coalescing, or their product overflows"
+        )
     return table

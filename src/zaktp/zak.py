@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .ebspline import _FAR_FACTOR, _PI, ExpPolyTable, PiecewiseExpPoly, _like_input
 from .errors import IllConditioned, PoleHit, StripViolation
@@ -130,8 +129,9 @@ _QUAD_POINTS = 256  # Gauss-Legendre nodes of zak_inversion_check
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The nodes and weights on [-1, 1], made on first use rather than at import;
-    every caller shares them, so read-only."""
+    """The nodes and weights on [-1, 1], made (numpy.polynomial imported) on first use
+    rather than at import; every caller shares them, so read-only."""
+    from numpy.polynomial.legendre import leggauss
     nodes, wts = leggauss(_QUAD_POINTS)
     nodes.setflags(write=False)
     wts.setflags(write=False)

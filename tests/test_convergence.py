@@ -172,6 +172,30 @@ def test_zak_strip_distance_dominates_real_slice():
     assert zak_strip_distance(w5, w20, xi) >= zak_strip_distance(w5, w20, 0.0)
 
 
+STRIP_PAIRS = {
+    "harmonic": (WeightGenerator.harmonic(1.1), 4, 16),
+    "alternating": (WeightGenerator.alternating(0.9), 8, 32),
+    "geometric": (WeightGenerator.geometric(1.2, 2.1), 8, 32),
+    "mixed": (Listed((1.3, -2.1, 2.9, -0.8, 3.7, -4.4)), 4, 6),
+}
+
+
+@pytest.mark.parametrize("share", [0.25, 0.0], ids=["xi", "xi0"])
+@pytest.mark.parametrize("gen, n, m", STRIP_PAIRS.values(), ids=STRIP_PAIRS.keys())
+def test_zak_strip_distance_is_the_maximum_over_all_four_omegas(gen, n, m, share):
+    # the strip grid sums omega in {0, 1/4, 1/2}: real windows have the same moduli
+    # at 3/4 + i tau as at 1/4 + i tau, so the maximum over all four is the same
+    w_n, w_m = truncate(gen, n), truncate(gen, m)
+    xi = share * w_m.a0 / (2 * math.pi)
+    taus = np.linspace(-xi, xi, 9) if xi > 0 else np.asarray([0.0])
+    s = np.add.outer(1j * taus, [0.0, 0.25, 0.5, 0.75])
+    (z_n, b_n), (z_m, b_m) = (w.table.lattice_sum(np.arange(64) / 64, s) for w in (w_n, w_m))
+    full = float(np.max(np.abs(z_n - z_m)))
+    assert zak_strip_distance(w_n, w_m, xi) == pytest.approx(full, rel=1e-13, abs=0)
+    for z, bound in ((z_n, b_n), (z_m, b_m)):
+        assert np.all(np.abs(np.abs(z[:, 3]) - np.abs(z[:, 1])) <= bound[:, 3] + bound[:, 1])
+
+
 def test_strip_violation():
     w = truncate(WeightGenerator.harmonic(1.0), 4)
     with pytest.raises(StripViolation):

@@ -123,6 +123,14 @@ def test_psi_leaves_numpy_ma_unimported():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_numpy_polynomial_unimported():
+    # the lattice sums' Eulerian polynomials use the package's Horner; only the
+    # inversion check's Gauss-Legendre nodes need numpy.polynomial, on first use
+    proc = _python("-c", "import sys, zaktp.cli; print('numpy.polynomial' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_importtime_shows_no_scipy():
     proc = _python("-X", "importtime", "-c", "import zaktp")
     assert proc.returncode == 0, proc.stderr

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dd_oracle import dd_exp_chi, eval_tp_all_points
 from mp_oracle import windows
 from piece_oracle import piece
+from residue_oracle import per_cluster_coeffs
 
 import zaktp.ebspline
 from zaktp.convergence import WeightGenerator, truncate
@@ -288,6 +289,32 @@ WIDE_WINDOWS = {
     "geometric_64": truncate(WeightGenerator.geometric(1.0, 2.0), 64).raw,
     "wide_confluent": WIDE + [2.4, 4.8],
 }
+
+
+RESIDUE_WINDOWS = {
+    "simple": ([1.0, -2.0, 3.5], 1e-9),
+    "confluent": ([1.0, 1.0, 2.0, 2.0, 2.0], 1e-9),
+    "mixed": ([1.0, 1.0, -2.0, -2.0, -2.0, 3.0, -0.7], 1e-9),
+    "near_coalesced": ([1.0, 1.0 + 1e-8, 2.0], 0.0),
+    "wide": (WIDE, 1e-9),
+    "wide_confluent": (WIDE + [2.4, 4.8], 1e-9),
+    "wide_negative": ([-a for a in WIDE], 1e-9),
+    "harmonic_32": (truncate(WeightGenerator.harmonic(1.0), 32).raw, 1e-9),
+    "multiplicity_24": ([2.0] * 24 + [-1.0, -1.0, 3.5], 1e-9),  # 21! and up pass int64
+}
+
+
+@pytest.mark.parametrize("values, tol", RESIDUE_WINDOWS.values(), ids=RESIDUE_WINDOWS.keys())
+def test_exp_sum_rep_equals_the_per_cluster_loop(values, tol):
+    # the simple residues of all clusters come from one (clusters, n) product, the
+    # confluent ones from the recursion per cluster: the loop's values, coefficient
+    # by coefficient.  Values and sign bits, not tobytes(): an 80-bit longdouble
+    # carries padding bytes whose contents vary
+    table = exp_sum_rep(make_weights(values, coalesce_tol=tol))
+    want = per_cluster_coeffs(make_weights(values, coalesce_tol=tol))
+    assert table.coeffs.dtype == want.dtype and table.coeffs.shape == want.shape
+    assert np.array_equal(table.coeffs, want)
+    assert np.array_equal(np.signbit(table.coeffs), np.signbit(want))
 
 
 @pytest.mark.parametrize("values", WIDE_WINDOWS.values(), ids=WIDE_WINDOWS.keys())

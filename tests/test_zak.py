@@ -1,5 +1,6 @@
 """Tests for the Zak transform routes and their cross-validation."""
 
+import contextlib
 import math
 import re
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mp_oracle import lattice_sum
+from test_ebspline import _same_bits
 
 import zaktp.analysis
 import zaktp.frames
@@ -20,7 +22,7 @@ from zaktp.analysis import Region, certify_zero_free
 from zaktp.convergence import WeightGenerator, truncate, zak_strip_distance
 from numpy.polynomial.legendre import leggauss
 
-from zaktp.ebspline import ExpPolyTable, PiecewiseExpPoly, _horner, build_ebspline, eval_ebspline
+from zaktp.ebspline import _PI, ExpPolyTable, PiecewiseExpPoly, _eulerian, _horner, build_ebspline, eval_ebspline
 from zaktp.errors import IllConditioned, PoleHit, StripViolation
 from zaktp.frames import frame_bounds, periodize_sample
 from zaktp.weights import exp_sum_rep, fourier_tp, make_weights
@@ -117,6 +119,54 @@ def test_lattice_sum_matches_mpmath(case):
         err = float(abs(mp.mpc(complex(got)) - ref))
     assert err <= 1e-10 * max(1.0, float(abs(ref)))
     assert err <= float(bound)
+
+
+def _moments_of_the_block(z, count):
+    """S_i(q) for i < count from the whole block z, through 1 / -np.expm1(z) and np.exp(z)."""
+    omq, q, polyval = -np.expm1(z), np.exp(z), np.polynomial.polynomial.polyval
+    return [1.0 / omq] + [q * polyval(q, _eulerian(i)) / omq ** (i + 1) for i in range(1, count)]
+
+
+MOMENT_WINDOWS = {
+    "harmonic": truncate(WeightGenerator.harmonic(1.0), 5).raw,
+    "alternating": truncate(WeightGenerator.alternating(1.0), 6).raw,
+    "geometric": truncate(WeightGenerator.geometric(1.0, 2.0), 5).raw,
+    "mixed_confluent": (1.3, 1.3, -2.1, -2.1, -2.1, 2.9, -0.8),
+}
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+@pytest.mark.parametrize("values", MOMENT_WINDOWS.values(), ids=MOMENT_WINDOWS.keys())
+def test_lattice_sum_moments_have_the_bits_of_numpys_complex_exp_and_expm1(values, alpha, monkeypatch):
+    # lattice_sum hands _moments Re z and one row of Im z, which forms cos y, sin y
+    # and sin(y/2) once per column.  Each block's Im z must be that row in every row,
+    # and S_i must have the bits that the whole complex block gives through
+    # 1 / -np.expm1(z) and np.exp(z), signed zeros included: if NumPy changes its
+    # complex exp or expm1, this is where it shows
+    blocks, real = [], zaktp.ebspline._moments
+
+    def recording(x, y, count):
+        blocks.append((x, y, count, real(x, y, count)))
+        return blocks[-1][3]
+
+    monkeypatch.setattr(zaktp.ebspline, "_moments", recording)
+    w = make_weights(values)
+    edge = w.a0 / (2 * math.pi)  # the strip, whatever alpha
+    taus = np.array([0.0, -0.0, 0.3, -0.7, 0.99, -0.99, 0.999999]) * edge
+    grid = np.add.outer(np.array([0.0, -0.0, 0.25, 0.5, 0.75, 0.3, 1.0]), 1j * taus)
+    for x, s in ((np.linspace(-2.5, 2.5, 11), grid), (0.3, 0.0), (-1.7, complex(0.0, -0.99 * edge))):
+        del blocks[:]
+        with contextlib.suppress(IllConditioned):  # the strip's edge may refuse: its blocks are formed first
+            w.table.lattice_sum(x, s, alpha)
+        wz = 2 * _PI * 1j * np.ravel(s).astype(np.clongdouble)  # 2 pi i s as lattice_sum rounds it
+        zs = [h * (w.table.etas[live].astype(np.longdouble)[:, None] - wz)
+              for live, h in ((w.table._live_mask[1], alpha), (w.table._live_mask[0], -alpha)) if live.any()]
+        assert len(blocks) == len(zs)
+        for (bx, by, count, (moments, bounds)), z in zip(blocks, zs):
+            assert _same_bits(bx, z.real) and all(_same_bits(by, row) for row in z.imag)
+            assert len(moments) == count and len(bounds) == count + 1
+            assert all(_same_bits(got, want) for got, want in zip(moments, _moments_of_the_block(z, count)))
+            assert all(_same_bits(got, want) for got, want in zip(bounds, _moments_of_the_block(z.real, count + 1)))
 
 
 @pytest.mark.parametrize("n", [28, 32, 40])
